@@ -2,15 +2,18 @@
 
 Sellers (RSUs) lead by posting per-buyer bandwidth prices inside a regulated
 box [c, p_bar]; buyers (UAVs) follow with a budget-constrained concave demand
-problem solved in closed form through KKT water-filling.  The leader subgame
-is solved per buyer by iterating the sellers' best-response map, which is a
-standard function (positive, monotone, scalable), so its fixed point is unique.
+problem solved in closed form through KKT water-filling.  The leader subgames
+decouple per buyer; each is solved by iterating the sellers' best-response
+map, which is a standard function (positive, monotone, scalable), so its fixed
+point is unique.  solve_equilibrium runs all buyers' subgames at once on the
+market's dense arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,6 +217,33 @@ class VerificationReport:
         return not self.rsu_violations and not self.uav_violations
 
 
+class _MarketArrays(NamedTuple):
+    """A market as dense arrays: per seller q, c, cap (J,); per buyer the
+    log-quality S (rows x J, -inf on an unusable link), delta and budget."""
+
+    q: np.ndarray
+    c: np.ndarray
+    cap: np.ndarray
+    S: np.ndarray
+    delta: np.ndarray
+    budget: np.ndarray
+
+    def buyers(self, rows) -> _MarketArrays:
+        """The same market restricted to the given buyer rows."""
+        return self._replace(S=self.S[rows], delta=self.delta[rows],
+                             budget=self.budget[rows])
+
+
+def _market_arrays(instance: GameInstance, uavs=None) -> _MarketArrays:
+    """Arrays of the market, with buyer rows for every UAV or the listed ones."""
+    uavs = range(instance.num_uavs) if uavs is None else uavs
+    return _MarketArrays(
+        instance.efficiencies(), instance.costs(), instance.price_caps(),
+        np.array([log_quality_row(instance, i) for i in uavs]),
+        np.array([instance.uavs[i].delta for i in uavs], dtype=float),
+        np.array([instance.uavs[i].budget for i in uavs], dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # Utility operations
 # ---------------------------------------------------------------------------
@@ -364,24 +394,39 @@ def _rowdot(x, y) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _support_sums(values: np.ndarray, support: np.ndarray) -> np.ndarray:
+def _pack(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gather plan of _packed_sums for a boolean (..., J) support.
+
+    Per support size k, the flat indices of the rows of that size and the
+    flat indices of their k support entries in ascending order.
+    """
+    J = support.shape[-1]
+    s = support.reshape(-1, J)
+    flat = np.argsort(~s, axis=1, kind="stable") + J * np.arange(len(s))[:, None]
+    sizes = s.sum(axis=1)
+    by_size = np.argsort(sizes, kind="stable")
+    ends = np.cumsum(np.bincount(sizes, minlength=J + 1))
+    plan = []
+    for k in np.flatnonzero(ends[1:] > ends[:-1]) + 1:
+        rows = by_size[ends[k - 1]:ends[k]]
+        plan.append((rows, flat[rows, :k]))
+    return plan
+
+
+def _packed_sums(values: np.ndarray, plan) -> np.ndarray:
     """np.sum(values[k][support[k]]) for every row k, in numpy's own order.
 
-    Rows are packed to their support (ascending index) and grouped by support
-    size, so each sum runs over the same contiguous elements as in the scalar
-    solver and rounds the same way.
+    plan is _pack(support). Each row is gathered to its support (ascending
+    index) and the rows are summed in groups of one support size, so each sum
+    runs over the same contiguous elements as in the scalar code and rounds
+    the same way. A row with an empty support sums to 0.
     """
-    J = values.shape[-1]
-    v = values.reshape(-1, J)
-    s = support.reshape(-1, J)
-    packed = np.take_along_axis(v, np.argsort(~s, axis=1, kind="stable"), axis=1)
-    sizes = s.sum(axis=1)
-    out = np.zeros(len(s))
-    for k in range(1, J + 1):
-        rows = sizes == k
-        if np.any(rows):
-            out[rows] = np.sum(packed[rows, :k], axis=1)
-    return out.reshape(support.shape[:-1])
+    v = values.reshape(-1)
+    out = np.zeros(values.shape[:-1])
+    flat_out = out.reshape(-1)
+    for rows, gather in plan:
+        flat_out[rows] = np.add.reduce(v[gather], axis=1)
+    return out
 
 
 def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
@@ -407,7 +452,7 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
     lam = np.zeros(p.shape[:-1])
     exits = np.full(p.shape[:-1], _NO_DEMAND)
 
-    wants = np.any(cand > 0, axis=-1)
+    wants = (cand > 0).any(axis=-1)
     slack = wants & (_rowdot(rows, cand) <= budget)
     demands[slack] = cand[slack]
     exits[slack] = _SLACK
@@ -416,11 +461,12 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
     open_ = wants & ~slack
     support = positive & open_[..., None]
     p_over_q = p / q
-    while np.any(open_):
-        lam_k = (delta * _support_sums(S, support)
-                 / (budget + _support_sums(p_over_q, support)) - 1.0)
+    while open_.any():
+        plan = _pack(support)
+        lam_k = (delta * _packed_sums(S, plan)
+                 / (budget + _packed_sums(p_over_q, plan)) - 1.0)
         low = open_ & (lam_k <= 0.0)
-        if np.any(low):
+        if low.any():
             # reduced support fits the budget after all: fall back to candidates
             b = np.where(support, np.maximum(d * S / p - 1.0 / q, 0.0), 0.0)
             fits = low & (_rowdot(rows, b) <= budget)
@@ -432,13 +478,13 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
         lam_k = np.where(lam_k > 0.0, lam_k, 1e-15)
         b = d * S / (p * (1.0 + lam_k[..., None])) - 1.0 / q
         keep = support & (b > 0)
-        binding = open_ & np.all(keep == support, axis=-1)
+        binding = open_ & (keep == support).all(axis=-1)
         demands[binding] = np.where(support, b, 0.0)[binding]
         lam[binding] = lam_k[binding]
         exits[binding] = _BINDING
         open_ &= ~binding
         support = keep & open_[..., None]
-        emptied = open_ & ~np.any(support, axis=-1)
+        emptied = open_ & ~support.any(axis=-1)
         exits[emptied] = _EMPTY_SUPPORT
         open_ &= ~emptied
     return demands, lam, exits
@@ -448,15 +494,44 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
 # Leader (seller) best responses
 # ---------------------------------------------------------------------------
 
+def _slack_prices(m: _MarketArrays) -> np.ndarray:
+    """Each seller's profit-maximizing price sqrt(delta*S*q*c) for every buyer
+    row when the budget is slack, unclipped; c on a link without positive
+    log-quality."""
+    with np.errstate(invalid="ignore"):
+        slack = np.sqrt(m.delta[:, None] * m.S * m.q * m.c)
+    return np.where(m.S > 0.0, slack, m.c)
+
+
+def _leader_map(p: np.ndarray, m: _MarketArrays, slack: np.ndarray,
+                plan, sum_S: np.ndarray) -> np.ndarray:
+    """Sellers' unclamped best-response map on every buyer row of p (n x J).
+
+    Row r, coordinate j maps to
+    sqrt(q_j c_j S_rj (R_r + sum_{k!=j} p_rk/q_k) / sum_{k!=j} S_rk), the sums
+    over the links with positive log-quality; a coordinate without such a
+    competitor maps to its slack price, a link without positive log-quality to
+    c_j. m holds the n buyer rows, slack is _slack_prices(m), plan is _pack of
+    the positive links and sum_S their S sums. Each entry is evaluated in the
+    order written here, so it equals the seller-by-seller formula bit for bit.
+    """
+    p_over_q = p / m.q
+    other = _packed_sums(p_over_q, plan)[:, None] - p_over_q
+    denom = sum_S[:, None] - m.S
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sqrt(m.q * m.c * m.S * (m.budget[:, None] + other) / denom)
+    out = np.where(denom > 0.0, out, slack)
+    return np.where(m.S > 0.0, out, m.c)
+
+
 def leader_unconstrained_price(instance: GameInstance, rsu_index: int,
                                uav_index: int) -> float:
     """Profit-maximizing price sqrt(delta*S*q*c) when the buyer's budget is slack."""
-    S = log_quality_row(instance, uav_index)[rsu_index]
+    m = _market_arrays(instance, [uav_index])
+    S = m.S[0, rsu_index]
     if not (np.isfinite(S) and S > 0):
         raise ValueError("no profitable price: buyer never demands from this seller")
-    rsu = instance.rsus[rsu_index]
-    return math.sqrt(instance.uavs[uav_index].delta * S
-                     * rsu.link.spectrum_efficiency * rsu.bandwidth_cost)
+    return float(_slack_prices(m)[0, rsu_index])
 
 
 def leader_best_response_map(instance: GameInstance, uav_index: int,
@@ -468,120 +543,114 @@ def leader_best_response_map(instance: GameInstance, uav_index: int,
     positive-quality competitors falls back to the slack-budget price.
     """
     p = np.asarray(price_vector, dtype=float)
-    q = instance.efficiencies()
-    cs = instance.costs()
-    caps = instance.price_caps()
-    S = log_quality_row(instance, uav_index)
-    R = instance.uavs[uav_index].budget
-    positive = np.isfinite(S) & (S > 0.0)
-
-    out = cs.astype(float).copy()
-    sum_S = float(np.sum(S[positive]))
-    sum_pq = float(np.sum(p[positive] / q[positive]))
-    for j in range(instance.num_rsus):
-        if not positive[j]:
-            continue
-        denom = sum_S - S[j]
-        if denom <= 0.0:
-            out[j] = leader_unconstrained_price(instance, j, uav_index)
-            continue
-        other = sum_pq - p[j] / q[j]
-        out[j] = math.sqrt(q[j] * cs[j] * S[j] * (R + other) / denom)
-    if clamp:
-        out = np.clip(out, cs, caps)
-    return out
+    m = _market_arrays(instance, [uav_index])
+    plan = _pack(m.S > 0.0)
+    out = _leader_map(p[None], m, _slack_prices(m), plan, _packed_sums(m.S, plan))[0]
+    return np.clip(out, m.c, m.cap) if clamp else out
 
 
-def _solve_uav_prices(instance: GameInstance, uav_index: int,
-                      tolerance: float, max_iterations: int):
-    """Equilibrium price column for one buyer (subproblems decouple per buyer).
+def _leader_fixed_points(p: np.ndarray, m: _MarketArrays, slack: np.ndarray,
+                         tolerance: float, max_iterations: int):
+    """Iterate the clamped leader map from every buyer row of p (n x J).
 
-    Returns (prices, case, iterations, residual, consistent, diagnostic).
+    A row is frozen once it moves by less than tolerance; the others go on,
+    up to max_iterations. Rows are independent subgames, so each stops where
+    its own one-buyer iteration stops; the fixed point of a standard function
+    is unique and reached from any start (Yates 1995). Returns the prices, the
+    iterations and the last residual of every row (inf for a row never
+    iterated).
     """
-    q = instance.efficiencies()
-    cs = instance.costs()
-    caps = instance.price_caps()
-    S = log_quality_row(instance, uav_index)
-    delta = instance.uavs[uav_index].delta
-    positive = np.isfinite(S) & (S > 0.0)
-
-    if not np.any(positive):
-        return cs.copy(), CASE_BUDGET_INACTIVE, 0, 0.0, True, None
-
-    # slack-budget candidate
-    p_tilde = cs.copy()
-    p_tilde[positive] = np.sqrt(delta * S[positive] * q[positive] * cs[positive])
-    p_tilde = np.clip(p_tilde, cs, caps)
-    fr_tilde = follower_best_response(instance, uav_index, p_tilde)
-    if fr_tilde.case_label == CASE_BUDGET_INACTIVE:
-        return p_tilde, CASE_BUDGET_INACTIVE, 0, 0.0, True, None
-
-    # binding-budget candidate: fixed point of the clamped best-response map
-    p = p_tilde.copy()
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        p_next = leader_best_response_map(instance, uav_index, p)
-        residual = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if residual < tolerance:
+    p = p.copy()
+    iterations = np.zeros(len(p), dtype=int)
+    residual = np.full(len(p), np.inf)
+    open_rows = np.arange(len(p))
+    p_open, m_open = p, None
+    for k in range(1, max_iterations + 1):
+        if not open_rows.size:
             break
-    fr_hat = follower_best_response(instance, uav_index, p)
-    if fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < tolerance:
-        return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
-
-    # case assumptions contradicted: keep the self-consistent candidate, else
-    # the more profitable one with a diagnostic
-    def total_margin(prices, demands):
-        return float(np.sum((prices - cs) * demands))
-
-    inactive_ok = fr_tilde.case_label == CASE_BUDGET_INACTIVE
-    active_ok = fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < tolerance
-    if active_ok and not inactive_ok:
-        return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
-    if inactive_ok and not active_ok:
-        return p_tilde, CASE_BUDGET_INACTIVE, iterations, 0.0, True, None
-    v_tilde = total_margin(p_tilde, fr_tilde.demands)
-    v_hat = total_margin(p, fr_hat.demands)
-    diag = (f"uav {uav_index}: mixed-case resolution "
-            f"(slack-margin {v_tilde:.6g}, binding-margin {v_hat:.6g})")
-    if v_hat >= v_tilde:
-        return p, fr_hat.case_label, iterations, residual, False, diag
-    return p_tilde, fr_tilde.case_label, iterations, 0.0, False, diag
+        if m_open is None:      # the open set changed: repack its positive links
+            m_open = m.buyers(open_rows)
+            slack_open = slack[open_rows]
+            plan = _pack(m_open.S > 0.0)
+            sum_S = _packed_sums(m_open.S, plan)
+        p_next = np.clip(_leader_map(p_open, m_open, slack_open, plan, sum_S), m.c, m.cap)
+        res = np.max(np.abs(p_next - p_open), axis=1)
+        p[open_rows], residual[open_rows], iterations[open_rows] = p_next, res, k
+        p_open = p_next
+        done = res < tolerance
+        if done.any():
+            open_rows, p_open, m_open = open_rows[~done], p_next[~done], None
+    return p, iterations, residual
 
 
 def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL,
                       max_iterations: int = FIXED_POINT_MAX_ITER) -> EquilibriumSolution:
-    """Exact Stackelberg equilibrium: per-buyer price columns + true follower demands."""
+    """Exact Stackelberg equilibrium: per-buyer price columns + true follower demands.
+
+    The buyers' leader subgames are independent and are solved together on the
+    market's arrays. Each buyer's column is its slack-budget price when the
+    buyer's budget does not bind there; otherwise it is the fixed point of the
+    clamped leader map, iterated for all binding buyers at once, each frozen as
+    it converges. If the budget case contradicts both candidates, the more
+    profitable one is kept with a diagnostic and the solve is inconsistent.
+    Every buyer's result equals a buyer-by-buyer solve bit for bit.
+    """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    I, J = instance.num_uavs, instance.num_rsus
-    P = np.zeros((J, I))
-    cases, diagnostics = [], []
-    iterations = 0
-    residual = 0.0
-    consistent = True
-    for i in range(I):
-        p_i, case, iters, res, ok, diag = _solve_uav_prices(
-            instance, i, tolerance, max_iterations)
-        P[:, i] = p_i
-        cases.append(case)
-        iterations = max(iterations, iters)
-        residual = max(residual, res)
-        consistent = consistent and ok
-        if diag:
-            diagnostics.append(diag)
+    m = _market_arrays(instance)
+    I = len(m.S)
 
-    prices = PriceMatrix(P, instance)
-    demands = all_followers_respond(instance, prices)
-    rsu_utils = np.array([
-        rsu_utility(instance, j, P[j], demands.demands[:, j]) for j in range(J)
-    ])
-    uav_utils = np.array([
-        uav_utility(instance, i, demands.demands[i], P[:, i]) for i in range(I)
-    ])
+    # slack-budget candidates (buyer rows, contiguous like a scalar price row)
+    slack = _slack_prices(m)
+    p_tilde = np.clip(slack, m.c, m.cap)
+    d_tilde, _, exits = _batched_follower_demands(p_tilde.T, m.q, m.S, m.delta, m.budget)
+
+    # binding-budget candidates: fixed points of the clamped best-response map
+    binding = np.flatnonzero(exits == _BINDING)
+    mb = m.buyers(binding)
+    p_hat, iters, res = _leader_fixed_points(p_tilde[binding], mb, slack[binding],
+                                             tolerance, max_iterations)
+    d_hat, _, exits_hat = _batched_follower_demands(p_hat.T, mb.q, mb.S, mb.delta,
+                                                    mb.budget)
+    hat_active = exits_hat == _BINDING
+    ok = hat_active & (res < tolerance)
+
+    # case assumptions contradicted on both candidates: keep the more
+    # profitable one, with a diagnostic
+    take_hat = ok.copy()
+    diagnostics = []
+    for k in np.flatnonzero(~ok):
+        i = binding[k]
+        v_tilde = float(np.sum((p_tilde[i] - m.c) * d_tilde[i]))
+        v_hat = float(np.sum((p_hat[k] - m.c) * d_hat[k]))
+        diagnostics.append(f"uav {i}: mixed-case resolution "
+                           f"(slack-margin {v_tilde:.6g}, binding-margin {v_hat:.6g})")
+        take_hat[k] = v_hat >= v_tilde
+
+    buyer_prices = p_tilde.copy()
+    buyer_prices[binding[take_hat]] = p_hat[take_hat]
+    active = np.zeros(I, dtype=bool)
+    active[binding] = ~take_hat | hat_active
+    iterations = np.zeros(I, dtype=int)
+    iterations[binding] = iters
+    residual = np.zeros(I)
+    residual[binding] = np.where(take_hat, res, 0.0)
+
+    # final demands on the J x I matrix, whose columns are strided as P[:, i]
+    prices = PriceMatrix(np.ascontiguousarray(buyer_prices.T), instance)
+    P = prices.prices
+    D = _batched_follower_demands(P, m.q, m.S, m.delta, m.budget)[0]
+    demands = DemandMatrix(D, instance, prices=P)
+    # each utility is a sum over one contiguous row, as in rsu_utility and uav_utility
+    rsu_utils = np.sum(np.ascontiguousarray((P - m.c[:, None]) * D.T), axis=1)
+    S_finite = np.where(np.isfinite(m.S), m.S, 0.0)
+    gain = np.where(D > 0, m.delta[:, None] * np.log1p(D * m.q) * S_finite, 0.0)
+    uav_utils = np.sum(np.ascontiguousarray(gain - P.T * D), axis=1)
+    cases = [CASE_BUDGET_ACTIVE if a else CASE_BUDGET_INACTIVE for a in active]
     return EquilibriumSolution(prices, demands, rsu_utils, uav_utils, cases,
-                               iterations, residual, consistent, diagnostics)
+                               int(np.max(iterations, initial=0)),
+                               float(np.max(residual, initial=0.0)),
+                               bool(ok.all()), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +681,7 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
     rng = np.random.default_rng(rng_seed)
     P = solution.prices.prices
     I, J = instance.num_uavs, instance.num_rsus
-    q = instance.efficiencies()
-    cs = instance.costs()
-    caps = instance.price_caps()
-    S = np.stack([log_quality_row(instance, i) for i in range(I)])
-    deltas = np.array([u.delta for u in instance.uavs])
-    budgets = np.array([u.budget for u in instance.uavs])
+    q, cs, caps, S, deltas, budgets = _market_arrays(instance)
 
     rsu_violations: list[tuple[int, float]] = []
     max_violation = 0.0

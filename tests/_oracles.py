@@ -7,14 +7,20 @@ import math
 import numpy as np
 
 from bwmarket.game import (
+    CASE_BUDGET_ACTIVE,
+    CASE_BUDGET_INACTIVE,
+    FIXED_POINT_MAX_ITER,
+    FIXED_POINT_TOL,
     ChannelLink,
     EquilibriumSolution,
     GameInstance,
+    PriceMatrix,
     RsuProfile,
     SsimTriple,
     UavProfile,
     VerificationReport,
     all_followers_respond,
+    follower_best_response,
     log_quality_row,
     rsu_utility,
     uav_utility,
@@ -149,3 +155,132 @@ def reference_verify_equilibrium(instance: GameInstance, solution: EquilibriumSo
         max_violation = max(max_violation, worst)
 
     return VerificationReport(num_probes, rsu_violations, uav_violations, max_violation)
+
+
+def reference_leader_map(instance: GameInstance, uav_index: int,
+                         price_vector) -> np.ndarray:
+    """Clamped sellers' best-response map for one buyer, coordinate by coordinate.
+
+    The reference for game.leader_best_response_map and the batched map of
+    solve_equilibrium: the same formulas in the same order, one seller at a time.
+    """
+    p = np.asarray(price_vector, dtype=float)
+    q = instance.efficiencies()
+    cs = instance.costs()
+    caps = instance.price_caps()
+    S = log_quality_row(instance, uav_index)
+    uav = instance.uavs[uav_index]
+    R = uav.budget
+    positive = np.isfinite(S) & (S > 0.0)
+
+    out = cs.astype(float).copy()
+    sum_S = float(np.sum(S[positive]))
+    sum_pq = float(np.sum(p[positive] / q[positive]))
+    for j in range(instance.num_rsus):
+        if not positive[j]:
+            continue
+        denom = sum_S - S[j]
+        if denom <= 0.0:
+            rsu = instance.rsus[j]
+            out[j] = math.sqrt(uav.delta * S[j] * rsu.link.spectrum_efficiency
+                               * rsu.bandwidth_cost)
+            continue
+        other = sum_pq - p[j] / q[j]
+        out[j] = math.sqrt(q[j] * cs[j] * S[j] * (R + other) / denom)
+    return np.clip(out, cs, caps)
+
+
+def _reference_uav_prices(instance: GameInstance, uav_index: int,
+                          tolerance: float, max_iterations: int):
+    """One buyer's equilibrium price column:
+    (prices, case, iterations, residual, consistent, diagnostic)."""
+    q = instance.efficiencies()
+    cs = instance.costs()
+    caps = instance.price_caps()
+    S = log_quality_row(instance, uav_index)
+    delta = instance.uavs[uav_index].delta
+    positive = np.isfinite(S) & (S > 0.0)
+
+    if not np.any(positive):
+        return cs.copy(), CASE_BUDGET_INACTIVE, 0, 0.0, True, None
+
+    # slack-budget candidate
+    p_tilde = cs.copy()
+    p_tilde[positive] = np.sqrt(delta * S[positive] * q[positive] * cs[positive])
+    p_tilde = np.clip(p_tilde, cs, caps)
+    fr_tilde = follower_best_response(instance, uav_index, p_tilde)
+    if fr_tilde.case_label == CASE_BUDGET_INACTIVE:
+        return p_tilde, CASE_BUDGET_INACTIVE, 0, 0.0, True, None
+
+    # binding-budget candidate: fixed point of the clamped best-response map
+    p = p_tilde.copy()
+    residual = np.inf
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        p_next = reference_leader_map(instance, uav_index, p)
+        residual = float(np.max(np.abs(p_next - p)))
+        p = p_next
+        if residual < tolerance:
+            break
+    fr_hat = follower_best_response(instance, uav_index, p)
+    if fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < tolerance:
+        return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
+
+    # case assumptions contradicted: keep the self-consistent candidate, else
+    # the more profitable one with a diagnostic
+    def total_margin(prices, demands):
+        return float(np.sum((prices - cs) * demands))
+
+    inactive_ok = fr_tilde.case_label == CASE_BUDGET_INACTIVE
+    active_ok = fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < tolerance
+    if active_ok and not inactive_ok:
+        return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
+    if inactive_ok and not active_ok:
+        return p_tilde, CASE_BUDGET_INACTIVE, iterations, 0.0, True, None
+    v_tilde = total_margin(p_tilde, fr_tilde.demands)
+    v_hat = total_margin(p, fr_hat.demands)
+    diag = (f"uav {uav_index}: mixed-case resolution "
+            f"(slack-margin {v_tilde:.6g}, binding-margin {v_hat:.6g})")
+    if v_hat >= v_tilde:
+        return p, fr_hat.case_label, iterations, residual, False, diag
+    return p_tilde, fr_tilde.case_label, iterations, 0.0, False, diag
+
+
+def reference_solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL,
+                                max_iterations: int = FIXED_POINT_MAX_ITER
+                                ) -> EquilibriumSolution:
+    """Buyer-by-buyer equilibrium solve through the scalar solvers.
+
+    The reference for solve_equilibrium: each buyer's leader subgame solved
+    on its own with reference_leader_map and follower_best_response, then
+    all_followers_respond and the per-seller and per-buyer utilities.
+    """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    I, J = instance.num_uavs, instance.num_rsus
+    P = np.zeros((J, I))
+    cases, diagnostics = [], []
+    iterations = 0
+    residual = 0.0
+    consistent = True
+    for i in range(I):
+        p_i, case, iters, res, ok, diag = _reference_uav_prices(
+            instance, i, tolerance, max_iterations)
+        P[:, i] = p_i
+        cases.append(case)
+        iterations = max(iterations, iters)
+        residual = max(residual, res)
+        consistent = consistent and ok
+        if diag:
+            diagnostics.append(diag)
+
+    prices = PriceMatrix(P, instance)
+    demands = all_followers_respond(instance, prices)
+    rsu_utils = np.array([
+        rsu_utility(instance, j, P[j], demands.demands[:, j]) for j in range(J)
+    ])
+    uav_utils = np.array([
+        uav_utility(instance, i, demands.demands[i], P[:, i]) for i in range(I)
+    ])
+    return EquilibriumSolution(prices, demands, rsu_utils, uav_utils, cases,
+                               iterations, residual, consistent, diagnostics)

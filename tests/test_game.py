@@ -36,6 +36,8 @@ from _oracles import (
     grid_follower_utility,
     link_with_efficiency,
     random_instance,
+    reference_leader_map,
+    reference_solve_equilibrium,
     reference_verify_equilibrium,
     simple_instance,
 )
@@ -252,22 +254,17 @@ class TestAllFollowersRespond:
         np.testing.assert_allclose(dm.demands[0], sol.demands)
 
 
-def market_arrays(inst):
-    """(q, S, delta, budget) arrays of a market, as the batched kernel takes them."""
-    S = np.stack([log_quality_row(inst, i) for i in range(inst.num_uavs)])
-    return (inst.efficiencies(), S, np.array([u.delta for u in inst.uavs]),
-            np.array([u.budget for u in inst.uavs]))
-
-
 class TestBatchedFollower:
-    """The verifier's batched kernel against the scalar follower solver."""
+    """The batched kernel of the solver and the verifier against the scalar
+    follower solver."""
 
     @staticmethod
     def check_against_scalar(inst, prices):
         """Kernel == follower_best_response on every buyer column of a (K, J, I)
-        price stack; returns the kernel's exits and the first water-filling
-        multiplier over the usable links (the lambda the scalar loop starts from)."""
-        q, S, delta, budget = market_arrays(inst)
+        price stack, each column passed with the stack's own strides; returns
+        the kernel's exits and the first water-filling multiplier over the
+        usable links (the lambda the scalar loop starts from)."""
+        q, _, _, S, delta, budget = game._market_arrays(inst)
         demands, lam, exits = game._batched_follower_demands(prices, q, S, delta, budget)
         usable = np.isfinite(S) & (S > 0.0)
         for k in range(len(prices)):
@@ -285,19 +282,24 @@ class TestBatchedFollower:
         return exits, first_lam
 
     def test_matches_scalar_solver_exactly(self):
+        # J up to 10, and each stack twice: strided buyer columns (P[:, i], the
+        # final demands and the verifier's probes) and contiguous buyer rows
+        # (the solver's candidate price rows); BLAS sums the two differently
         rng = np.random.default_rng(17)
         reached = {"slack": False, "binding": False, "no usable link": False}
         for trial in range(120):
-            J = 1 + trial % 6
+            J = 1 + trial % 10
             inst = random_instance(rng, I=3, J=J,
-                                   min_component=0.85 if trial % 12 < 6 else 0.0)
+                                   min_component=0.85 if trial % 20 < 10 else 0.0)
             cs, caps = inst.costs()[:, None], inst.price_caps()[:, None]
             inside = rng.uniform(cs, caps, size=(20, J, 3))
             corners = np.where(rng.random((4, J, 3)) < 0.5, caps, cs)
             box = np.broadcast_to(np.stack([cs, caps]), (2, J, 3))
-            exits, _ = self.check_against_scalar(
-                inst, np.concatenate([inside, corners, box]))
-            S = market_arrays(inst)[1]
+            stack = np.concatenate([inside, corners, box])
+            buyer_rows = np.ascontiguousarray(np.swapaxes(stack, 1, 2))
+            for prices in (stack, np.swapaxes(buyer_rows, 1, 2)):
+                exits, _ = self.check_against_scalar(inst, prices)
+            S = game._market_arrays(inst).S
             unusable = ~(np.isfinite(S) & (S > 0.0)).any(axis=1)
             reached["slack"] |= bool(np.any(exits == game._SLACK))
             reached["binding"] |= bool(np.any(exits == game._BINDING))
@@ -371,6 +373,21 @@ class TestLeaderResponses:
             phi_scaled = leader_best_response_map(inst, 0, chi * p, clamp=False)
             assert np.all(chi * phi > phi_scaled - 1e-12)
 
+    def test_map_matches_reference_exactly(self):
+        # the batched map, one row at a time, against the seller-by-seller
+        # formulas; floor 0 gives unusable links and lone usable links, whose
+        # coordinate falls back to the slack-budget price
+        rng = np.random.default_rng(29)
+        for trial in range(200):
+            J = 1 + trial % 10
+            inst = random_instance(rng, I=2, J=J,
+                                   min_component=0.85 if trial % 20 < 10 else 0.0)
+            cs, caps = inst.costs(), inst.price_caps()
+            for p in (rng.uniform(cs, caps), cs, caps):
+                for i in range(2):
+                    np.testing.assert_array_equal(leader_best_response_map(inst, i, p),
+                                                  reference_leader_map(inst, i, p))
+
 
 # =====================================================================
 # Equilibrium solve + verification
@@ -421,7 +438,68 @@ VERIFY_CASES = [
 ]
 
 
+def assert_same_solution(got, want):
+    """Every field of two EquilibriumSolutions equal, bit for bit and in layout."""
+    for name, a, b in (("prices", got.prices.prices, want.prices.prices),
+                       ("demands", got.demands.demands, want.demands.demands)):
+        np.testing.assert_array_equal(a, b, err_msg=name, strict=True)
+        assert a.strides == b.strides, name
+    for name in ("rsu_utilities", "uav_utilities"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                      err_msg=name, strict=True)
+    for name in ("per_uav_case", "iterations", "residual", "consistent", "diagnostics"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and a == b, (name, a, b)
+
+
+ORACLE_FLOORS = (0.0, 0.5, 0.85)
+ORACLE_ITERATIONS = (0, 1, 3, game.FIXED_POINT_MAX_ITER)
+
+
+def oracle_grid(floor_index, iterations_index):
+    """One market per I in 1..15 at one similarity floor and iteration cap,
+    J running through 1..10 across the floors and caps."""
+    offset = 4 * floor_index + iterations_index
+    return [sample_instance({"similarity": (ORACLE_FLOORS[floor_index], 1.0)},
+                            I, 1 + (3 * I + offset) % 10, 100 * offset + I)
+            for I in range(1, 16)]
+
+
 class TestEquilibrium:
+    @pytest.mark.parametrize("floor_index", range(len(ORACLE_FLOORS)),
+                             ids=[f"floor{f}" for f in ORACLE_FLOORS])
+    @pytest.mark.parametrize("iterations_index", range(len(ORACLE_ITERATIONS)),
+                             ids=[f"iters{n}" for n in ORACLE_ITERATIONS])
+    def test_solve_matches_reference_loop(self, floor_index, iterations_index):
+        max_iterations = ORACLE_ITERATIONS[iterations_index]
+        for inst in oracle_grid(floor_index, iterations_index):
+            assert_same_solution(solve_equilibrium(inst, max_iterations=max_iterations),
+                                 reference_solve_equilibrium(inst,
+                                                             max_iterations=max_iterations))
+
+    @pytest.mark.parametrize("build, mixed", [
+        (lambda: simple_instance(J=2, budget=2.0), {}),
+        (lambda: simple_instance(J=2, ssim=0.4, threshold=0.5), {}),
+        (lambda: simple_instance(J=1, budget=1e9), {}),
+        # the slack candidate kept (its case is budget_active) ...
+        (lambda: sample_instance({}, 5, 3, seed=192), {2: CASE_BUDGET_ACTIVE}),
+        # ... and the binding candidate kept with a slack budget
+        (lambda: sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 3),
+         {19: CASE_BUDGET_INACTIVE, 73: CASE_BUDGET_INACTIVE}),
+    ], ids=["anchor", "zero-surplus", "huge-budget", "mixed-case-seed192",
+            "mixed-case-100x10"])
+    def test_solve_matches_reference_special(self, build, mixed):
+        inst = build()
+        for max_iterations in ORACLE_ITERATIONS:
+            want = reference_solve_equilibrium(inst, max_iterations=max_iterations)
+            assert_same_solution(solve_equilibrium(inst, max_iterations=max_iterations),
+                                 want)
+        # the default solve resolves these buyers' mixed cases as labelled
+        for i, case in mixed.items():
+            assert any(d.startswith(f"uav {i}: mixed-case") for d in want.diagnostics)
+            assert want.per_uav_case[i] == case
+        assert want.consistent == (not mixed)
+
     def test_symmetric_anchor(self):
         inst = simple_instance(J=2, budget=2.0)
         sol = solve_equilibrium(inst)

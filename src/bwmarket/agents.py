@@ -16,7 +16,6 @@ from .tinynet import (
     PrunableMlp,
     PruneSchedule,
     compact,
-    neuron_importance,
     sparsity_at,
     update_masks,
 )

@@ -77,9 +77,10 @@ def main(argv=None) -> int:
         elif args.command == "train":
             records = [run_training(cfg, args.algo, seed) for seed in cfg.seeds]
         elif args.command == "sweep":
-            grid = args.grid or [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
             if args.param in ("I", "J"):
-                grid = [int(v) for v in grid]
+                grid = [int(v) for v in args.grid or (1, 2, 3, 4)]
+            else:
+                grid = args.grid or [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
             spec = SweepSpec(args.param, grid, cfg.seeds)
             records, aggregate = run_sweep(cfg, spec)
             for value, (mean, sd) in aggregate.items():
@@ -88,6 +89,9 @@ def main(argv=None) -> int:
             records = [run_solve(cfg, seed) for seed in cfg.seeds]
             for algo in args.algo:
                 records += [run_training(cfg, algo, seed) for seed in cfg.seeds]
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

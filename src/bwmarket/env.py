@@ -16,8 +16,9 @@ import numpy as np
 from .game import (
     DemandMatrix,
     GameInstance,
-    all_followers_respond,
-    rsu_utility,
+    _market_arrays,
+    _respond,
+    _seller_margins,
     solve_equilibrium,
 )
 
@@ -66,8 +67,7 @@ class PricingEnv:
         self.config = config or EnvConfig()
         self.num_agents = instance.num_rsus
         self.num_uavs = instance.num_uavs
-        self._costs = instance.costs()
-        self._caps = instance.price_caps()
+        self._market = _market_arrays(instance)
         self.demand_scale = (self.config.demand_scale
                              if self.config.demand_scale is not None
                              else default_demand_scale(instance))
@@ -93,9 +93,9 @@ class PricingEnv:
         else:
             self._history = [[] for _ in range(self.num_agents)]
             for _ in range(L):
-                prices = rng.uniform(self._costs[:, None], self._caps[:, None],
+                prices = rng.uniform(self._market.c[:, None], self._market.cap[:, None],
                                      size=(self.num_agents, self.num_uavs))
-                demands = all_followers_respond(self.instance, prices).demands
+                demands = _respond(self.instance, self._market, prices).demands
                 for j in range(self.num_agents):
                     self._history[j].append(
                         (self._norm_prices(prices[j], j),
@@ -103,7 +103,7 @@ class PricingEnv:
         return self.observations()
 
     def _norm_prices(self, price_row: np.ndarray, agent: int) -> np.ndarray:
-        return price_row / self._caps[agent]
+        return price_row / self._market.cap[agent]
 
     def _norm_demands(self, demand_col: np.ndarray) -> tuple[np.ndarray, bool]:
         scaled = demand_col / self.demand_scale
@@ -123,17 +123,14 @@ class PricingEnv:
 
     def clamp_action(self, price_row, agent: int) -> np.ndarray:
         return np.clip(np.asarray(price_row, dtype=float),
-                       self._costs[agent], self._caps[agent])
+                       self._market.c[agent], self._market.cap[agent])
 
     def step(self, joint_prices) -> StepOutcome:
         """Advance one game round given each agent's price row (clamped into its box)."""
         prices = np.stack([self.clamp_action(row, j)
                            for j, row in enumerate(joint_prices)])
-        demands = all_followers_respond(self.instance, prices)
-        rewards = np.array([
-            rsu_utility(self.instance, j, prices[j], demands.demands[:, j])
-            for j in range(self.num_agents)
-        ])
+        demands = _respond(self.instance, self._market, prices)
+        rewards = _seller_margins(prices, demands.demands, self._market.c)
         clipped = False
         for j in range(self.num_agents):
             b_norm, c = self._norm_demands(demands.demands[:, j])

@@ -7,6 +7,11 @@ decouple per buyer; each is solved by iterating the sellers' best-response
 map, which is a standard function (positive, monotone, scalable), so its fixed
 point is unique.  solve_equilibrium runs all buyers' subgames at once on the
 market's dense arrays.
+
+One water-filling kernel, _batched_follower_demands, solves every buyer best
+response: follower_best_response is its one-row call, and
+all_followers_respond, solve_equilibrium, verify_equilibrium and the
+environment's step each call it on whole price matrices.
 """
 
 from __future__ import annotations
@@ -248,23 +253,10 @@ def _market_arrays(instance: GameInstance, uavs=None) -> _MarketArrays:
 # Utility operations
 # ---------------------------------------------------------------------------
 
-def spectrum_efficiency(link: ChannelLink) -> float:
-    """Bits/s/Hz of the link, log2(1 + SNR) with SNR from dB-domain parameters."""
-    return link.spectrum_efficiency
-
-
 def ssim(triple: SsimTriple) -> float:
     """Composite similarity l^alpha * c^beta * s^nu in [0, 1]."""
     a, b, v = triple.weights
     return triple.luminance ** a * triple.contrast ** b * triple.structure ** v
-
-
-def log_quality(uav: UavProfile, rsu_index: int) -> float:
-    """Log-scaled quality margin ln(SSIM / threshold); positive iff above threshold."""
-    s = ssim(uav.per_rsu_ssim[rsu_index])
-    if s <= 0.0:
-        raise ValueError(f"unusable link: SSIM is 0 for rsu {rsu_index}")
-    return math.log(s / uav.ssim_threshold)
 
 
 def log_quality_row(instance: GameInstance, uav_index: int) -> np.ndarray:
@@ -298,89 +290,17 @@ def rsu_utility(instance: GameInstance, rsu_index: int,
     return float(np.sum((p - c) * b))
 
 
-def immersion_metric(instance: GameInstance, uav_index: int,
-                     rsu_index: int, demand: float) -> float:
-    """Delta-scaled immersion term delta * ln(1 + b*q) * S for a single link."""
-    if demand < 0:
-        raise ValueError("demand must be nonnegative")
-    if demand == 0.0:
-        return 0.0
-    q = instance.rsus[rsu_index].link.spectrum_efficiency
-    S = log_quality(instance.uavs[uav_index], rsu_index)
-    return instance.uavs[uav_index].delta * math.log1p(demand * q) * S
+def _seller_margins(prices: np.ndarray, demands: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """rsu_utility of every seller, bit for bit, from J x I prices and I x J
+    demands: each margin is a sum over one contiguous row."""
+    return np.sum(np.ascontiguousarray((prices - c[:, None]) * demands.T), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Follower (buyer) best response
 # ---------------------------------------------------------------------------
 
-def follower_best_response(instance: GameInstance, uav_index: int,
-                           price_row) -> FollowerSolution:
-    """Exact budget-constrained demand maximizer for one buyer.
-
-    Unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are accepted when the
-    total spend fits the budget; otherwise a support-set water-filling computes
-    the binding-budget multiplier, dropping sellers whose demand goes
-    nonpositive and recomputing until the support is self-consistent.
-    """
-    p = np.asarray(price_row, dtype=float)
-    q = instance.efficiencies()
-    S = log_quality_row(instance, uav_index)
-    uav = instance.uavs[uav_index]
-    delta, R = uav.delta, uav.budget
-    J = instance.num_rsus
-
-    zeros = np.zeros(J)
-    positive = np.isfinite(S) & (S > 0.0)
-
-    # unconstrained candidates: positive only where marginal value beats price
-    cand = np.where(positive & (p < delta * q * np.where(positive, S, 0.0)),
-                    delta * np.where(positive, S, 0.0) / p - 1.0 / q, 0.0)
-    cand = np.maximum(cand, 0.0)
-
-    if not np.any(cand > 0):
-        return FollowerSolution(zeros, CASE_BUDGET_INACTIVE, 0.0, frozenset(),
-                                degenerate=not np.any(positive))
-
-    if float(p @ cand) <= R:
-        support = frozenset(np.flatnonzero(cand > 0).tolist())
-        return FollowerSolution(cand, CASE_BUDGET_INACTIVE, 0.0, support)
-
-    # budget binds: water-filling over the shrinking support set
-    support = np.flatnonzero(positive)
-    while support.size > 0:
-        lam = delta * float(np.sum(S[support])) / (R + float(np.sum(p[support] / q[support]))) - 1.0
-        if lam <= 0.0:
-            # reduced support fits the budget after all: fall back to candidates
-            b = zeros.copy()
-            b[support] = np.maximum(delta * S[support] / p[support] - 1.0 / q[support], 0.0)
-            if float(p @ b) <= R:
-                sup = frozenset(np.flatnonzero(b > 0).tolist())
-                return FollowerSolution(b, CASE_BUDGET_INACTIVE, 0.0, sup)
-            lam = max(lam, 1e-15)
-        b_sup = delta * S[support] / (p[support] * (1.0 + lam)) - 1.0 / q[support]
-        if np.all(b_sup > 0):
-            b = zeros.copy()
-            b[support] = b_sup
-            return FollowerSolution(b, CASE_BUDGET_ACTIVE, lam,
-                                    frozenset(support.tolist()))
-        support = support[b_sup > 0]
-
-    return FollowerSolution(zeros, CASE_BUDGET_INACTIVE, 0.0, frozenset(),
-                            degenerate=True)
-
-
-def all_followers_respond(instance: GameInstance, prices) -> DemandMatrix:
-    """Stack every buyer's best response to its price column (J x I prices in)."""
-    P = prices.prices if isinstance(prices, PriceMatrix) else np.asarray(prices, dtype=float)
-    demands = np.stack([
-        follower_best_response(instance, i, P[:, i]).demands
-        for i in range(instance.num_uavs)
-    ])
-    return DemandMatrix(demands, instance, prices=P)
-
-
-# Exits of follower_best_response, as reported by _batched_follower_demands.
+# Exits of the water-filling, as reported by _batched_follower_demands.
 _NO_DEMAND, _SLACK, _BINDING, _FALLBACK, _EMPTY_SUPPORT = range(5)
 
 
@@ -388,8 +308,8 @@ def _rowdot(x, y) -> np.ndarray:
     """x[..., k, :] @ y[..., k, :] for every k, bit for bit as the 1-D product.
 
     Stacked row @ column products go to the same BLAS dot as a 1-D ``@``, with
-    each operand's own stride; BLAS sums unit and non-unit strides in
-    different orders, so callers pass rows laid out as the scalar code's.
+    each operand's own stride. BLAS sums unit and non-unit strides in
+    different orders, so a spend depends on the price layout a caller passes.
     """
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
@@ -418,8 +338,8 @@ def _packed_sums(values: np.ndarray, plan) -> np.ndarray:
 
     plan is _pack(support). Each row is gathered to its support (ascending
     index) and the rows are summed in groups of one support size, so each sum
-    runs over the same contiguous elements as in the scalar code and rounds
-    the same way. A row with an empty support sums to 0.
+    runs over the same contiguous elements as np.sum on the gathered support
+    and rounds the same way. A row with an empty support sums to 0.
     """
     v = values.reshape(-1)
     out = np.zeros(values.shape[:-1])
@@ -431,14 +351,22 @@ def _packed_sums(values: np.ndarray, plan) -> np.ndarray:
 
 def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
                               delta: np.ndarray, budget: np.ndarray):
-    """follower_best_response for every buyer of a stack of J x I price matrices.
+    """Every buyer's exact best response to a stack of J x I price matrices.
 
     prices is (..., J, I); q is (J,); S is the I x J log-quality matrix, -inf
     on an unusable link; delta and budget are (I,). Returns the demands
     (..., I, J), the budget multiplier (..., I) and the exit taken (..., I),
-    one of _NO_DEMAND, _SLACK, _BINDING, _FALLBACK and _EMPTY_SUPPORT. Every
-    step repeats the scalar solver's arithmetic in its order, so each buyer's
-    row equals follower_best_response on its price column bit for bit.
+    one of _NO_DEMAND, _SLACK, _BINDING, _FALLBACK and _EMPTY_SUPPORT.
+
+    The unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are kept when
+    their spend p @ b fits the budget. Otherwise the budget binds and each
+    row runs a water-filling over its own shrinking support (Palomar &
+    Fonollosa, IEEE TSP 2005): lambda = delta*sum S / (R + sum p/q) - 1, then
+    b = delta*S/(p*(1 + lambda)) - 1/q, dropping the links whose demand is
+    nonpositive until the support is self-consistent. Each buyer's spend is
+    a dot product over its price column with the column's own stride, and
+    each support sum rounds as np.sum does, so the result equals a
+    buyer-by-buyer solve bit for bit.
     """
     rows = np.swapaxes(prices, -1, -2)        # strided like prices[:, i]
     p = np.ascontiguousarray(rows)            # so cand and b come out contiguous
@@ -473,8 +401,8 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
             demands[fits] = b[fits]
             exits[fits] = _FALLBACK
             open_ &= ~fits
-        # floor lambda <= 0 at 1e-15 as the scalar solver does; this also
-        # covers closed rows, whose empty support gives lambda = -1
+        # floor lambda <= 0 at 1e-15; this also covers closed rows, whose
+        # empty support gives lambda = -1
         lam_k = np.where(lam_k > 0.0, lam_k, 1e-15)
         b = d * S / (p * (1.0 + lam_k[..., None])) - 1.0 / q
         keep = support & (b > 0)
@@ -488,6 +416,38 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
         exits[emptied] = _EMPTY_SUPPORT
         open_ &= ~emptied
     return demands, lam, exits
+
+
+def follower_best_response(instance: GameInstance, uav_index: int,
+                           price_row) -> FollowerSolution:
+    """Exact budget-constrained demand maximizer for one buyer.
+
+    A one-row call of _batched_follower_demands; the support is the links
+    with positive demand, and the solution is degenerate when the water-filling
+    empties its support or the buyer has no usable link.
+    """
+    m = _market_arrays(instance, [uav_index])
+    # one price column, with the caller's stride, as the kernel's J x 1 matrix
+    demands, lam, exits = _batched_follower_demands(
+        np.asarray(price_row, dtype=float)[:, None], m.q, m.S, m.delta, m.budget)
+    b, exit_ = demands[0], exits[0]
+    case = CASE_BUDGET_ACTIVE if exit_ == _BINDING else CASE_BUDGET_INACTIVE
+    degenerate = exit_ == _EMPTY_SUPPORT or (
+        exit_ == _NO_DEMAND and not np.any(np.isfinite(m.S) & (m.S > 0.0)))
+    return FollowerSolution(b, case, float(lam[0]), frozenset(np.flatnonzero(b > 0).tolist()),
+                            degenerate=bool(degenerate))
+
+
+def all_followers_respond(instance: GameInstance, prices) -> DemandMatrix:
+    """Every buyer's best response to its price column (J x I prices in)."""
+    P = prices.prices if isinstance(prices, PriceMatrix) else np.asarray(prices, dtype=float)
+    return _respond(instance, _market_arrays(instance), P)
+
+
+def _respond(instance: GameInstance, m: _MarketArrays, prices: np.ndarray) -> DemandMatrix:
+    """all_followers_respond on the market's arrays m, in one kernel call."""
+    demands = _batched_follower_demands(prices, m.q, m.S, m.delta, m.budget)[0]
+    return DemandMatrix(demands, instance, prices=prices)
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +599,10 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
     # final demands on the J x I matrix, whose columns are strided as P[:, i]
     prices = PriceMatrix(np.ascontiguousarray(buyer_prices.T), instance)
     P = prices.prices
-    D = _batched_follower_demands(P, m.q, m.S, m.delta, m.budget)[0]
-    demands = DemandMatrix(D, instance, prices=P)
+    demands = _respond(instance, m, P)
+    D = demands.demands
     # each utility is a sum over one contiguous row, as in rsu_utility and uav_utility
-    rsu_utils = np.sum(np.ascontiguousarray((P - m.c[:, None]) * D.T), axis=1)
+    rsu_utils = _seller_margins(P, D, m.c)
     S_finite = np.where(np.isfinite(m.S), m.S, 0.0)
     gain = np.where(D > 0, m.delta[:, None] * np.log1p(D * m.q) * S_finite, 0.0)
     uav_utils = np.sum(np.ascontiguousarray(gain - P.T * D), axis=1)

@@ -155,7 +155,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Stable digest of the canonical config serialization."""
+    """Stable digest of the canonical config serialization, without the output
+    directory: one experiment gets one digest wherever it is written."""
     def canon(obj):
         if hasattr(obj, "__dataclass_fields__"):
             import dataclasses
@@ -166,7 +167,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
         if isinstance(obj, (list, tuple)):
             return [canon(v) for v in obj]
         return obj
-    blob = json.dumps(canon(cfg), sort_keys=True).encode()
+    doc = canon(cfg)
+    del doc["out"]
+    blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

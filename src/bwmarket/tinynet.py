@@ -164,14 +164,6 @@ class PrunableMlp:
         out = a[0] if single else a
         return out, cache
 
-    def masked_forward(self, x):
-        out, _ = self.forward(x, masked=True)
-        return out
-
-    def unmasked_forward(self, x):
-        out, _ = self.forward(x, masked=False)
-        return out
-
     def backward(self, cache, output_gradient):
         """Gradients of a scalar loss w.r.t. every weight matrix (and bias).
 
@@ -251,7 +243,7 @@ def update_masks(net: PrunableMlp, schedule: PruneSchedule, epoch: int,
 
 
 def compact(net: PrunableMlp) -> PrunableMlp:
-    """Physically delete masked neurons; forward equals masked_forward exactly."""
+    """Physically delete masked neurons; its forward equals net.forward(x) exactly."""
     keep = [np.flatnonzero(m > 0) for m in net.masks]
     layers = []
     for k, layer in enumerate(net.layers):

@@ -12,15 +12,15 @@ from bwmarket.game import (
     FIXED_POINT_MAX_ITER,
     FIXED_POINT_TOL,
     ChannelLink,
+    DemandMatrix,
     EquilibriumSolution,
+    FollowerSolution,
     GameInstance,
     PriceMatrix,
     RsuProfile,
     SsimTriple,
     UavProfile,
     VerificationReport,
-    all_followers_respond,
-    follower_best_response,
     log_quality_row,
     rsu_utility,
     uav_utility,
@@ -107,14 +107,81 @@ def grid_follower_utility(instance: GameInstance, uav_index: int,
     return float(np.max(np.where(feasible, total_u, -np.inf)))
 
 
+def reference_follower_best_response(instance: GameInstance, uav_index: int,
+                                     price_row) -> FollowerSolution:
+    """Exact budget-constrained demand maximizer for one buyer, one buyer at a time.
+
+    The reference for game._batched_follower_demands and everything built on
+    it. Unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are accepted when
+    the total spend fits the budget; otherwise a support-set water-filling
+    computes the binding-budget multiplier, dropping sellers whose demand goes
+    nonpositive and recomputing until the support is self-consistent.
+    """
+    p = np.asarray(price_row, dtype=float)
+    q = instance.efficiencies()
+    S = log_quality_row(instance, uav_index)
+    uav = instance.uavs[uav_index]
+    delta, R = uav.delta, uav.budget
+    J = instance.num_rsus
+
+    zeros = np.zeros(J)
+    positive = np.isfinite(S) & (S > 0.0)
+
+    # unconstrained candidates: positive only where marginal value beats price
+    cand = np.where(positive & (p < delta * q * np.where(positive, S, 0.0)),
+                    delta * np.where(positive, S, 0.0) / p - 1.0 / q, 0.0)
+    cand = np.maximum(cand, 0.0)
+
+    if not np.any(cand > 0):
+        return FollowerSolution(zeros, CASE_BUDGET_INACTIVE, 0.0, frozenset(),
+                                degenerate=not np.any(positive))
+
+    if float(p @ cand) <= R:
+        support = frozenset(np.flatnonzero(cand > 0).tolist())
+        return FollowerSolution(cand, CASE_BUDGET_INACTIVE, 0.0, support)
+
+    # budget binds: water-filling over the shrinking support set
+    support = np.flatnonzero(positive)
+    while support.size > 0:
+        lam = delta * float(np.sum(S[support])) / (R + float(np.sum(p[support] / q[support]))) - 1.0
+        if lam <= 0.0:
+            # reduced support fits the budget after all: fall back to candidates
+            b = zeros.copy()
+            b[support] = np.maximum(delta * S[support] / p[support] - 1.0 / q[support], 0.0)
+            if float(p @ b) <= R:
+                sup = frozenset(np.flatnonzero(b > 0).tolist())
+                return FollowerSolution(b, CASE_BUDGET_INACTIVE, 0.0, sup)
+            lam = max(lam, 1e-15)
+        b_sup = delta * S[support] / (p[support] * (1.0 + lam)) - 1.0 / q[support]
+        if np.all(b_sup > 0):
+            b = zeros.copy()
+            b[support] = b_sup
+            return FollowerSolution(b, CASE_BUDGET_ACTIVE, lam,
+                                    frozenset(support.tolist()))
+        support = support[b_sup > 0]
+
+    return FollowerSolution(zeros, CASE_BUDGET_INACTIVE, 0.0, frozenset(),
+                            degenerate=True)
+
+
+def reference_all_followers_respond(instance: GameInstance, prices) -> DemandMatrix:
+    """Every buyer's reference best response to its price column (J x I prices in)."""
+    P = prices.prices if isinstance(prices, PriceMatrix) else np.asarray(prices, dtype=float)
+    demands = np.stack([
+        reference_follower_best_response(instance, i, P[:, i]).demands
+        for i in range(instance.num_uavs)
+    ])
+    return DemandMatrix(demands, instance, prices=P)
+
+
 def reference_verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
                                  num_probes: int = 1000, rng_seed: int = 0,
                                  rel_tol: float = 1e-6) -> VerificationReport:
     """Probe-by-probe no-profitable-deviation check, one scalar solve per buyer.
 
     The reference for verify_equilibrium: the same probes in the same order,
-    each seller probe re-solved through all_followers_respond and each buyer
-    probe scored through uav_utility.
+    each seller probe re-solved through reference_all_followers_respond and
+    each buyer probe scored through uav_utility.
     """
     rng = np.random.default_rng(rng_seed)
     P = solution.prices.prices
@@ -132,7 +199,7 @@ def reference_verify_equilibrium(instance: GameInstance, solution: EquilibriumSo
         for _ in range(num_probes):
             trial = P.copy()
             trial[j] = rng.uniform(cs[j], caps[j], size=I)
-            demands = all_followers_respond(instance, trial)
+            demands = reference_all_followers_respond(instance, trial)
             v = rsu_utility(instance, j, trial[j], demands.demands[:, j])
             worst = max(worst, (v - base) / scale)
         if worst > rel_tol:
@@ -208,7 +275,7 @@ def _reference_uav_prices(instance: GameInstance, uav_index: int,
     p_tilde = cs.copy()
     p_tilde[positive] = np.sqrt(delta * S[positive] * q[positive] * cs[positive])
     p_tilde = np.clip(p_tilde, cs, caps)
-    fr_tilde = follower_best_response(instance, uav_index, p_tilde)
+    fr_tilde = reference_follower_best_response(instance, uav_index, p_tilde)
     if fr_tilde.case_label == CASE_BUDGET_INACTIVE:
         return p_tilde, CASE_BUDGET_INACTIVE, 0, 0.0, True, None
 
@@ -222,7 +289,7 @@ def _reference_uav_prices(instance: GameInstance, uav_index: int,
         p = p_next
         if residual < tolerance:
             break
-    fr_hat = follower_best_response(instance, uav_index, p)
+    fr_hat = reference_follower_best_response(instance, uav_index, p)
     if fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < tolerance:
         return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
 
@@ -252,8 +319,9 @@ def reference_solve_equilibrium(instance: GameInstance, tolerance: float = FIXED
     """Buyer-by-buyer equilibrium solve through the scalar solvers.
 
     The reference for solve_equilibrium: each buyer's leader subgame solved
-    on its own with reference_leader_map and follower_best_response, then
-    all_followers_respond and the per-seller and per-buyer utilities.
+    on its own with reference_leader_map and reference_follower_best_response,
+    then reference_all_followers_respond and the per-seller and per-buyer
+    utilities.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -275,7 +343,7 @@ def reference_solve_equilibrium(instance: GameInstance, tolerance: float = FIXED
             diagnostics.append(diag)
 
     prices = PriceMatrix(P, instance)
-    demands = all_followers_respond(instance, prices)
+    demands = reference_all_followers_respond(instance, prices)
     rsu_utils = np.array([
         rsu_utility(instance, j, P[j], demands.demands[:, j]) for j in range(J)
     ])

@@ -18,24 +18,23 @@ from bwmarket.game import (
     UavProfile,
     all_followers_respond,
     follower_best_response,
-    immersion_metric,
     leader_best_response_map,
     leader_unconstrained_price,
-    log_quality,
     log_quality_row,
     rsu_utility,
     solve_equilibrium,
-    spectrum_efficiency,
     ssim,
     uav_utility,
     verify_equilibrium,
 )
+from bwmarket.env import EnvConfig, PricingEnv
 from bwmarket.harness import sample_instance
 
 from _oracles import (
     grid_follower_utility,
     link_with_efficiency,
     random_instance,
+    reference_follower_best_response,
     reference_leader_map,
     reference_solve_equilibrium,
     reference_verify_equilibrium,
@@ -45,24 +44,31 @@ from _oracles import (
 LN2 = math.log(2.0)
 
 
+def one_link_log_quality(luminance: float, threshold: float = 0.5) -> float:
+    """log_quality_row of a one-buyer, one-seller market with the given SSIM."""
+    uav = UavProfile(10.0, 2.0, threshold, [SsimTriple(luminance, 1.0, 1.0)])
+    inst = GameInstance([uav], [RsuProfile(1.0, 5.0, link_with_efficiency(1.0))])
+    return float(log_quality_row(inst, 0)[0])
+
+
 # =====================================================================
 # Channel / SSIM / quality primitives
 # =====================================================================
 class TestLinkAndSsim:
     def test_snr_zero_db_gives_unit_efficiency(self):
         link = ChannelLink(10.0, -5.0, 5.0)  # SNR = 0 dB -> tau = 1
-        assert spectrum_efficiency(link) == pytest.approx(1.0, abs=1e-12)
+        assert link.spectrum_efficiency == pytest.approx(1.0, abs=1e-12)
 
     def test_tau_three_gives_two(self):
         snr_db = 10.0 * math.log10(3.0)
         link = ChannelLink(snr_db, 0.0, 0.0)
-        assert spectrum_efficiency(link) == pytest.approx(2.0, abs=1e-12)
+        assert link.spectrum_efficiency == pytest.approx(2.0, abs=1e-12)
 
     def test_high_snr_table_values(self):
         # m = 20 dBm, g = -25 dB, noise = -112 dBm -> SNR = 107 dB
         # frozen from an mpmath evaluation of log2(1 + 10^10.7)
         link = ChannelLink(20.0, -25.0, -112.0)
-        assert spectrum_efficiency(link) == pytest.approx(35.5446306153236, abs=1e-7)
+        assert link.spectrum_efficiency == pytest.approx(35.5446306153236, abs=1e-7)
 
     def test_efficiency_cached_consistent(self):
         link = ChannelLink(22.0, -23.0, -114.0)
@@ -84,22 +90,17 @@ class TestLinkAndSsim:
             SsimTriple(1.2, 0.5, 0.5)
 
     def test_log_quality_at_threshold_is_zero(self):
-        uav = UavProfile(10.0, 2.0, 0.5, [SsimTriple(0.5, 1.0, 1.0)])
-        assert log_quality(uav, 0) == pytest.approx(0.0)
+        assert one_link_log_quality(0.5) == pytest.approx(0.0)
 
     def test_log_quality_ln2(self):
-        uav = UavProfile(10.0, 2.0, 0.5, [SsimTriple(1.0, 1.0, 1.0)])
-        assert log_quality(uav, 0) == pytest.approx(LN2)
+        assert one_link_log_quality(1.0) == pytest.approx(LN2)
 
     def test_log_quality_below_threshold_negative(self):
-        uav = UavProfile(10.0, 2.0, 0.5, [SsimTriple(0.4, 1.0, 1.0)])
-        assert log_quality(uav, 0) == pytest.approx(math.log(0.8))
-        assert log_quality(uav, 0) < 0
+        assert one_link_log_quality(0.4) == pytest.approx(math.log(0.8))
+        assert one_link_log_quality(0.4) < 0
 
-    def test_log_quality_zero_ssim_raises(self):
-        uav = UavProfile(10.0, 2.0, 0.5, [SsimTriple(0.0, 1.0, 1.0)])
-        with pytest.raises(ValueError):
-            log_quality(uav, 0)
+    def test_log_quality_zero_ssim_is_minus_inf(self):
+        assert one_link_log_quality(0.0) == -math.inf
 
 
 # =====================================================================
@@ -136,17 +137,18 @@ class TestUtilities:
         inst = simple_instance(J=1, cost=1.0)
         assert rsu_utility(inst, 0, [1.0], [7.3]) == 0.0
 
+    # at price 0 the buyer's utility is its immersion term delta*ln(1 + b*q)*S
     def test_immersion_zero_demand(self):
         inst = simple_instance(J=1)
-        assert immersion_metric(inst, 0, 0, 0.0) == 0.0
+        assert uav_utility(inst, 0, [0.0], [0.0]) == 0.0
 
     def test_immersion_at_threshold_zero(self):
         inst = simple_instance(J=1, ssim=0.5, threshold=0.5)
-        assert immersion_metric(inst, 0, 0, 3.0) == pytest.approx(0.0)
+        assert uav_utility(inst, 0, [3.0], [0.0]) == pytest.approx(0.0)
 
     def test_immersion_value(self):
         inst = simple_instance(J=1, q=1.0)
-        assert immersion_metric(inst, 0, 0, 1.0) == pytest.approx(10.0 * LN2 * LN2, rel=1e-9)
+        assert uav_utility(inst, 0, [1.0], [0.0]) == pytest.approx(10.0 * LN2 * LN2, rel=1e-9)
         assert 10.0 * LN2 * LN2 == pytest.approx(4.805, abs=0.01)
 
 
@@ -255,27 +257,54 @@ class TestAllFollowersRespond:
 
 
 class TestBatchedFollower:
-    """The batched kernel of the solver and the verifier against the scalar
-    follower solver."""
+    """The water-filling kernel and every public path that runs it against
+    the buyer-by-buyer reference solver."""
 
     @staticmethod
-    def check_against_scalar(inst, prices):
-        """Kernel == follower_best_response on every buyer column of a (K, J, I)
-        price stack, each column passed with the stack's own strides; returns
-        the kernel's exits and the first water-filling multiplier over the
-        usable links (the lambda the scalar loop starts from)."""
+    def check_against_reference(inst, prices):
+        """The kernel == the reference on every buyer column of a (K, J, I)
+        price stack, each column passed with the stack's own strides; on every
+        third price matrix, so do follower_best_response (every field),
+        all_followers_respond and, for a C-contiguous stack, env.step (demands
+        and rewards). Returns the kernel's exits and the first water-filling
+        multiplier over the usable links (the lambda the reference loop starts
+        from)."""
         q, _, _, S, delta, budget = game._market_arrays(inst)
         demands, lam, exits = game._batched_follower_demands(prices, q, S, delta, budget)
         usable = np.isfinite(S) & (S > 0.0)
-        for k in range(len(prices)):
-            for i in range(inst.num_uavs):
-                fr = follower_best_response(inst, i, prices[k][:, i])
-                np.testing.assert_array_equal(demands[k, i], fr.demands)
-                assert lam[k, i] == fr.lam
-                assert (exits[k, i] == game._BINDING) == (fr.case_label == CASE_BUDGET_ACTIVE)
-                assert fr.degenerate == (exits[k, i] == game._EMPTY_SUPPORT
-                                         or (exits[k, i] == game._NO_DEMAND
-                                             and not usable[i].any()))
+        want = [[reference_follower_best_response(inst, i, P[:, i])
+                 for i in range(inst.num_uavs)] for P in prices]
+        want_demands = np.array([[w.demands for w in row] for row in want])
+        np.testing.assert_array_equal(demands, want_demands, strict=True)
+        np.testing.assert_array_equal(lam, [[w.lam for w in row] for row in want])
+        np.testing.assert_array_equal(exits == game._BINDING,
+                                      [[w.case_label == CASE_BUDGET_ACTIVE for w in row]
+                                       for row in want])
+        np.testing.assert_array_equal((exits == game._EMPTY_SUPPORT)
+                                      | ((exits == game._NO_DEMAND) & ~usable.any(axis=1)),
+                                      [[w.degenerate for w in row] for row in want])
+
+        env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=1))
+        env.reset(seed=0)
+        for k in range(0, len(prices), 3):
+            P = prices[k]
+            for i, w in enumerate(want[k]):
+                got = follower_best_response(inst, i, P[:, i])
+                np.testing.assert_array_equal(got.demands, w.demands, strict=True)
+                assert got.case_label == w.case_label
+                assert type(got.lam) is float and got.lam == w.lam
+                assert got.support == w.support
+                assert got.degenerate is w.degenerate
+            np.testing.assert_array_equal(all_followers_respond(inst, P).demands,
+                                          want_demands[k], strict=True)
+            if prices.flags.c_contiguous:
+                # env.step stacks the agents' price rows into a contiguous matrix
+                out = env.step(list(P))
+                np.testing.assert_array_equal(out.demands.demands, want_demands[k],
+                                              strict=True)
+                np.testing.assert_array_equal(out.rewards, [
+                    rsu_utility(inst, j, P[j], want_demands[k][:, j])
+                    for j in range(len(P))], strict=True)
         rows = np.swapaxes(prices, -1, -2)
         first_lam = (delta * np.where(usable, S, 0.0).sum(axis=1)
                      / (budget + np.where(usable, rows / q, 0.0).sum(axis=-1)) - 1.0)
@@ -298,7 +327,7 @@ class TestBatchedFollower:
             stack = np.concatenate([inside, corners, box])
             buyer_rows = np.ascontiguousarray(np.swapaxes(stack, 1, 2))
             for prices in (stack, np.swapaxes(buyer_rows, 1, 2)):
-                exits, _ = self.check_against_scalar(inst, prices)
+                exits, _ = self.check_against_reference(inst, prices)
             S = game._market_arrays(inst).S
             unusable = ~(np.isfinite(S) & (S > 0.0)).any(axis=1)
             reached["slack"] |= bool(np.any(exits == game._SLACK))
@@ -316,7 +345,7 @@ class TestBatchedFollower:
         uav = UavProfile(10.0, 6.5, 0.5, [SsimTriple(1.0, 1.0, 1.0),
                                           SsimTriple(0.5 * math.exp(0.01), 1.0, 1.0)])
         inst = GameInstance([uav], rsus)
-        exits, first_lam = self.check_against_scalar(inst, np.array([[[1.0], [30.0]]]))
+        exits, first_lam = self.check_against_reference(inst, np.array([[[1.0], [30.0]]]))
         assert exits[0, 0] == game._BINDING
         assert first_lam[0, 0] < 0.0
 

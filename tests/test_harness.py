@@ -123,6 +123,9 @@ class TestConfig:
     def test_hash_stable_and_sensitive(self):
         a, b = ExperimentConfig(), ExperimentConfig()
         assert config_hash(a) == config_hash(b)
+        # the output directory is not part of the experiment
+        b.out = "elsewhere"
+        assert config_hash(a) == config_hash(b)
         b.episodes = 301
         assert config_hash(a) != config_hash(b)
 
@@ -263,6 +266,24 @@ class TestCli:
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert {"random", "greedy", "solve"} <= set(summary)
+
+    @pytest.mark.parametrize("param", ["I", "J"])
+    def test_sweep_market_size_default_grid(self, tmp_path, capsys, param):
+        code = cli_main(["sweep", "--param", param,
+                         "--config", self._write_cfg(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines()[:4]] == [
+            f"{param}={v}" for v in (1, 2, 3, 4)]
+
+    def test_sweep_bad_grid_reports_error(self, tmp_path, capsys):
+        code = cli_main(["sweep", "--param", "I", "--grid", "2", "2",
+                         "--config", self._write_cfg(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: sweep grid must be strictly increasing")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -31,11 +31,11 @@ class TestForward:
                   DenseLayer(np.eye(3), activation="identity")]
         net = PrunableMlp(layers)
         x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(net.masked_forward(x), x)
+        np.testing.assert_allclose(net.forward(x)[0], x)
 
     def test_relu_clamps(self):
         net = PrunableMlp([DenseLayer(np.array([[-1.0]]), activation="relu")])
-        assert net.masked_forward(np.array([2.0]))[0] == 0.0
+        assert net.forward(np.array([2.0]))[0][0] == 0.0
 
     def test_matches_straightline_oracle(self):
         rng = np.random.default_rng(0)
@@ -44,7 +44,7 @@ class TestForward:
         # independent recomputation with plain matrix arithmetic
         h = np.tanh(net.layers[0].weights @ x)
         y = net.layers[1].weights @ h
-        out = net.masked_forward(x)
+        out = net.forward(x)[0]
         np.testing.assert_allclose(out, y, atol=1e-12)
 
     def test_batched_forward_matches_loop(self):
@@ -52,7 +52,7 @@ class TestForward:
         net = random_net(rng)
         X = rng.standard_normal((7, 3))
         batch, _ = net.forward(X)
-        rows = np.stack([net.masked_forward(x) for x in X])
+        rows = np.stack([net.forward(x)[0] for x in X])
         np.testing.assert_allclose(batch, rows, atol=1e-14)
 
     def test_dimension_mismatch_raises(self):
@@ -65,17 +65,17 @@ class TestMaskedForward:
         rng = np.random.default_rng(2)
         net = random_net(rng)
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(net.masked_forward(x), net.unmasked_forward(x))
+        np.testing.assert_allclose(net.forward(x)[0], net.forward(x, masked=False)[0])
 
     def test_masked_neuron_weight_invariance(self):
         rng = np.random.default_rng(3)
         net = random_net(rng)
         net.masks[0][2] = 0.0
         x = rng.standard_normal(3)
-        base = net.masked_forward(x)
+        base = net.forward(x)[0]
         net.layers[0].weights[2, :] = 99.0   # incoming weights of masked neuron
         net.layers[1].weights[:, 2] = -99.0  # outgoing weights
-        np.testing.assert_allclose(net.masked_forward(x), base, atol=1e-12)
+        np.testing.assert_allclose(net.forward(x)[0], base, atol=1e-12)
 
     def test_half_mask_matches_zeroed_matrix_oracle(self):
         rng = np.random.default_rng(4)
@@ -85,7 +85,7 @@ class TestMaskedForward:
         h = np.tanh(net.layers[0].weights @ x)
         h[:3] = 0.0
         oracle = net.layers[1].weights @ h
-        np.testing.assert_allclose(net.masked_forward(x), oracle, atol=1e-12)
+        np.testing.assert_allclose(net.forward(x)[0], oracle, atol=1e-12)
 
 
 # =====================================================================
@@ -120,9 +120,9 @@ class TestBackward:
                 for c in range(layer.weights.shape[1]):
                     orig = layer.weights[r, c]
                     layer.weights[r, c] = orig + eps
-                    up = float(w_out @ net.masked_forward(x))
+                    up = float(w_out @ net.forward(x)[0])
                     layer.weights[r, c] = orig - eps
-                    dn = float(w_out @ net.masked_forward(x))
+                    dn = float(w_out @ net.forward(x)[0])
                     layer.weights[r, c] = orig
                     fd[r, c] = (up - dn) / (2 * eps)
             denom = max(np.max(np.abs(fd)), 1e-8)
@@ -256,7 +256,7 @@ class TestCompact:
         small = compact(net)
         assert small.hidden_sizes() == net.hidden_sizes()
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(small.masked_forward(x), net.masked_forward(x))
+        np.testing.assert_allclose(small.forward(x)[0], net.forward(x)[0])
 
     def test_single_removal_shrinks_and_preserves(self):
         rng = np.random.default_rng(16)
@@ -266,8 +266,8 @@ class TestCompact:
         assert small.hidden_sizes() == [3]
         for _ in range(20):
             x = rng.standard_normal(3)
-            np.testing.assert_allclose(small.masked_forward(x),
-                                       net.masked_forward(x), atol=1e-12)
+            np.testing.assert_allclose(small.forward(x)[0],
+                                       net.forward(x)[0], atol=1e-12)
 
     def test_equivalence_on_100_random_inputs(self):
         rng = np.random.default_rng(17)

@@ -239,15 +239,6 @@ class PpoAgent:
         return diag
 
 
-def clip_ratio(f: float, kappa: float) -> float:
-    """Three-branch importance-ratio clamp."""
-    if f > 1.0 + kappa:
-        return 1.0 + kappa
-    if f < 1.0 - kappa:
-        return 1.0 - kappa
-    return f
-
-
 class TinyMadrlAgent(PpoAgent):
     """PPO plus the dynamic structured-pruning schedule on the actor network.
 

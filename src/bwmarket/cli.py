@@ -77,11 +77,9 @@ def main(argv=None) -> int:
         elif args.command == "train":
             records = [run_training(cfg, args.algo, seed) for seed in cfg.seeds]
         elif args.command == "sweep":
-            if args.param in ("I", "J"):
-                grid = [int(v) for v in args.grid or (1, 2, 3, 4)]
-            else:
-                grid = args.grid or [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
-            spec = SweepSpec(args.param, grid, cfg.seeds)
+            default = (1, 2, 3, 4) if args.param in ("I", "J") else (
+                1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+            spec = SweepSpec(args.param, args.grid or list(default), cfg.seeds)
             records, aggregate = run_sweep(cfg, spec)
             for value, (mean, sd) in aggregate.items():
                 print(f"{args.param}={value}: avg reward {mean:.4f} +- {sd:.4f}")

@@ -2,14 +2,15 @@
 
 Each seller is an agent whose action is its per-buyer price row.  A step
 computes the buyers' exact best responses, pays each seller its margin as the
-reward, and shifts a length-L history of normalized (price row, demand column)
-pairs that forms each agent's observation.
+reward, and shifts the history forward by one slot.  The history is one
+(agents, L, 2, buyers) array of normalized (price row, demand column) pairs,
+newest last; an agent's observation is its slice, flattened.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class EnvConfig:
 
 @dataclass
 class StepOutcome:
-    next_observations: list[np.ndarray]
+    next_observations: np.ndarray   # agents x observation_dim
     rewards: np.ndarray
     demands: DemandMatrix
     done: bool
@@ -73,70 +74,51 @@ class PricingEnv:
                              else default_demand_scale(instance))
         if self.demand_scale <= 0:
             raise ValueError("demand_scale must be positive")
-        self._history: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        # agent x time slot (newest last) x (price, demand) x buyer, normalized
+        self._history = np.zeros((self.num_agents, self.config.history_length,
+                                  2, self.num_uavs))
         self._t = 0
 
     @property
     def observation_dim(self) -> int:
         return 2 * self.num_uavs * self.config.history_length
 
-    def reset(self, seed: int | np.random.Generator | None = None) -> list[np.ndarray]:
+    def reset(self, seed: int | np.random.Generator | None = None) -> np.ndarray:
         """Fill the history per the warmup policy; deterministic given the seed."""
         rng = (seed if isinstance(seed, np.random.Generator)
                else np.random.default_rng(seed))
-        L = self.config.history_length
         self._t = 0
-        if self.config.warmup_policy == WARMUP_ZEROS:
-            zero = np.zeros(self.num_uavs)
-            self._history = [[(zero.copy(), zero.copy()) for _ in range(L)]
-                             for _ in range(self.num_agents)]
-        else:
-            self._history = [[] for _ in range(self.num_agents)]
-            for _ in range(L):
+        self._history[:] = 0.0
+        if self.config.warmup_policy == WARMUP_UNIFORM:
+            for _ in range(self.config.history_length):
                 prices = rng.uniform(self._market.c[:, None], self._market.cap[:, None],
                                      size=(self.num_agents, self.num_uavs))
-                demands = _respond(self.instance, self._market, prices).demands
-                for j in range(self.num_agents):
-                    self._history[j].append(
-                        (self._norm_prices(prices[j], j),
-                         self._norm_demands(demands[:, j])[0]))
+                self._shift(prices, _respond(self.instance, self._market, prices).demands)
         return self.observations()
 
-    def _norm_prices(self, price_row: np.ndarray, agent: int) -> np.ndarray:
-        return price_row / self._market.cap[agent]
+    def _shift(self, prices: np.ndarray, demands: np.ndarray) -> bool:
+        """Drop the oldest slot, write the normalized newest one; True if any
+        demand exceeded demand_scale and was clipped."""
+        scaled = demands.T / self.demand_scale
+        self._history[:, :-1] = self._history[:, 1:]
+        self._history[:, -1, 0] = prices / self._market.cap[:, None]
+        self._history[:, -1, 1] = np.clip(scaled, 0.0, 1.0)
+        return bool(np.any(scaled > 1.0))
 
-    def _norm_demands(self, demand_col: np.ndarray) -> tuple[np.ndarray, bool]:
-        scaled = demand_col / self.demand_scale
-        clipped = bool(np.any(scaled > 1.0))
-        return np.clip(scaled, 0.0, 1.0), clipped
-
-    def observations(self) -> list[np.ndarray]:
-        """Per-agent flat vector: L (price row, demand column) pairs, newest last."""
-        obs = []
-        for j in range(self.num_agents):
-            parts = []
-            for p_norm, b_norm in self._history[j]:
-                parts.append(p_norm)
-                parts.append(b_norm)
-            obs.append(np.concatenate(parts))
-        return obs
-
-    def clamp_action(self, price_row, agent: int) -> np.ndarray:
-        return np.clip(np.asarray(price_row, dtype=float),
-                       self._market.c[agent], self._market.cap[agent])
+    def observations(self) -> np.ndarray:
+        """One fresh row per agent: L (price row, demand column) pairs, newest last."""
+        return self._history.reshape(self.num_agents, -1).copy()
 
     def step(self, joint_prices) -> StepOutcome:
         """Advance one game round given each agent's price row (clamped into its box)."""
-        prices = np.stack([self.clamp_action(row, j)
-                           for j, row in enumerate(joint_prices)])
+        prices = np.asarray(joint_prices, dtype=float, order="C")
+        if prices.shape != (self.num_agents, self.num_uavs):
+            raise ValueError(f"expected shape {(self.num_agents, self.num_uavs)}, "
+                             f"got {prices.shape}")
+        prices = np.clip(prices, self._market.c[:, None], self._market.cap[:, None])
         demands = _respond(self.instance, self._market, prices)
         rewards = _seller_margins(prices, demands.demands, self._market.c)
-        clipped = False
-        for j in range(self.num_agents):
-            b_norm, c = self._norm_demands(demands.demands[:, j])
-            clipped = clipped or c
-            self._history[j].pop(0)
-            self._history[j].append((self._norm_prices(prices[j], j), b_norm))
+        clipped = self._shift(prices, demands.demands)
         self._t += 1
         done = self._t >= self.config.episode_length
         return StepOutcome(self.observations(), rewards, demands, done, clipped)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -145,12 +146,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            message = " ".join(str(exc).split())  # one line
+            raise ConfigError(f"{path}: invalid YAML: {message}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     try:
         return config_from_dict(doc)
-    except ConfigError as exc:
+    except ValueError as exc:  # also the option dataclasses' own checks
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -194,21 +199,26 @@ def sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
         lo, hi = full[key]
         return float(gen.uniform(lo, hi))
 
-    rsus = []
-    for gen in rsu_parent.spawn(num_rsus):
-        link = ChannelLink(draw(gen, "transmit_power_dbm"),
-                           draw(gen, "channel_gain_db"), draw(gen, "noise_dbm"))
-        rsus.append(RsuProfile(draw(gen, "bandwidth_cost"),
-                               draw(gen, "price_cap"), link))
-    uavs = []
-    for gen in uav_parent.spawn(num_uavs):
-        delta = draw(gen, "delta")
-        budget = draw(gen, "budget")
-        threshold = draw(gen, "ssim_threshold")
-        triples = [SsimTriple(draw(gen, "similarity"), draw(gen, "similarity"),
-                              draw(gen, "similarity")) for _ in range(num_rsus)]
-        uavs.append(UavProfile(delta, budget, threshold, triples))
-    return GameInstance(uavs, rsus)
+    # The profiles reject out-of-domain draws (a negative budget, say) with
+    # ValueError; the ranges came from the config, so report a ConfigError.
+    try:
+        rsus = []
+        for gen in rsu_parent.spawn(num_rsus):
+            link = ChannelLink(draw(gen, "transmit_power_dbm"),
+                               draw(gen, "channel_gain_db"), draw(gen, "noise_dbm"))
+            rsus.append(RsuProfile(draw(gen, "bandwidth_cost"),
+                                   draw(gen, "price_cap"), link))
+        uavs = []
+        for gen in uav_parent.spawn(num_uavs):
+            delta = draw(gen, "delta")
+            budget = draw(gen, "budget")
+            threshold = draw(gen, "ssim_threshold")
+            triples = [SsimTriple(draw(gen, "similarity"), draw(gen, "similarity"),
+                                  draw(gen, "similarity")) for _ in range(num_rsus)]
+            uavs.append(UavProfile(delta, budget, threshold, triples))
+        return GameInstance(uavs, rsus)
+    except ValueError as exc:
+        raise ConfigError(f"sampled instance rejected: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +368,20 @@ def run_solve(cfg: ExperimentConfig, seed: int,
 @dataclass
 class SweepSpec:
     parameter: str                  # one of: c, p_bar, I, J
-    grid: list
+    grid: list                      # I and J values become ints
     seeds: list[int]
-    train_algorithms: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.parameter not in ("c", "p_bar", "I", "J"):
             raise ConfigError(f"unknown sweep parameter {self.parameter!r}")
+        if self.parameter in ("I", "J"):
+            if any(not float(v).is_integer() or v < 1 for v in self.grid):
+                raise ConfigError(f"sweep grid for {self.parameter} must hold "
+                                  f"whole numbers >= 1, got {list(self.grid)}")
+            self.grid = [int(v) for v in self.grid]
+        elif not all(math.isfinite(v) and v > 0 for v in self.grid):
+            raise ConfigError(f"sweep grid for {self.parameter} must hold finite "
+                              f"positive values, got {list(self.grid)}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
 
@@ -385,7 +402,7 @@ def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value):
 
 
 def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):
-    """Analytic (and optionally trained) runs over a parameter grid.
+    """Analytic runs over a parameter grid.
 
     Returns (records, aggregate) where aggregate maps grid value to the
     mean/sd of the equilibrium average reward across seeds.
@@ -399,8 +416,6 @@ def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):
             rec = run_solve(sub, seed)
             records.append(rec)
             cell.append(rec.theoretical)
-            for algo in spec.train_algorithms:
-                records.append(run_training(sub, algo, seed))
         aggregate[value] = (float(np.mean(cell)), float(np.std(cell)))
     return records, aggregate
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from bwmarket.env import WARMUP_ZEROS
 from bwmarket.game import (
     CASE_BUDGET_ACTIVE,
     CASE_BUDGET_INACTIVE,
@@ -352,3 +353,65 @@ def reference_solve_equilibrium(instance: GameInstance, tolerance: float = FIXED
     ])
     return EquilibriumSolution(prices, demands, rsu_utils, uav_utils, cases,
                                iterations, residual, consistent, diagnostics)
+
+
+class ReferencePricingEnv:
+    """PricingEnv's history bookkeeping as J lists of L (price row, demand
+    column) pairs, one agent at a time; the reference for the array history.
+
+    Takes the same instance, EnvConfig and demand scale; buyers respond through
+    reference_all_followers_respond and rewards are rsu_utility per seller.
+    """
+
+    def __init__(self, instance: GameInstance, config, demand_scale: float):
+        self.instance = instance
+        self.config = config
+        self.demand_scale = demand_scale
+        self.costs = instance.costs()
+        self.caps = instance.price_caps()
+        self.history: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        self.t = 0
+
+    def _norm_demands(self, demand_col):
+        scaled = demand_col / self.demand_scale
+        return np.clip(scaled, 0.0, 1.0), bool(np.any(scaled > 1.0))
+
+    def reset(self, rng: np.random.Generator) -> list[np.ndarray]:
+        J, I = self.instance.num_rsus, self.instance.num_uavs
+        L = self.config.history_length
+        self.t = 0
+        if self.config.warmup_policy == WARMUP_ZEROS:
+            zero = np.zeros(I)
+            self.history = [[(zero.copy(), zero.copy()) for _ in range(L)]
+                            for _ in range(J)]
+        else:
+            self.history = [[] for _ in range(J)]
+            for _ in range(L):
+                prices = rng.uniform(self.costs[:, None], self.caps[:, None], size=(J, I))
+                demands = reference_all_followers_respond(self.instance, prices).demands
+                for j in range(J):
+                    self.history[j].append((prices[j] / self.caps[j],
+                                            self._norm_demands(demands[:, j])[0]))
+        return self.observations()
+
+    def observations(self) -> list[np.ndarray]:
+        return [np.concatenate([part for pair in agent for part in pair])
+                for agent in self.history]
+
+    def step(self, joint_prices):
+        """(observations, rewards, demand_clipped, done) after one round."""
+        prices = np.stack([
+            np.clip(np.asarray(row, dtype=float), self.costs[j], self.caps[j])
+            for j, row in enumerate(joint_prices)])
+        demands = reference_all_followers_respond(self.instance, prices).demands
+        rewards = np.array([rsu_utility(self.instance, j, prices[j], demands[:, j])
+                            for j in range(len(prices))])
+        clipped = False
+        for j, agent in enumerate(self.history):
+            b_norm, c = self._norm_demands(demands[:, j])
+            clipped = clipped or c
+            agent.pop(0)
+            agent.append((prices[j] / self.caps[j], b_norm))
+        self.t += 1
+        return (self.observations(), rewards, clipped,
+                self.t >= self.config.episode_length)

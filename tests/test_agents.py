@@ -10,7 +10,6 @@ from bwmarket.agents import (
     RandomAgent,
     RolloutBuffer,
     TinyMadrlAgent,
-    clip_ratio,
     compute_advantages,
 )
 from bwmarket.harness import ExperimentConfig, run_training
@@ -64,17 +63,6 @@ class TestAdvantages:
         adv, _ = compute_advantages(buf, discount=0.9, normalize=True)
         assert adv.mean() == pytest.approx(0.0, abs=1e-12)
         assert adv.std() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestClipRatio:
-    def test_inside_band_unchanged(self):
-        assert clip_ratio(1.05, 0.2) == 1.05
-
-    def test_above_band_clamped(self):
-        assert clip_ratio(1.7, 0.2) == pytest.approx(1.2)
-
-    def test_below_band_clamped(self):
-        assert clip_ratio(0.3, 0.2) == pytest.approx(0.8)
 
 
 class TestActing:

@@ -7,12 +7,13 @@ from bwmarket.env import (
     EnvConfig,
     PricingEnv,
     WARMUP_UNIFORM,
+    WARMUP_ZEROS,
     default_demand_scale,
     theoretical_baseline,
 )
 from bwmarket.game import rsu_utility
 
-from _oracles import random_instance, simple_instance
+from _oracles import ReferencePricingEnv, random_instance, simple_instance
 
 
 @pytest.fixture
@@ -91,8 +92,16 @@ class TestStep:
         out = env.step([np.full(1, 1000.0), np.full(1, -5.0)])
         # clamped to cap 35 and cost 1: reward of agent 1 is zero margin
         assert out.rewards[1] == 0.0
-        newest_price = env._history[0][-1][0]
-        assert newest_price[0] == pytest.approx(1.0)  # 35/35
+        # one buyer, so the newest pair is the last two entries [price, demand]
+        newest_price = env.observations()[0][-2]
+        assert newest_price == pytest.approx(1.0)  # 35/35
+
+    def test_wrong_price_shape_rejected(self):
+        inst = random_instance(np.random.default_rng(8), I=2, J=2)
+        env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=3))
+        env.reset(seed=0)
+        with pytest.raises(ValueError):
+            env.step([5.0, 6.0])  # one price per seller, not a J x I matrix
 
     def test_done_after_episode_length(self, symmetric):
         env = PricingEnv(symmetric, EnvConfig(history_length=1, episode_length=2))
@@ -145,6 +154,48 @@ class TestHistory:
             out = env.step(acts)
             for o in out.next_observations:
                 assert np.all(o >= 0.0) and np.all(o <= 1.0)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("warmup", [WARMUP_ZEROS, WARMUP_UNIFORM])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("I,J", [(1, 1), (3, 2), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("small_scale", [False, True])
+    def test_rollout_bit_for_bit(self, warmup, L, I, J, small_scale):
+        """Observations, rewards, demand_clipped and done equal the per-agent
+        list bookkeeping exactly, and a returned observation never changes."""
+        rng = np.random.default_rng(100 * I + 10 * J + L)
+        # floor 0.5 leaves some links unusable; 0.85 makes every buyer demand,
+        # and a scale of 0.05 then clips some demands but not all
+        inst = random_instance(rng, I=I, J=J, min_component=0.85 if small_scale else 0.5)
+        scale = 0.05 if small_scale else None
+        cfg = EnvConfig(history_length=L, episode_length=L + 4,
+                        demand_scale=scale, warmup_policy=warmup)
+        env = PricingEnv(inst, cfg)
+        ref = ReferencePricingEnv(inst, cfg, env.demand_scale)
+        # one warm-up stream per env, shared by its episodes as in run_training
+        warm_rng, ref_warm_rng = np.random.default_rng(7), np.random.default_rng(7)
+        c, cap = inst.costs(), inst.price_caps()
+        any_clipped = False
+        for _ in range(2):  # the second reset must discard the first episode
+            previous = env.reset(warm_rng)
+            kept = previous.copy()
+            np.testing.assert_array_equal(previous, ref.reset(ref_warm_rng))
+            for _ in range(cfg.episode_length):
+                # a wider box than [c, cap], so clamping fires on both sides
+                actions = [rng.uniform(c[j] - 1.0, cap[j] + 5.0, I) for j in range(J)]
+                out = env.step(actions)
+                obs, rewards, clipped, done = ref.step(actions)
+                np.testing.assert_array_equal(out.next_observations, obs)
+                np.testing.assert_array_equal(out.rewards, rewards)
+                assert out.demand_clipped == clipped
+                assert out.done == done
+                any_clipped = any_clipped or clipped
+                np.testing.assert_array_equal(previous, kept)
+                previous, kept = out.next_observations, out.next_observations.copy()
+            assert done
+        if small_scale:
+            assert any_clipped
 
 
 class TestBaseline:

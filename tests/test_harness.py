@@ -171,6 +171,21 @@ class TestRuns:
         with pytest.raises(ConfigError):
             SweepSpec("c", [2.0, 1.0], [0])
 
+    @pytest.mark.parametrize("param,grid", [
+        ("I", [0, 1]), ("J", [1.5, 2]), ("I", [float("nan")]),
+        ("c", [-1.0, 1.0]), ("c", [0.0]), ("p_bar", [float("inf")]),
+    ])
+    def test_sweep_grid_out_of_domain(self, param, grid):
+        with pytest.raises(ConfigError):
+            SweepSpec(param, grid, [0])
+
+    def test_sweep_market_size_grid_becomes_int(self):
+        assert SweepSpec("I", [1.0, 3.0], [0]).grid == [1, 3]
+
+    def test_sample_instance_bad_range_is_config_error(self):
+        with pytest.raises(ConfigError, match="budget must be positive"):
+            sample_instance({"budget": (-2.0, -1.0)}, 2, 2, 0)
+
 
 class TestPersistence:
     def test_csv_round_trip(self, tmp_path):
@@ -278,17 +293,38 @@ class TestCli:
             f"{param}={v}" for v in (1, 2, 3, 4)]
 
     def test_sweep_bad_grid_reports_error(self, tmp_path, capsys):
-        code = cli_main(["sweep", "--param", "I", "--grid", "2", "2",
-                         "--config", self._write_cfg(tmp_path),
-                         "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: sweep grid must be strictly increasing")
-        assert not (tmp_path / "out").exists()
+        cases = [
+            (["I", "2", "2"], "sweep grid must be strictly increasing"),
+            (["I", "0", "1"], "sweep grid for I must hold whole numbers >= 1"),
+            (["I", "2.7", "3.9"], "sweep grid for I must hold whole numbers >= 1"),
+            (["c", "-1", "1"], "sweep grid for c must hold finite positive values"),
+        ]
+        for (param, *grid), message in cases:
+            code = cli_main(["sweep", "--param", param, "--grid", *grid,
+                             "--config", self._write_cfg(tmp_path),
+                             "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, (param, grid)
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+            assert not (tmp_path / "out").exists()
 
-    def test_bad_config_exit_code(self, tmp_path):
-        path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump({"mystery": True}))
-        assert cli_main(["solve", "--config", str(path)]) == 2
+    def test_bad_config_exit_code(self, tmp_path, capsys):
+        cases = {
+            "unknown key": yaml.safe_dump({"mystery": True}),
+            "negative budget range": yaml.safe_dump(
+                {"instance": {"ranges": {"budget": [-2, -1]}}}),
+            "malformed YAML": "instance: [1, 2\n  bad: :\n",
+            "invalid env option": yaml.safe_dump({"env": {"history_length": 0}}),
+        }
+        for name, text in cases.items():
+            path = tmp_path / "bad.yaml"
+            path.write_text(text)
+            code = cli_main(["solve", "--config", str(path),
+                             "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, name
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+            assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):
         code = cli_main(["train", "--algo", "random",

@@ -17,9 +17,8 @@ import numpy as np
 from .game import (
     DemandMatrix,
     GameInstance,
-    _market_arrays,
-    _respond,
-    _seller_margins,
+    _margins,
+    all_followers_respond,
     solve_equilibrium,
 )
 
@@ -29,10 +28,9 @@ WARMUP_UNIFORM = "uniform_random"
 
 def default_demand_scale(instance: GameInstance) -> float:
     """Upper bound on any single demand: delta_max * ln(1/min threshold) / c_min."""
-    delta_max = max(u.delta for u in instance.uavs)
+    m = instance.arrays
     th_min = min(u.ssim_threshold for u in instance.uavs)
-    c_min = min(r.bandwidth_cost for r in instance.rsus)
-    return delta_max * math.log(1.0 / th_min) / c_min
+    return float(np.max(m.delta) * math.log(1.0 / th_min) / np.min(m.c))
 
 
 @dataclass
@@ -58,6 +56,7 @@ class StepOutcome:
     demands: DemandMatrix
     done: bool
     demand_clipped: bool = False
+    margins: np.ndarray | None = None   # agents x buyers; row sums are the rewards
 
 
 class PricingEnv:
@@ -68,7 +67,7 @@ class PricingEnv:
         self.config = config or EnvConfig()
         self.num_agents = instance.num_rsus
         self.num_uavs = instance.num_uavs
-        self._market = _market_arrays(instance)
+        self._market = instance.arrays
         self.demand_scale = (self.config.demand_scale
                              if self.config.demand_scale is not None
                              else default_demand_scale(instance))
@@ -93,7 +92,7 @@ class PricingEnv:
             for _ in range(self.config.history_length):
                 prices = rng.uniform(self._market.c[:, None], self._market.cap[:, None],
                                      size=(self.num_agents, self.num_uavs))
-                self._shift(prices, _respond(self.instance, self._market, prices).demands)
+                self._shift(prices, all_followers_respond(self.instance, prices).demands)
         return self.observations()
 
     def _shift(self, prices: np.ndarray, demands: np.ndarray) -> bool:
@@ -116,12 +115,13 @@ class PricingEnv:
             raise ValueError(f"expected shape {(self.num_agents, self.num_uavs)}, "
                              f"got {prices.shape}")
         prices = np.clip(prices, self._market.c[:, None], self._market.cap[:, None])
-        demands = _respond(self.instance, self._market, prices)
-        rewards = _seller_margins(prices, demands.demands, self._market.c)
+        demands = all_followers_respond(self.instance, prices)
+        margins = _margins(prices, demands.demands, self._market.c)
         clipped = self._shift(prices, demands.demands)
         self._t += 1
         done = self._t >= self.config.episode_length
-        return StepOutcome(self.observations(), rewards, demands, done, clipped)
+        return StepOutcome(self.observations(), margins.sum(axis=1), demands, done,
+                           clipped, margins)
 
 
 def theoretical_baseline(instance: GameInstance) -> tuple[float, bool]:

@@ -5,19 +5,21 @@ box [c, p_bar]; buyers (UAVs) follow with a budget-constrained concave demand
 problem solved in closed form through KKT water-filling.  The leader subgames
 decouple per buyer; each is solved by iterating the sellers' best-response
 map, which is a standard function (positive, monotone, scalable), so its fixed
-point is unique.  solve_equilibrium runs all buyers' subgames at once on the
-market's dense arrays.
+point is unique.  solve_equilibrium runs all buyers' subgames at once.
 
-One water-filling kernel, _batched_follower_demands, solves every buyer best
-response: follower_best_response is its one-row call, and
-all_followers_respond, solve_equilibrium, verify_equilibrium and the
-environment's step each call it on whole price matrices.
+Every solver reads the market's dense arrays, GameInstance.arrays, built once
+per instance.  One water-filling kernel, _batched_follower_demands, solves
+every buyer best response: follower_best_response is its one-row call, and
+all_followers_respond, solve_equilibrium and verify_equilibrium call it on
+whole price matrices.  The buyer utility and the seller margin are written
+once each, in _buyer_utilities and _margins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -107,7 +109,9 @@ class RsuProfile:
 
 @dataclass
 class GameInstance:
-    """Full market description: I buyers, J sellers."""
+    """Full market description: I buyers, J sellers. Its dense arrays are
+    built from the profiles on first use and cached (``arrays``), so the
+    profiles must not change after a GameInstance's first use."""
 
     uavs: list[UavProfile]
     rsus: list[RsuProfile]
@@ -128,14 +132,28 @@ class GameInstance:
     def num_rsus(self) -> int:
         return len(self.rsus)
 
+    @cached_property
+    def arrays(self) -> _MarketArrays:
+        """The market's dense arrays, built on first use and read-only."""
+        m = _MarketArrays(
+            np.array([r.link.spectrum_efficiency for r in self.rsus]),
+            np.array([r.bandwidth_cost for r in self.rsus]),
+            np.array([r.price_cap for r in self.rsus]),
+            np.array([log_quality_row(self, i) for i in range(self.num_uavs)]),
+            np.array([u.delta for u in self.uavs], dtype=float),
+            np.array([u.budget for u in self.uavs], dtype=float))
+        for a in m:
+            a.setflags(write=False)
+        return m
+
     def costs(self) -> np.ndarray:
-        return np.array([r.bandwidth_cost for r in self.rsus])
+        return self.arrays.c.copy()
 
     def price_caps(self) -> np.ndarray:
-        return np.array([r.price_cap for r in self.rsus])
+        return self.arrays.cap.copy()
 
     def efficiencies(self) -> np.ndarray:
-        return np.array([r.link.spectrum_efficiency for r in self.rsus])
+        return self.arrays.q.copy()
 
 
 @dataclass
@@ -149,8 +167,8 @@ class PriceMatrix:
         J, I = instance.num_rsus, instance.num_uavs
         if prices.shape != (J, I):
             raise ValueError(f"expected shape {(J, I)}, got {prices.shape}")
-        cs = instance.costs()[:, None]
-        caps = instance.price_caps()[:, None]
+        cs = instance.arrays.c[:, None]
+        caps = instance.arrays.cap[:, None]
         if np.any(prices < cs - 1e-12) or np.any(prices > caps + 1e-12):
             raise ValueError("price entry outside its [cost, cap] box")
         self.prices = np.clip(prices, cs, caps)
@@ -181,8 +199,7 @@ def _check_demands(demands: np.ndarray, prices: np.ndarray | None,
         raise ValueError("negative demand entry")
     if prices is not None:
         spend = np.sum(demands * np.swapaxes(prices, -1, -2), axis=-1)
-        budgets = np.array([u.budget for u in instance.uavs])
-        if np.any(spend > budgets + 1e-9):
+        if np.any(spend > instance.arrays.budget + 1e-9):
             raise ValueError("per-UAV spend exceeds budget")
 
 
@@ -223,8 +240,9 @@ class VerificationReport:
 
 
 class _MarketArrays(NamedTuple):
-    """A market as dense arrays: per seller q, c, cap (J,); per buyer the
-    log-quality S (rows x J, -inf on an unusable link), delta and budget."""
+    """A market as dense arrays: per seller the efficiency q, cost c and cap
+    (J,); per buyer row the log-quality S (rows x J, -inf on an unusable link),
+    delta and budget R. GameInstance.arrays holds every buyer row, read-only."""
 
     q: np.ndarray
     c: np.ndarray
@@ -237,16 +255,6 @@ class _MarketArrays(NamedTuple):
         """The same market restricted to the given buyer rows."""
         return self._replace(S=self.S[rows], delta=self.delta[rows],
                              budget=self.budget[rows])
-
-
-def _market_arrays(instance: GameInstance, uavs=None) -> _MarketArrays:
-    """Arrays of the market, with buyer rows for every UAV or the listed ones."""
-    uavs = range(instance.num_uavs) if uavs is None else uavs
-    return _MarketArrays(
-        instance.efficiencies(), instance.costs(), instance.price_caps(),
-        np.array([log_quality_row(instance, i) for i in uavs]),
-        np.array([instance.uavs[i].delta for i in uavs], dtype=float),
-        np.array([instance.uavs[i].budget for i in uavs], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +277,28 @@ def log_quality_row(instance: GameInstance, uav_index: int) -> np.ndarray:
     return out
 
 
+def _buyer_utilities(m: _MarketArrays, demands, prices) -> np.ndarray:
+    """Surplus sum_j delta*ln(1 + b_j q_j)*S_j - p_j b_j of every demand row
+    (..., J) against its price row, for the buyer rows of m broadcast against
+    them; each utility is a sum over one contiguous row."""
+    S = np.where(np.isfinite(m.S), m.S, 0.0)
+    gain = np.where(demands > 0, m.delta[:, None] * np.log1p(demands * m.q) * S, 0.0)
+    return np.sum(np.ascontiguousarray(gain - prices * demands), axis=-1)
+
+
+def _margins(prices: np.ndarray, demands: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-buyer seller margins (p_ji - c_j) * b_ij as contiguous (..., J, I)
+    rows, from (..., J, I) prices, (..., I, J) demands and the sellers' costs
+    c; a seller's margin is the sum of its row."""
+    return np.ascontiguousarray((prices - c[:, None]) * np.swapaxes(demands, -1, -2))
+
+
 def uav_utility(instance: GameInstance, uav_index: int,
                 demand_row, price_row) -> float:
     """Buyer surplus: sum_j delta*ln(1 + b_j q_j)*S_j - p_j b_j."""
     b = np.asarray(demand_row, dtype=float)
     p = np.asarray(price_row, dtype=float)
-    q = instance.efficiencies()
-    S = log_quality_row(instance, uav_index)
-    delta = instance.uavs[uav_index].delta
-    gain = np.where(b > 0, delta * np.log1p(b * q) * np.where(np.isfinite(S), S, 0.0), 0.0)
-    return float(np.sum(gain - p * b))
+    return float(_buyer_utilities(instance.arrays.buyers([uav_index]), b, p)[0])
 
 
 def rsu_utility(instance: GameInstance, rsu_index: int,
@@ -286,14 +306,7 @@ def rsu_utility(instance: GameInstance, rsu_index: int,
     """Seller margin: sum_i (p_i - c) * b_i."""
     p = np.asarray(price_row, dtype=float)
     b = np.asarray(demand_column, dtype=float)
-    c = instance.rsus[rsu_index].bandwidth_cost
-    return float(np.sum((p - c) * b))
-
-
-def _seller_margins(prices: np.ndarray, demands: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """rsu_utility of every seller, bit for bit, from J x I prices and I x J
-    demands: each margin is a sum over one contiguous row."""
-    return np.sum(np.ascontiguousarray((prices - c[:, None]) * demands.T), axis=1)
+    return float(np.sum(_margins(p[None], b[:, None], instance.arrays.c[[rsu_index]])))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +314,7 @@ def _seller_margins(prices: np.ndarray, demands: np.ndarray, c: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 
 # Exits of the water-filling, as reported by _batched_follower_demands.
-_NO_DEMAND, _SLACK, _BINDING, _FALLBACK, _EMPTY_SUPPORT = range(5)
+_NO_DEMAND, _SLACK, _BINDING = range(3)
 
 
 def _rowdot(x, y) -> np.ndarray:
@@ -356,7 +369,7 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
     prices is (..., J, I); q is (J,); S is the I x J log-quality matrix, -inf
     on an unusable link; delta and budget are (I,). Returns the demands
     (..., I, J), the budget multiplier (..., I) and the exit taken (..., I),
-    one of _NO_DEMAND, _SLACK, _BINDING, _FALLBACK and _EMPTY_SUPPORT.
+    one of _NO_DEMAND, _SLACK and _BINDING.
 
     The unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are kept when
     their spend p @ b fits the budget. Otherwise the budget binds and each
@@ -385,7 +398,12 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
     demands[slack] = cand[slack]
     exits[slack] = _SLACK
 
-    # budget binds: water-filling, each open row shrinking its own support
+    # budget binds: water-filling, each open row shrinking its own support.
+    # Only the first step can find lambda <= 0 (a usable link priced past its
+    # choke point), and its demands at lambda = 0 are the slack candidates,
+    # which overspend; so lambda is floored at 1e-15, as is a closed row's -1.
+    # Every later support still holds the optimal support S*, so it never
+    # empties and its unconstrained spend exceeds R, which makes lambda > 0.
     open_ = wants & ~slack
     support = positive & open_[..., None]
     p_over_q = p / q
@@ -393,16 +411,6 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
         plan = _pack(support)
         lam_k = (delta * _packed_sums(S, plan)
                  / (budget + _packed_sums(p_over_q, plan)) - 1.0)
-        low = open_ & (lam_k <= 0.0)
-        if low.any():
-            # reduced support fits the budget after all: fall back to candidates
-            b = np.where(support, np.maximum(d * S / p - 1.0 / q, 0.0), 0.0)
-            fits = low & (_rowdot(rows, b) <= budget)
-            demands[fits] = b[fits]
-            exits[fits] = _FALLBACK
-            open_ &= ~fits
-        # floor lambda <= 0 at 1e-15; this also covers closed rows, whose
-        # empty support gives lambda = -1
         lam_k = np.where(lam_k > 0.0, lam_k, 1e-15)
         b = d * S / (p * (1.0 + lam_k[..., None])) - 1.0 / q
         keep = support & (b > 0)
@@ -412,9 +420,6 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
         exits[binding] = _BINDING
         open_ &= ~binding
         support = keep & open_[..., None]
-        emptied = open_ & ~support.any(axis=-1)
-        exits[emptied] = _EMPTY_SUPPORT
-        open_ &= ~emptied
     return demands, lam, exits
 
 
@@ -423,31 +428,26 @@ def follower_best_response(instance: GameInstance, uav_index: int,
     """Exact budget-constrained demand maximizer for one buyer.
 
     A one-row call of _batched_follower_demands; the support is the links
-    with positive demand, and the solution is degenerate when the water-filling
-    empties its support or the buyer has no usable link.
+    with positive demand, and the solution is degenerate when the buyer has no
+    usable link.
     """
-    m = _market_arrays(instance, [uav_index])
+    m = instance.arrays.buyers([uav_index])
     # one price column, with the caller's stride, as the kernel's J x 1 matrix
     demands, lam, exits = _batched_follower_demands(
         np.asarray(price_row, dtype=float)[:, None], m.q, m.S, m.delta, m.budget)
-    b, exit_ = demands[0], exits[0]
-    case = CASE_BUDGET_ACTIVE if exit_ == _BINDING else CASE_BUDGET_INACTIVE
-    degenerate = exit_ == _EMPTY_SUPPORT or (
-        exit_ == _NO_DEMAND and not np.any(np.isfinite(m.S) & (m.S > 0.0)))
+    b = demands[0]
+    case = CASE_BUDGET_ACTIVE if exits[0] == _BINDING else CASE_BUDGET_INACTIVE
     return FollowerSolution(b, case, float(lam[0]), frozenset(np.flatnonzero(b > 0).tolist()),
-                            degenerate=bool(degenerate))
+                            degenerate=not np.any(np.isfinite(m.S) & (m.S > 0.0)))
 
 
 def all_followers_respond(instance: GameInstance, prices) -> DemandMatrix:
-    """Every buyer's best response to its price column (J x I prices in)."""
+    """Every buyer's best response to its price column (J x I prices in), in
+    one kernel call."""
     P = prices.prices if isinstance(prices, PriceMatrix) else np.asarray(prices, dtype=float)
-    return _respond(instance, _market_arrays(instance), P)
-
-
-def _respond(instance: GameInstance, m: _MarketArrays, prices: np.ndarray) -> DemandMatrix:
-    """all_followers_respond on the market's arrays m, in one kernel call."""
-    demands = _batched_follower_demands(prices, m.q, m.S, m.delta, m.budget)[0]
-    return DemandMatrix(demands, instance, prices=prices)
+    m = instance.arrays
+    demands = _batched_follower_demands(P, m.q, m.S, m.delta, m.budget)[0]
+    return DemandMatrix(demands, instance, prices=P)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def _leader_map(p: np.ndarray, m: _MarketArrays, slack: np.ndarray,
 def leader_unconstrained_price(instance: GameInstance, rsu_index: int,
                                uav_index: int) -> float:
     """Profit-maximizing price sqrt(delta*S*q*c) when the buyer's budget is slack."""
-    m = _market_arrays(instance, [uav_index])
+    m = instance.arrays.buyers([uav_index])
     S = m.S[0, rsu_index]
     if not (np.isfinite(S) and S > 0):
         raise ValueError("no profitable price: buyer never demands from this seller")
@@ -503,7 +503,7 @@ def leader_best_response_map(instance: GameInstance, uav_index: int,
     positive-quality competitors falls back to the slack-budget price.
     """
     p = np.asarray(price_vector, dtype=float)
-    m = _market_arrays(instance, [uav_index])
+    m = instance.arrays.buyers([uav_index])
     plan = _pack(m.S > 0.0)
     out = _leader_map(p[None], m, _slack_prices(m), plan, _packed_sums(m.S, plan))[0]
     return np.clip(out, m.c, m.cap) if clamp else out
@@ -557,7 +557,7 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    m = _market_arrays(instance)
+    m = instance.arrays
     I = len(m.S)
 
     # slack-budget candidates (buyer rows, contiguous like a scalar price row)
@@ -599,15 +599,11 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
     # final demands on the J x I matrix, whose columns are strided as P[:, i]
     prices = PriceMatrix(np.ascontiguousarray(buyer_prices.T), instance)
     P = prices.prices
-    demands = _respond(instance, m, P)
+    demands = all_followers_respond(instance, prices)
     D = demands.demands
-    # each utility is a sum over one contiguous row, as in rsu_utility and uav_utility
-    rsu_utils = _seller_margins(P, D, m.c)
-    S_finite = np.where(np.isfinite(m.S), m.S, 0.0)
-    gain = np.where(D > 0, m.delta[:, None] * np.log1p(D * m.q) * S_finite, 0.0)
-    uav_utils = np.sum(np.ascontiguousarray(gain - P.T * D), axis=1)
     cases = [CASE_BUDGET_ACTIVE if a else CASE_BUDGET_INACTIVE for a in active]
-    return EquilibriumSolution(prices, demands, rsu_utils, uav_utils, cases,
+    return EquilibriumSolution(prices, demands, _margins(P, D, m.c).sum(axis=1),
+                               _buyer_utilities(m, D, P.T), cases,
                                int(np.max(iterations, initial=0)),
                                float(np.max(residual, initial=0.0)),
                                bool(ok.all()), diagnostics)
@@ -641,23 +637,22 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
     rng = np.random.default_rng(rng_seed)
     P = solution.prices.prices
     I, J = instance.num_uavs, instance.num_rsus
-    q, cs, caps, S, deltas, budgets = _market_arrays(instance)
+    m = instance.arrays
 
     rsu_violations: list[tuple[int, float]] = []
     max_violation = 0.0
     scale = max(1.0, float(np.max(np.abs(solution.rsu_utilities))))
     block = max(1, _PROBE_BLOCK_ROWS // I)
     for j in range(J):
-        draws = rng.uniform(cs[j], caps[j], size=(num_probes, I))
+        draws = rng.uniform(m.c[j], m.cap[j], size=(num_probes, I))
         margins = np.empty(num_probes)
         for start in range(0, num_probes, block):
             probe = draws[start:start + block]
             trial = np.repeat(P[None], len(probe), axis=0)
             trial[:, j] = probe
-            demands = _batched_follower_demands(trial, q, S, deltas, budgets)[0]
+            demands = _batched_follower_demands(trial, m.q, m.S, m.delta, m.budget)[0]
             _check_demands(demands, trial, instance)
-            margins[start:start + block] = np.sum(
-                (trial[:, j] - cs[j]) * demands[..., j], axis=1)
+            margins[start:start + block] = _margins(trial, demands, m.c)[:, j].sum(axis=-1)
         worst = float(np.max((margins - solution.rsu_utilities[j]) / scale,
                              initial=0.0))
         if worst > rel_tol:
@@ -665,16 +660,14 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
         max_violation = max(max_violation, worst)
 
     uav_violations: list[tuple[int, float]] = []
-    S_finite = np.where(np.isfinite(S), S, 0.0)
     for i in range(I):
         base = solution.uav_utilities[i]
         p_i = P[:, i]
         draws = rng.random((num_probes, J + 1))   # direction, then spend share
-        spend = draws[:, J] * budgets[i]
+        spend = draws[:, J] * m.budget[i]
         direction = draws[:, :J]
         b = direction * (spend / np.maximum(_rowdot(direction, p_i), 1e-12))[:, None]
-        gain = np.where(b > 0, deltas[i] * np.log1p(b * q) * S_finite[i], 0.0)
-        utilities = np.sum(gain - p_i * b, axis=1)
+        utilities = _buyer_utilities(m.buyers([i]), b, p_i)
         worst = float(np.max((utilities - base) / max(1.0, abs(base)), initial=0.0))
         if worst > rel_tol:
             uav_violations.append((i, worst))

@@ -7,12 +7,13 @@ never perturbs instance sampling.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -105,15 +106,22 @@ class ExperimentConfig:
 
 
 def _take(d: dict, cls, **renames):
-    import dataclasses
-    fields = {f.name for f in dataclasses.fields(cls)}
+    names = {f.name for f in fields(cls)}
     kwargs = {}
     for key, val in d.items():
         key = renames.get(key, key)
-        if key not in fields:
+        if key not in names:
             raise ConfigError(f"unknown {cls.__name__} option {key!r}")
         kwargs[key] = tuple(val) if isinstance(val, list) else val
     return cls(**kwargs)
+
+
+def _whole(name: str, value) -> int:
+    """A config count, rejected unless it is a whole number."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and float(value).is_integer()):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -123,10 +131,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unsupported schema_version {version}")
     cfg = ExperimentConfig()
     inst = doc.pop("instance", {})
-    cfg.num_uavs = int(inst.get("I", cfg.num_uavs))
-    cfg.num_rsus = int(inst.get("J", cfg.num_rsus))
-    for key, rng_pair in inst.get("ranges", {}).items():
-        cfg.ranges[key] = (float(rng_pair[0]), float(rng_pair[1]))
+    cfg.num_uavs = _whole("instance I", inst.get("I", cfg.num_uavs))
+    cfg.num_rsus = _whole("instance J", inst.get("J", cfg.num_rsus))
+    for key, pair in inst.get("ranges", {}).items():
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, (int, float)) for v in pair)):
+            raise ConfigError(f"range for {key!r} must be a [low, high] pair, got {pair!r}")
+        cfg.ranges[key] = (float(pair[0]), float(pair[1]))
     if "env" in doc:
         cfg.env = _take(doc.pop("env"), EnvConfig)
     if "ppo" in doc:
@@ -136,9 +147,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for key in ("floor_neurons", "prune_critic", "greedy_levels", "greedy_epsilon",
                 "episodes", "out", "strict", "verify_probes"):
         if key in doc:
-            setattr(cfg, key, doc.pop(key))
+            value = doc.pop(key)
+            if key in ("floor_neurons", "greedy_levels", "episodes", "verify_probes"):
+                value = _whole(key, value)
+            setattr(cfg, key, value)
     if "seeds" in doc:
-        cfg.seeds = [int(s) for s in doc.pop("seeds")]
+        cfg.seeds = [_whole("seed", s) for s in doc.pop("seeds")]
     if doc:
         raise ConfigError(f"unknown config keys: {sorted(doc)}")
     return cfg.validate()
@@ -164,9 +178,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     directory: one experiment gets one digest wherever it is written."""
     def canon(obj):
         if hasattr(obj, "__dataclass_fields__"):
-            import dataclasses
-            return {f.name: canon(getattr(obj, f.name))
-                    for f in dataclasses.fields(obj)}
+            return {f.name: canon(getattr(obj, f.name)) for f in fields(obj)}
         if isinstance(obj, dict):
             return {str(k): canon(v) for k, v in sorted(obj.items())}
         if isinstance(obj, (list, tuple)):
@@ -254,10 +266,11 @@ class RunRecord:
 
 def _build_agents(cfg: ExperimentConfig, env: PricingEnv, algorithm: str,
                   seed: int):
+    m = env.instance.arrays
     agents = []
     for j in range(env.num_agents):
-        low = np.full(env.num_uavs, env.instance.rsus[j].bandwidth_cost)
-        high = np.full(env.num_uavs, env.instance.rsus[j].price_cap)
+        low = np.full(env.num_uavs, m.c[j])
+        high = np.full(env.num_uavs, m.cap[j])
         rng = named_rng(seed, f"init:{j}")
         if algorithm == "ppo":
             agents.append(PpoAgent(env.observation_dim, low, high, cfg.ppo, rng))
@@ -287,7 +300,6 @@ def run_training(cfg: ExperimentConfig, algorithm: str, seed: int,
     agents = _build_agents(cfg, env, algorithm, seed)
     policy_rngs = [named_rng(seed, f"policy:{j}") for j in range(env.num_agents)]
     warmup_rng = named_rng(seed, "warmup")
-    costs = instance.costs()
 
     episode_rewards = np.zeros((cfg.episodes, env.num_agents))
     sparsity = np.zeros(cfg.episodes)
@@ -318,8 +330,7 @@ def run_training(cfg: ExperimentConfig, algorithm: str, seed: int,
                     u, logp, value = acts_meta[j]
                     agent.record(obs[j], u, logp, out.rewards[j], value, out.done)
                 elif algorithm == "greedy":
-                    margins = (actions[j] - costs[j]) * out.demands.demands[:, j]
-                    agent.update(margins)
+                    agent.update(out.margins[j])
             ep_rewards += out.rewards
             obs = out.next_observations
         episode_rewards[episode] = ep_rewards / cfg.env.episode_length
@@ -387,7 +398,6 @@ class SweepSpec:
 
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value):
-    import copy
     cfg = copy.deepcopy(cfg)
     if parameter == "c":
         # one scalar cost for every seller
@@ -460,25 +470,19 @@ def emit_results(records: list[RunRecord], out_dir, fmt: str = "csv",
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [row for rec in sorted(records, key=lambda r: (r.run_id, r.seed))
             for row in record_rows(rec)]
-    if fmt == "csv":
-        path = out_dir / f"{name}.csv"
-        try:
-            with open(path, "w", newline="") as fh:
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r}")
+    path = out_dir / f"{name}.{fmt}"
+    try:
+        with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+            if fmt == "csv":
                 writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
                 writer.writeheader()
                 writer.writerows(rows)
-        except OSError as exc:
-            raise OSError(f"cannot write results to {path}: {exc}") from exc
-    elif fmt == "jsonl":
-        path = out_dir / f"{name}.jsonl"
-        try:
-            with open(path, "w") as fh:
-                for row in rows:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write results to {path}: {exc}") from exc
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+            else:
+                fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    except OSError as exc:
+        raise OSError(f"cannot write results to {path}: {exc}") from exc
     return path
 
 

@@ -185,6 +185,28 @@ class TestTinyMadrl:
         assert tiny.compact_actor is not None
         assert sum(tiny.compact_actor.hidden_sizes()) < 32
 
+    def test_prune_critic(self):
+        # target 0.5 masks 16 of the critic's 32 hidden neurons, above a floor
+        # of 2 per layer; target 0.9 would leave 3 in all, so a floor of 4
+        # binds in both layers
+        cfg = PpoConfig(rollout_size=8, update_epochs=2, hidden_sizes=(16, 16))
+        low, high = np.full(2, 1.0), np.full(2, 9.0)
+        for target, floor in ((0.5, 2), (0.9, 4)):
+            for prune_critic in (True, False):
+                tiny = TinyMadrlAgent(4, low, high, PruneSchedule(0.0, target, 0, 2, 1),
+                                      cfg, np.random.default_rng(7), floor, prune_critic)
+                for epoch in range(3):
+                    fill_on_policy(tiny, np.random.default_rng(9 + epoch), 8)
+                    tiny.tiny_madrl_step(epoch)
+                active = [int(m.sum()) for m in tiny.critic.masks]
+                assert tiny.current_sparsity() > 0.0
+                if not prune_critic:
+                    assert all(np.all(m == 1.0) for m in tiny.critic.masks)
+                elif target == 0.5:
+                    assert sum(active) == 16 and min(active) >= floor, active
+                else:
+                    assert active == [floor, floor]
+
 
 class TestGreedy:
     def test_cold_start_uniformish(self):

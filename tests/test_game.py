@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwmarket import game
 from bwmarket.game import (
@@ -269,7 +271,7 @@ class TestBatchedFollower:
         and rewards). Returns the kernel's exits and the first water-filling
         multiplier over the usable links (the lambda the reference loop starts
         from)."""
-        q, _, _, S, delta, budget = game._market_arrays(inst)
+        q, _, _, S, delta, budget = inst.arrays
         demands, lam, exits = game._batched_follower_demands(prices, q, S, delta, budget)
         usable = np.isfinite(S) & (S > 0.0)
         want = [[reference_follower_best_response(inst, i, P[:, i])
@@ -280,8 +282,7 @@ class TestBatchedFollower:
         np.testing.assert_array_equal(exits == game._BINDING,
                                       [[w.case_label == CASE_BUDGET_ACTIVE for w in row]
                                        for row in want])
-        np.testing.assert_array_equal((exits == game._EMPTY_SUPPORT)
-                                      | ((exits == game._NO_DEMAND) & ~usable.any(axis=1)),
+        np.testing.assert_array_equal((exits == game._NO_DEMAND) & ~usable.any(axis=1),
                                       [[w.degenerate for w in row] for row in want])
 
         env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=1))
@@ -328,7 +329,7 @@ class TestBatchedFollower:
             buyer_rows = np.ascontiguousarray(np.swapaxes(stack, 1, 2))
             for prices in (stack, np.swapaxes(buyer_rows, 1, 2)):
                 exits, _ = self.check_against_reference(inst, prices)
-            S = game._market_arrays(inst).S
+            S = inst.arrays.S
             unusable = ~(np.isfinite(S) & (S > 0.0)).any(axis=1)
             reached["slack"] |= bool(np.any(exits == game._SLACK))
             reached["binding"] |= bool(np.any(exits == game._BINDING))
@@ -348,6 +349,59 @@ class TestBatchedFollower:
         exits, first_lam = self.check_against_reference(inst, np.array([[[1.0], [30.0]]]))
         assert exits[0, 0] == game._BINDING
         assert first_lam[0, 0] < 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_reference_on_drawn_edge_markets(self, data):
+        # The reference keeps the lambda <= 0 fallback and the empty-support
+        # exit that the kernel dropped: equal outputs show neither one fires.
+        # Links are unusable (SSIM 0), have S <= 0, or are usable; prices sit
+        # at cost, at cap, inside the box or past the choke price delta*q*S;
+        # budgets sit near each buyer's unconstrained spend.
+        J = data.draw(st.integers(1, 6), label="J")
+        I = data.draw(st.integers(1, 4), label="I")
+        rsus = []
+        for _ in range(J):
+            c = data.draw(st.floats(1.0, 4.0))
+            rsus.append(RsuProfile(c, data.draw(st.floats(c, 35.0)),
+                                   link_with_efficiency(data.draw(st.floats(0.5, 40.0)))))
+        q = np.array([r.link.spectrum_efficiency for r in rsus])
+        uavs, P = [], np.empty((J, I))
+        for i in range(I):
+            delta = data.draw(st.floats(10.0, 20.0))
+            threshold = data.draw(st.floats(0.5, 0.55))
+            triples, S = [], np.zeros(J)
+            for j, r in enumerate(rsus):
+                link = data.draw(st.sampled_from(["unusable", "S <= 0", "usable"]))
+                s = {"unusable": 0.0,
+                     "S <= 0": data.draw(st.floats(0.01, threshold)),
+                     "usable": data.draw(st.floats(threshold, 1.0, exclude_min=True))}[link]
+                triples.append(SsimTriple(s, 1.0, 1.0))
+                S[j] = math.log(s / threshold) if s > 0 else -math.inf
+                choke = delta * q[j] * S[j]
+                at = data.draw(st.sampled_from(["cost", "cap", "inside", "past choke"]))
+                if at == "past choke" and choke < r.price_cap:
+                    P[j, i] = data.draw(st.floats(max(choke, r.bandwidth_cost), r.price_cap))
+                else:
+                    P[j, i] = {"cost": r.bandwidth_cost, "cap": r.price_cap}.get(
+                        at, data.draw(st.floats(r.bandwidth_cost, r.price_cap)))
+            usable = S > 0
+            cand = np.where(usable & (P[:, i] < delta * q * np.where(usable, S, 0.0)),
+                            delta * np.where(usable, S, 0.0) / P[:, i] - 1.0 / q, 0.0)
+            spend = float(P[:, i] @ np.maximum(cand, 0.0))
+            if spend > 0:
+                scale = data.draw(st.sampled_from([0.3, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5]))
+                budget = spend * scale
+            else:
+                budget = data.draw(st.floats(0.1, 20.0))
+            uavs.append(UavProfile(delta, budget, threshold, triples))
+        inst = GameInstance(uavs, rsus)
+        strided = np.swapaxes(np.ascontiguousarray(P.T)[None], 1, 2)
+        for prices in (P[None], strided):
+            self.check_against_reference(inst, prices)
+        for i in range(I):
+            w = reference_follower_best_response(inst, i, P[:, i])
+            assert not w.degenerate or not np.any(inst.arrays.S[i] > 0.0)
 
 
 # =====================================================================

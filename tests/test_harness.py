@@ -315,6 +315,9 @@ class TestCli:
                 {"instance": {"ranges": {"budget": [-2, -1]}}}),
             "malformed YAML": "instance: [1, 2\n  bad: :\n",
             "invalid env option": yaml.safe_dump({"env": {"history_length": 0}}),
+            "fractional I": yaml.safe_dump({"instance": {"I": 2.5}}),
+            "non-numeric episodes": yaml.safe_dump({"episodes": "abc"}),
+            "one-ended range": yaml.safe_dump({"instance": {"ranges": {"budget": [1]}}}),
         }
         for name, text in cases.items():
             path = tmp_path / "bad.yaml"

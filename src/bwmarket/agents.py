@@ -47,6 +47,10 @@ class PpoConfig:
             raise ValueError("exploration std must be positive")
         if self.action_headroom < 0.0:
             raise ValueError("action headroom must be nonnegative")
+        if self.rollout_size < 1 or self.update_epochs < 1:
+            raise ValueError("rollout_size and update_epochs must be >= 1")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValueError("hidden_sizes must be a non-empty list of sizes >= 1")
 
 
 @dataclass
@@ -313,7 +317,8 @@ class GreedyAgent:
             self._last_choice[i] = k
             prices[i] = (self.box_low[i]
                          + self.levels[k] * (self.box_high[i] - self.box_low[i]))
-        return prices
+        # low + 1.0 * (high - low) can round one ulp above high
+        return np.minimum(prices, self.box_high)
 
     def update(self, per_uav_margins) -> None:
         """Feed back the (price - cost) * demand margin earned per buyer."""

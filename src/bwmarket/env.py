@@ -45,6 +45,8 @@ class EnvConfig:
             raise ValueError("history_length must be >= 1")
         if self.episode_length < self.history_length:
             raise ValueError("episode_length must be >= history_length")
+        if self.demand_scale is not None and self.demand_scale <= 0:
+            raise ValueError("demand_scale must be positive")
         if self.warmup_policy not in (WARMUP_ZEROS, WARMUP_UNIFORM):
             raise ValueError(f"unknown warmup policy {self.warmup_policy!r}")
 

@@ -13,8 +13,9 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -100,28 +101,60 @@ class ExperimentConfig:
             raise ConfigError("need at least one UAV and one RSU")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
+        if self.greedy_levels < 1:
+            raise ConfigError("greedy_levels must be >= 1")
+        if not 0.0 <= self.greedy_epsilon <= 1.0:
+            raise ConfigError("greedy_epsilon must lie in [0, 1]")
+        if self.verify_probes < 0:
+            raise ConfigError("verify_probes must be >= 0")
         if not self.seeds:
             raise ConfigError("seeds list is empty")
         return self
 
 
-def _take(d: dict, cls, **renames):
-    names = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, val in d.items():
-        key = renames.get(key, key)
-        if key not in names:
-            raise ConfigError(f"unknown {cls.__name__} option {key!r}")
-        kwargs[key] = tuple(val) if isinstance(val, list) else val
-    return cls(**kwargs)
+# The instance section's keys and the fields they set; no other key sets these.
+_INSTANCE_KEYS = {"I": "num_uavs", "J": "num_rsus", "ranges": "ranges"}
 
 
-def _whole(name: str, value) -> int:
-    """A config count, rejected unless it is a whole number."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                       and float(value).is_integer()):
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+def _is_integral(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and float(value).is_integer())
+
+
+def _load(label: str, hint, value, current=None, keys: dict | None = None):
+    """value checked against its field's declared type, as the field stores it.
+    A mapping for a dataclass or a dict is applied onto current; keys maps its
+    keys to the dataclass's fields (default: every field, by name)."""
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _load(label, args[0], value)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        return origin(_load(f"{label} entry", args[0], v) for v in value)
+    if hint is int and _is_integral(value):
+        return int(value)
+    if (hint is float and type(value) in (int, float) and math.isfinite(value)
+            or hint in (bool, str) and type(value) is hint):
+        return value
+    if is_dataclass(hint) and isinstance(value, dict):
+        hints = get_type_hints(hint)
+        keys = keys or dict(zip(hints, hints))
+        changes = {}
+        for key, item in value.items():
+            path = f"{label}.{key}".lstrip(".")
+            if key not in keys:
+                raise ConfigError(f"unknown config option {path!r}")
+            changes[keys[key]] = _load(path, hints[keys[key]], item,
+                                       getattr(current, keys[key]))
+        return replace(current, **changes)
+    if hint is dict and isinstance(value, dict) and all(  # parameter ranges
+            isinstance(p, (list, tuple)) and len(p) == 2
+            and all(isinstance(v, (int, float)) for v in p) for p in value.values()):
+        return {**current,
+                **{k: (float(lo), float(hi)) for k, (lo, hi) in value.items()}}
+    kind = ("mapping" if is_dataclass(hint) else {
+        int: "whole number", float: "finite number", tuple: "list",
+        dict: "mapping of [low, high] pairs"}.get(origin or hint, hint.__name__))
+    raise ConfigError(f"{label or 'config'} must be a {kind}, got {value!r}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -129,33 +162,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     version = doc.pop("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
-    cfg = ExperimentConfig()
-    inst = doc.pop("instance", {})
-    cfg.num_uavs = _whole("instance I", inst.get("I", cfg.num_uavs))
-    cfg.num_rsus = _whole("instance J", inst.get("J", cfg.num_rsus))
-    for key, pair in inst.get("ranges", {}).items():
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)):
-            raise ConfigError(f"range for {key!r} must be a [low, high] pair, got {pair!r}")
-        cfg.ranges[key] = (float(pair[0]), float(pair[1]))
-    if "env" in doc:
-        cfg.env = _take(doc.pop("env"), EnvConfig)
-    if "ppo" in doc:
-        cfg.ppo = _take(doc.pop("ppo"), PpoConfig)
-    if "schedule" in doc:
-        cfg.schedule = _take(doc.pop("schedule"), PruneSchedule)
-    for key in ("floor_neurons", "prune_critic", "greedy_levels", "greedy_epsilon",
-                "episodes", "out", "strict", "verify_probes"):
-        if key in doc:
-            value = doc.pop(key)
-            if key in ("floor_neurons", "greedy_levels", "episodes", "verify_probes"):
-                value = _whole(key, value)
-            setattr(cfg, key, value)
-    if "seeds" in doc:
-        cfg.seeds = [_whole("seed", s) for s in doc.pop("seeds")]
-    if doc:
-        raise ConfigError(f"unknown config keys: {sorted(doc)}")
-    return cfg.validate()
+    cfg = _load("instance", ExperimentConfig, doc.pop("instance", {}),
+                ExperimentConfig(), _INSTANCE_KEYS)
+    top = {f.name: f.name for f in fields(ExperimentConfig)
+           if f.name not in _INSTANCE_KEYS.values()}
+    return _load("", ExperimentConfig, doc, cfg, top).validate()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -386,7 +397,7 @@ class SweepSpec:
         if self.parameter not in ("c", "p_bar", "I", "J"):
             raise ConfigError(f"unknown sweep parameter {self.parameter!r}")
         if self.parameter in ("I", "J"):
-            if any(not float(v).is_integer() or v < 1 for v in self.grid):
+            if any(not _is_integral(v) or v < 1 for v in self.grid):
                 raise ConfigError(f"sweep grid for {self.parameter} must hold "
                                   f"whole numbers >= 1, got {list(self.grid)}")
             self.grid = [int(v) for v in self.grid]
@@ -399,15 +410,11 @@ class SweepSpec:
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value):
     cfg = copy.deepcopy(cfg)
-    if parameter == "c":
-        # one scalar cost for every seller
-        cfg.ranges["bandwidth_cost"] = (float(value), float(value))
-    elif parameter == "p_bar":
-        cfg.ranges["price_cap"] = (float(value), float(value))
-    elif parameter == "I":
-        cfg.num_uavs = int(value)
-    elif parameter == "J":
-        cfg.num_rsus = int(value)
+    if parameter in ("I", "J"):
+        setattr(cfg, _INSTANCE_KEYS[parameter], value)
+    else:  # one scalar cost (or cap) for every seller
+        key = "bandwidth_cost" if parameter == "c" else "price_cap"
+        cfg.ranges[key] = (float(value), float(value))
     return cfg
 
 
@@ -463,8 +470,7 @@ def record_rows(record: RunRecord) -> list[dict]:
     return rows
 
 
-def emit_results(records: list[RunRecord], out_dir, fmt: str = "csv",
-                 name: str = "results") -> Path:
+def emit_results(records: list[RunRecord], out_dir, fmt: str = "csv") -> Path:
     """Write records as CSV or JSONL; re-emission is byte-identical."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -472,7 +478,7 @@ def emit_results(records: list[RunRecord], out_dir, fmt: str = "csv",
             for row in record_rows(rec)]
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
-    path = out_dir / f"{name}.{fmt}"
+    path = out_dir / f"results.{fmt}"
     try:
         with open(path, "w", newline="" if fmt == "csv" else None) as fh:
             if fmt == "csv":

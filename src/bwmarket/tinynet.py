@@ -109,18 +109,15 @@ class PrunableMlp:
 
     @classmethod
     def create(cls, sizes: list[int], activations: list[str] | None = None,
-               rng: np.random.Generator | None = None, scale: float | None = None,
-               use_bias: bool = False) -> "PrunableMlp":
+               rng: np.random.Generator | None = None) -> "PrunableMlp":
         """He-style random init for the dims in sizes (input, hidden..., output)."""
         rng = rng or np.random.default_rng()
         if activations is None:
             activations = ["relu"] * (len(sizes) - 2) + ["identity"]
         layers = []
         for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-            s = scale if scale is not None else np.sqrt(2.0 / n_in)
-            w = rng.standard_normal((n_out, n_in)) * s
-            b = np.zeros(n_out) if use_bias else None
-            layers.append(DenseLayer(w, b, activations[k]))
+            w = rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in)
+            layers.append(DenseLayer(w, None, activations[k]))
         return cls(layers)
 
     @property
@@ -129,13 +126,6 @@ class PrunableMlp:
 
     def hidden_sizes(self) -> list[int]:
         return [l.out_dim for l in self.layers[:-1]]
-
-    def copy(self) -> "PrunableMlp":
-        net = PrunableMlp([DenseLayer(l.weights.copy(),
-                                      None if l.bias is None else l.bias.copy(),
-                                      l.activation) for l in self.layers])
-        net.masks = [m.copy() for m in self.masks]
-        return net
 
     # -- forward / backward --------------------------------------------------
 

@@ -244,6 +244,19 @@ class TestGreedy:
         assert agent.means[0, 1] == pytest.approx(6.0)
         assert agent.counts[0, 1] == 2
 
+    def test_every_level_prices_inside_box(self):
+        # cost 1-4, cap 5-35 as sampled by default; low + 1.0 * (high - low)
+        # rounds above high in a few percent of such boxes
+        rng = np.random.default_rng(13)
+        low, high = rng.uniform(1.0, 4.0, 2000), rng.uniform(5.0, 35.0, 2000)
+        agent = GreedyAgent(low, high, num_levels=16, epsilon=0.0)
+        agent.counts[:] = 1
+        for k in range(agent.num_levels):
+            agent.means[:] = 0.0
+            agent.means[:, k] = 1.0
+            prices = agent.act(None, rng)
+            assert np.all((low <= prices) & (prices <= high)), k
+
 
 class TestRandom:
     def test_mean_at_box_center(self):

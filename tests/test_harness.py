@@ -1,6 +1,9 @@
 """Tests for the experiment harness: configs, sampling, runs, files, CLI."""
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,20 @@ class TestConfig:
         path.write_text(yaml.safe_dump({"episodes": 4, "seeds": [3]}))
         cfg = load_config(path)
         assert cfg.episodes == 4 and cfg.seeds == [3]
+
+    def test_partial_sections_keep_other_defaults(self):
+        default = ExperimentConfig()
+        cfg = config_from_dict({"schedule": {"start_epoch": 100},
+                                "env": {"history_length": 3}})
+        assert cfg.schedule == replace(default.schedule, start_epoch=100)
+        assert cfg.env == replace(default.env, history_length=3)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        load_config(path)
 
     def test_load_yaml_not_mapping(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -318,6 +335,25 @@ class TestCli:
             "fractional I": yaml.safe_dump({"instance": {"I": 2.5}}),
             "non-numeric episodes": yaml.safe_dump({"episodes": "abc"}),
             "one-ended range": yaml.safe_dump({"instance": {"ranges": {"budget": [1]}}}),
+            "string bool": 'prune_critic: "no"\n',
+            "YAML 1.1 exponent": "ppo: {actor_lr: 1e-3}\n",
+            "non-mapping instance": "instance: 5\n",
+            "non-mapping section": "ppo: 3\n",
+            "scalar seeds": "seeds: 3\n",
+            "fractional hidden size": "ppo: {hidden_sizes: [8.5, 8]}\n",
+            "unknown instance key": "instance: {K: 3}\n",
+            "fractional rollout size": "ppo: {rollout_size: 2.5}\n",
+            "string strict": 'strict: "yes"\n',
+            "numeric out": "out: 5\n",
+            "negative demand scale": "env: {demand_scale: -1}\n",
+            "zero rollout size": "ppo: {rollout_size: 0}\n",
+            "zero update epochs": "ppo: {update_epochs: 0}\n",
+            "no hidden layers": "ppo: {hidden_sizes: []}\n",
+            "zero hidden size": "ppo: {hidden_sizes: [0, 8]}\n",
+            "zero greedy levels": "greedy_levels: 0\n",
+            "greedy epsilon above 1": "greedy_epsilon: 1.5\n",
+            "negative greedy epsilon": "greedy_epsilon: -0.1\n",
+            "negative verify probes": "verify_probes: -3\n",
         }
         for name, text in cases.items():
             path = tmp_path / "bad.yaml"

@@ -26,6 +26,7 @@ from .harness import (
     run_solve,
     run_sweep,
     run_training,
+    run_training_group,
     sample_instance,
 )
 

@@ -306,6 +306,7 @@ class GreedyAgent:
         self.means = np.zeros((self.num_uavs, num_levels))
         self.counts = np.zeros((self.num_uavs, num_levels), dtype=int)
         self._last_choice = np.zeros(self.num_uavs, dtype=int)
+        self._buyers = np.arange(self.num_uavs)
 
     def act(self, observation, rng: np.random.Generator) -> np.ndarray:
         prices = np.empty(self.num_uavs)
@@ -322,10 +323,10 @@ class GreedyAgent:
 
     def update(self, per_uav_margins) -> None:
         """Feed back the (price - cost) * demand margin earned per buyer."""
-        for i, r in enumerate(np.asarray(per_uav_margins, dtype=float)):
-            k = self._last_choice[i]
-            self.counts[i, k] += 1
-            self.means[i, k] += (r - self.means[i, k]) / self.counts[i, k]
+        arm = (self._buyers, self._last_choice)   # one arm per buyer
+        self.counts[arm] += 1
+        self.means[arm] += ((np.asarray(per_uav_margins, dtype=float) - self.means[arm])
+                            / self.counts[arm])
 
 
 class RandomAgent:

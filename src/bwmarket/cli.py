@@ -15,6 +15,7 @@ from .harness import (
     run_solve,
     run_sweep,
     run_training,
+    run_training_group,
     write_summary,
 )
 
@@ -83,10 +84,10 @@ def main(argv=None) -> int:
             records, aggregate = run_sweep(cfg, spec)
             for value, (mean, sd) in aggregate.items():
                 print(f"{args.param}={value}: avg reward {mean:.4f} +- {sd:.4f}")
-        else:  # compare
+        else:  # compare: one lock-step group per seed, records algorithm-major
             records = [run_solve(cfg, seed) for seed in cfg.seeds]
-            for algo in args.algo:
-                records += [run_training(cfg, algo, seed) for seed in cfg.seeds]
+            groups = [run_training_group(cfg, args.algo, seed) for seed in cfg.seeds]
+            records += [group[k] for k in range(len(args.algo)) for group in groups]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,11 +5,17 @@ computes the buyers' exact best responses, pays each seller its margin as the
 reward, and shifts the history forward by one slot.  The history is one
 (agents, L, 2, buyers) array of normalized (price row, demand column) pairs,
 newest last; an agent's observation is its slice, flattened.
+
+``PricingEnv(instance, config, runs=E)`` steps E independent runs on the same
+instance in lock step: every array gains a leading run axis (prices E x J x I,
+history E x J x L x 2 x I), and one step solves all E markets in one kernel
+call.  With ``runs=None`` there is no run axis; it is the same code path.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,20 +59,27 @@ class EnvConfig:
 
 @dataclass
 class StepOutcome:
+    """One round's result; with a run axis every array gains a leading E."""
+
     next_observations: np.ndarray   # agents x observation_dim
-    rewards: np.ndarray
-    demands: DemandMatrix
+    rewards: np.ndarray             # agents
+    demands: DemandMatrix           # buyers x agents
     done: bool
-    demand_clipped: bool = False
+    demand_clipped: bool = False    # in any run
     margins: np.ndarray | None = None   # agents x buyers; row sums are the rewards
 
 
 class PricingEnv:
-    """Sequential single-writer environment; one agent per seller."""
+    """Sequential single-writer environment; one agent per seller, and
+    optionally E runs of them stepped together (see the module docstring)."""
 
-    def __init__(self, instance: GameInstance, config: EnvConfig | None = None):
+    def __init__(self, instance: GameInstance, config: EnvConfig | None = None,
+                 runs: int | None = None):
+        if runs is not None and runs < 1:
+            raise ValueError("runs must be >= 1")
         self.instance = instance
         self.config = config or EnvConfig()
+        self.runs = runs
         self.num_agents = instance.num_rsus
         self.num_uavs = instance.num_uavs
         self._market = instance.arrays
@@ -75,54 +88,68 @@ class PricingEnv:
                              else default_demand_scale(instance))
         if self.demand_scale <= 0:
             raise ValueError("demand_scale must be positive")
-        # agent x time slot (newest last) x (price, demand) x buyer, normalized
-        self._history = np.zeros((self.num_agents, self.config.history_length,
-                                  2, self.num_uavs))
+        self._lead = () if runs is None else (runs,)
+        # [run x] agent x time slot (newest last) x (price, demand) x buyer, normalized
+        self._history = np.zeros(self._lead + (self.num_agents,
+                                               self.config.history_length,
+                                               2, self.num_uavs))
         self._t = 0
 
     @property
     def observation_dim(self) -> int:
         return 2 * self.num_uavs * self.config.history_length
 
-    def reset(self, seed: int | np.random.Generator | None = None) -> np.ndarray:
-        """Fill the history per the warmup policy; deterministic given the seed."""
-        rng = (seed if isinstance(seed, np.random.Generator)
-               else np.random.default_rng(seed))
+    def reset(self, seed: int | np.random.Generator | Sequence | None = None
+              ) -> np.ndarray:
+        """Fill the history per the warmup policy; deterministic given the seed.
+
+        With a run axis, seed is a sequence of one seed or generator per run;
+        each run draws its warm-up prices slot by slot from its own stream.
+        """
+        seeds = [seed] if self.runs is None else list(seed)
+        if len(seeds) != (self.runs or 1):
+            raise ValueError(f"expected {self.runs} seeds, one per run, got {len(seeds)}")
+        rngs = [s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
+                for s in seeds]
         self._t = 0
         self._history[:] = 0.0
         if self.config.warmup_policy == WARMUP_UNIFORM:
+            c, cap = self._market.c[:, None], self._market.cap[:, None]
+            shape = (self.num_agents, self.num_uavs)
             for _ in range(self.config.history_length):
-                prices = rng.uniform(self._market.c[:, None], self._market.cap[:, None],
-                                     size=(self.num_agents, self.num_uavs))
+                prices = np.stack([rng.uniform(c, cap, size=shape) for rng in rngs])
+                prices = prices.reshape(self._lead + shape)
                 self._shift(prices, all_followers_respond(self.instance, prices).demands)
         return self.observations()
 
     def _shift(self, prices: np.ndarray, demands: np.ndarray) -> bool:
         """Drop the oldest slot, write the normalized newest one; True if any
         demand exceeded demand_scale and was clipped."""
-        scaled = demands.T / self.demand_scale
-        self._history[:, :-1] = self._history[:, 1:]
-        self._history[:, -1, 0] = prices / self._market.cap[:, None]
-        self._history[:, -1, 1] = np.clip(scaled, 0.0, 1.0)
+        scaled = np.swapaxes(demands, -1, -2) / self.demand_scale
+        history = self._history
+        history[..., :-1, :, :] = history[..., 1:, :, :]
+        history[..., -1, 0, :] = prices / self._market.cap[:, None]
+        history[..., -1, 1, :] = np.clip(scaled, 0.0, 1.0)
         return bool(np.any(scaled > 1.0))
 
     def observations(self) -> np.ndarray:
         """One fresh row per agent: L (price row, demand column) pairs, newest last."""
-        return self._history.reshape(self.num_agents, -1).copy()
+        return self._history.reshape(self._lead + (self.num_agents, -1)).copy()
 
     def step(self, joint_prices) -> StepOutcome:
-        """Advance one game round given each agent's price row (clamped into its box)."""
+        """Advance one game round given each agent's price row (clamped into
+        its box), for every run at once when there is a run axis."""
         prices = np.asarray(joint_prices, dtype=float, order="C")
-        if prices.shape != (self.num_agents, self.num_uavs):
-            raise ValueError(f"expected shape {(self.num_agents, self.num_uavs)}, "
-                             f"got {prices.shape}")
+        shape = self._lead + (self.num_agents, self.num_uavs)
+        if prices.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {prices.shape}")
         prices = np.clip(prices, self._market.c[:, None], self._market.cap[:, None])
         demands = all_followers_respond(self.instance, prices)
         margins = _margins(prices, demands.demands, self._market.c)
         clipped = self._shift(prices, demands.demands)
         self._t += 1
         done = self._t >= self.config.episode_length
-        return StepOutcome(self.observations(), margins.sum(axis=1), demands, done,
+        return StepOutcome(self.observations(), margins.sum(axis=-1), demands, done,
                            clipped, margins)
 
 

@@ -176,15 +176,16 @@ class PriceMatrix:
 
 @dataclass
 class DemandMatrix:
-    """I x J nonnegative buyer demands, per-buyer spend within budget."""
+    """I x J nonnegative buyer demands, per-buyer spend within budget; a stack
+    of them (..., I, J) against a stack of J x I prices is checked alike."""
 
     demands: np.ndarray
 
     def __init__(self, demands, instance: GameInstance, prices: np.ndarray | None = None):
         demands = np.asarray(demands, dtype=float)
         I, J = instance.num_uavs, instance.num_rsus
-        if demands.shape != (I, J):
-            raise ValueError(f"expected shape {(I, J)}, got {demands.shape}")
+        if demands.shape[-2:] != (I, J):
+            raise ValueError(f"expected shape (..., {I}, {J}), got {demands.shape}")
         _check_demands(demands, prices, instance)
         self.demands = demands
 
@@ -442,8 +443,8 @@ def follower_best_response(instance: GameInstance, uav_index: int,
 
 
 def all_followers_respond(instance: GameInstance, prices) -> DemandMatrix:
-    """Every buyer's best response to its price column (J x I prices in), in
-    one kernel call."""
+    """Every buyer's best response to its price column (J x I prices in, or a
+    stack of them, ... x J x I), in one kernel call and one check."""
     P = prices.prices if isinstance(prices, PriceMatrix) else np.asarray(prices, dtype=float)
     m = instance.arrays
     demands = _batched_follower_demands(P, m.q, m.S, m.delta, m.budget)[0]

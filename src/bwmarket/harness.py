@@ -132,8 +132,9 @@ def _load(label: str, hint, value, current=None, keys: dict | None = None):
         return origin(_load(f"{label} entry", args[0], v) for v in value)
     if hint is int and _is_integral(value):
         return int(value)
-    if (hint is float and type(value) in (int, float) and math.isfinite(value)
-            or hint in (bool, str) and type(value) is hint):
+    if hint is float and type(value) in (int, float) and math.isfinite(value):
+        return float(value)  # 0 and 0.0 load, and hash, alike
+    if hint in (bool, str) and type(value) is hint:
         return value
     if is_dataclass(hint) and isinstance(value, dict):
         hints = get_type_hints(hint)
@@ -299,66 +300,122 @@ def _build_agents(cfg: ExperimentConfig, env: PricingEnv, algorithm: str,
     return agents
 
 
-def run_training(cfg: ExperimentConfig, algorithm: str, seed: int,
-                 instance: GameInstance | None = None) -> RunRecord:
-    """Train one agent per seller for the configured number of episodes."""
+class _Run:
+    """One algorithm's sellers inside a training group: its agents, its named
+    streams in run_training's draw order, its results, and the time its agents
+    take (act, record, update and prune)."""
+
+    def __init__(self, cfg: ExperimentConfig, env: PricingEnv, algorithm: str,
+                 seed: int):
+        self.algorithm = algorithm
+        self.agents = _build_agents(cfg, env, algorithm, seed)
+        self.policy_rngs = [named_rng(seed, f"policy:{j}") for j in range(env.num_agents)]
+        self.warmup_rng = named_rng(seed, "warmup")
+        self.learned = algorithm in ("ppo", "tiny_madrl")
+        self.episode_rewards = np.zeros((cfg.episodes, env.num_agents))
+        self.sparsity = np.zeros(cfg.episodes)
+        self.agent_s = 0.0
+        self._acts = [None] * env.num_agents   # (u, log_prob, value) per learned agent
+
+    def begin_episode(self, progress: float):
+        if self.learned:
+            start = time.perf_counter()
+            for agent in self.agents:
+                agent.set_progress(progress)
+            self.agent_s += time.perf_counter() - start
+
+    def act(self, obs: np.ndarray, prices: np.ndarray):
+        """Write every agent's price row for its observation into prices."""
+        start = time.perf_counter()
+        for j, agent in enumerate(self.agents):
+            if self.learned:
+                prices[j], u, logp, value = agent.act(obs[j], self.policy_rngs[j])
+                self._acts[j] = (u, logp, value)
+            else:
+                prices[j] = agent.act(obs[j], self.policy_rngs[j])
+        self.agent_s += time.perf_counter() - start
+
+    def record(self, obs: np.ndarray, rewards: np.ndarray, margins: np.ndarray,
+               done: bool):
+        start = time.perf_counter()
+        for j, agent in enumerate(self.agents):
+            if self.learned:
+                u, logp, value = self._acts[j]
+                agent.record(obs[j], u, logp, rewards[j], value, done)
+            elif self.algorithm == "greedy":
+                agent.update(margins[j])
+        self.agent_s += time.perf_counter() - start
+
+    def end_episode(self, episode: int, rewards: np.ndarray):
+        start = time.perf_counter()
+        self.episode_rewards[episode] = rewards
+        for agent in self.agents:
+            if self.algorithm == "tiny_madrl":
+                agent.tiny_madrl_step(episode)
+            elif self.algorithm == "ppo":
+                agent.ppo_update()
+        if self.algorithm == "tiny_madrl":
+            self.sparsity[episode] = float(np.mean(
+                [a.current_sparsity() for a in self.agents]))
+        self.agent_s += time.perf_counter() - start
+
+
+def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
+                       instance: GameInstance | None = None) -> list[RunRecord]:
+    """Train one agent per seller for each algorithm, all runs in lock step.
+
+    The runs share one instance, one reference solve and one env with a run
+    axis, so a round is one env step for every run. Each run keeps its own
+    agents and named streams, so its record equals the one it gets alone.
+    A record's wall_ms is its own agent time plus an equal share of the
+    group's shared time (sampling, solving, env steps and the loop), so the
+    records' wall_ms sum to the group's wall time.
+    """
     start = time.perf_counter()
     if instance is None:
         instance = sample_instance(cfg.ranges, cfg.num_uavs, cfg.num_rsus,
                                    named_rng(seed, "instance"))
-    env = PricingEnv(instance, cfg.env)
+    env = PricingEnv(instance, cfg.env, runs=len(algorithms))
     baseline, consistent = theoretical_baseline(instance)
-    agents = _build_agents(cfg, env, algorithm, seed)
-    policy_rngs = [named_rng(seed, f"policy:{j}") for j in range(env.num_agents)]
-    warmup_rng = named_rng(seed, "warmup")
-
-    episode_rewards = np.zeros((cfg.episodes, env.num_agents))
-    sparsity = np.zeros(cfg.episodes)
-    learned = algorithm in ("ppo", "tiny_madrl")
+    runs = [_Run(cfg, env, algorithm, seed) for algorithm in algorithms]
+    steps = cfg.env.episode_length
+    prices = np.empty((len(runs), env.num_agents, env.num_uavs))
 
     for episode in range(cfg.episodes):
-        if learned:
-            frac = episode / max(cfg.episodes - 1, 1)
-            for agent in agents:
-                agent.set_progress(frac)
-        obs = env.reset(warmup_rng)
-        ep_rewards = np.zeros(env.num_agents)
-        for _ in range(cfg.env.episode_length):
-            actions, acts_meta = [], []
-            for j, agent in enumerate(agents):
-                if learned:
-                    prices, u, logp, value = agent.act(obs[j], policy_rngs[j])
-                    acts_meta.append((u, logp, value))
-                else:
-                    prices = agent.act(obs[j], policy_rngs[j])
-                actions.append(prices)
-            out = env.step(actions)
+        for run in runs:
+            run.begin_episode(episode / max(cfg.episodes - 1, 1))
+        obs = env.reset([run.warmup_rng for run in runs])
+        ep_rewards = np.zeros((len(runs), env.num_agents))
+        for _ in range(steps):
+            for run, run_obs, run_prices in zip(runs, obs, prices):
+                run.act(run_obs, run_prices)
+            out = env.step(prices)
             if not np.all(np.isfinite(out.rewards)):
+                first = np.flatnonzero(~np.isfinite(out.rewards).all(axis=1))[0]
+                algorithm = runs[first].algorithm
                 raise RuntimeError(
                     f"non-finite reward in episode {episode} ({algorithm})")
-            for j, agent in enumerate(agents):
-                if learned:
-                    u, logp, value = acts_meta[j]
-                    agent.record(obs[j], u, logp, out.rewards[j], value, out.done)
-                elif algorithm == "greedy":
-                    agent.update(out.margins[j])
+            for k, run in enumerate(runs):
+                run.record(obs[k], out.rewards[k], out.margins[k], out.done)
             ep_rewards += out.rewards
             obs = out.next_observations
-        episode_rewards[episode] = ep_rewards / cfg.env.episode_length
-        for agent in agents:
-            if algorithm == "tiny_madrl":
-                agent.tiny_madrl_step(episode)
-            elif algorithm == "ppo":
-                agent.ppo_update()
-        if algorithm == "tiny_madrl":
-            sparsity[episode] = float(np.mean(
-                [a.current_sparsity() for a in agents]))
+        for run, rewards in zip(runs, ep_rewards / steps):
+            run.end_episode(episode, rewards)
 
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    run_id = f"{algorithm}-{config_hash(cfg)}-{seed}"
-    return RunRecord(run_id, config_hash(cfg), seed, algorithm, episode_rewards,
-                     sparsity if algorithm == "tiny_madrl" else np.array([]),
-                     baseline, consistent, wall_ms)
+    shared_s = time.perf_counter() - start - sum(run.agent_s for run in runs)
+    digest = config_hash(cfg)
+    return [RunRecord(f"{run.algorithm}-{digest}-{seed}", digest, seed, run.algorithm,
+                      run.episode_rewards,
+                      run.sparsity if run.algorithm == "tiny_madrl" else np.array([]),
+                      baseline, consistent,
+                      (run.agent_s + shared_s / len(runs)) * 1000.0)
+            for run in runs]
+
+
+def run_training(cfg: ExperimentConfig, algorithm: str, seed: int,
+                 instance: GameInstance | None = None) -> RunRecord:
+    """Train one agent per seller for the configured number of episodes."""
+    return run_training_group(cfg, [algorithm], seed, instance)[0]
 
 
 def run_solve(cfg: ExperimentConfig, seed: int,

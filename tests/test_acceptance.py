@@ -21,6 +21,7 @@ from bwmarket.harness import (
     emit_results,
     run_sweep,
     run_training,
+    run_training_group,
     sample_instance,
 )
 from bwmarket.tinynet import PrunableMlp, PruneSchedule, compact, sparsity_at, update_masks
@@ -176,10 +177,11 @@ class TestTrainingComparison:
         cfg = market_config(num_uavs=3, num_rsus=2, episodes=300)
         finals = {}
         reach80 = {}
-        for algo in ("tiny_madrl", "ppo", "greedy", "random"):
+        algos = ("tiny_madrl", "ppo", "greedy", "random")
+        groups = [run_training_group(cfg, algos, seed) for seed in range(5)]
+        for k, algo in enumerate(algos):
             fracs, reach = [], []
-            for seed in range(5):
-                rec = run_training(cfg, algo, seed)
+            for rec in (group[k] for group in groups):
                 curve = rec.avg_rewards / rec.theoretical
                 fracs.append(rec.final_average() / rec.theoretical)
                 hits = np.nonzero(curve >= 0.8)[0]

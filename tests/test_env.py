@@ -198,6 +198,67 @@ class TestMatchesReference:
             assert any_clipped
 
 
+class TestRunAxis:
+    @pytest.mark.parametrize("warmup", [WARMUP_ZEROS, WARMUP_UNIFORM])
+    @pytest.mark.parametrize("I,J,small_scale", [(3, 2, False), (3, 2, True),
+                                                 (12, 3, False)])
+    def test_stack_equals_single_envs(self, warmup, I, J, small_scale):
+        """runs=3 steps each run bit for bit as a single env and the list
+        bookkeeping do: observations, rewards, margins, demands,
+        demand_clipped (any run) and done, over two episodes."""
+        E = 3
+        rng = np.random.default_rng(10 * I + J)
+        inst = random_instance(rng, I=I, J=J, min_component=0.85 if small_scale else 0.5)
+        # a demand scale of 0.5 clips some runs' demands in a step but not all
+        cfg = EnvConfig(history_length=2, episode_length=5,
+                        demand_scale=0.5 if small_scale else None,
+                        warmup_policy=warmup)
+        stack = PricingEnv(inst, cfg, runs=E)
+        singles = [PricingEnv(inst, cfg) for _ in range(E)]
+        refs = [ReferencePricingEnv(inst, cfg, stack.demand_scale) for _ in range(E)]
+        # one warm-up stream per run, shared by its episodes as in run_training
+        stack_rngs, single_rngs, ref_rngs = (
+            [np.random.default_rng(s) for s in (1, 2, 3)] for _ in range(3))
+        c, cap = inst.costs(), inst.price_caps()
+        mixed_clipping = False
+        for _ in range(2):
+            obs = stack.reset(stack_rngs)
+            assert obs.shape == (E, J, stack.observation_dim)
+            for k in range(E):
+                np.testing.assert_array_equal(obs[k], singles[k].reset(single_rngs[k]))
+                np.testing.assert_array_equal(obs[k], refs[k].reset(ref_rngs[k]))
+            for _ in range(cfg.episode_length):
+                # a wider box than [c, cap], so clamping fires on both sides
+                prices = rng.uniform(c[:, None] - 1.0, cap[:, None] + 5.0, size=(E, J, I))
+                out = stack.step(prices)
+                clipped = []
+                for k in range(E):
+                    one = singles[k].step(prices[k])
+                    for got, want in [(out.next_observations[k], one.next_observations),
+                                      (out.rewards[k], one.rewards),
+                                      (out.margins[k], one.margins),
+                                      (out.demands.demands[k], one.demands.demands)]:
+                        np.testing.assert_array_equal(got, want, strict=True)
+                    ref_obs, ref_rewards, ref_clipped, ref_done = refs[k].step(prices[k])
+                    np.testing.assert_array_equal(out.next_observations[k], ref_obs)
+                    np.testing.assert_array_equal(out.rewards[k], ref_rewards)
+                    assert one.demand_clipped == ref_clipped and one.done == ref_done
+                    clipped.append(one.demand_clipped)
+                assert out.demand_clipped is any(clipped)
+                assert out.done is one.done
+                mixed_clipping |= any(clipped) and not all(clipped)
+            assert out.done
+        assert mixed_clipping == small_scale
+
+    def test_one_seed_per_run(self, symmetric):
+        env = PricingEnv(symmetric, runs=2)
+        with pytest.raises(ValueError, match="one per run"):
+            env.reset([0, 1, 2])
+        env.reset([0, 1])
+        with pytest.raises(ValueError, match="expected shape"):
+            env.step(np.full((2, 2), 5.0))
+
+
 class TestBaseline:
     def test_symmetric_baseline(self, symmetric):
         value, consistent = theoretical_baseline(symmetric)

@@ -700,6 +700,19 @@ class TestMatrixTypes:
         with pytest.raises(ValueError):
             DemandMatrix(np.array([[1.0, 1.0]]), inst, prices=P)
 
+    def test_demand_matrix_checks_every_stacked_market(self):
+        inst = simple_instance(J=2, budget=2.0)
+        P = np.full((3, 2, 1), 2.0)
+        fits = np.full((3, 1, 2), 0.25)
+        assert DemandMatrix(fits, inst, prices=P).demands.shape == (3, 1, 2)
+        for bad in (-0.1, 1.0):  # a negative demand, an overspend
+            stack = fits.copy()
+            stack[2] = bad
+            with pytest.raises(ValueError):
+                DemandMatrix(stack, inst, prices=P)
+        with pytest.raises(ValueError, match="expected shape"):
+            DemandMatrix(np.zeros((3, 2, 1)), inst)
+
     def test_rsu_profile_empty_box_rejected(self):
         with pytest.raises(ValueError):
             RsuProfile(5.0, 4.0, link_with_efficiency(10.0))

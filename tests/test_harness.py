@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 import yaml
 
 from bwmarket.cli import main as cli_main
+from bwmarket.env import WARMUP_UNIFORM, WARMUP_ZEROS
 from bwmarket.harness import (
+    ALGORITHMS,
     CSV_COLUMNS,
     DEFAULT_RANGES,
     ConfigError,
@@ -25,6 +28,7 @@ from bwmarket.harness import (
     run_solve,
     run_sweep,
     run_training,
+    run_training_group,
     sample_instance,
     write_summary,
 )
@@ -137,6 +141,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_int_and_float_spellings_hash_alike(self):
+        """A float option written as an int loads as that float, so both
+        spellings give one config and one run_id: the float spelling's."""
+        assert config_hash(config_from_dict({})) == "4304c20908bb7487"
+        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "6e4652c41373cfbc"),
+                 ({"ppo": {"discount": 0}}, {"ppo": {"discount": 0.0}},
+                  "ac995b9708038c16")]
+        for as_int, as_float, digest in pairs:
+            a, b = config_from_dict(as_int), config_from_dict(as_float)
+            assert a == b
+            assert config_hash(a) == config_hash(b) == digest
+
     def test_hash_stable_and_sensitive(self):
         a, b = ExperimentConfig(), ExperimentConfig()
         assert config_hash(a) == config_hash(b)
@@ -202,6 +218,54 @@ class TestRuns:
     def test_sample_instance_bad_range_is_config_error(self):
         with pytest.raises(ConfigError, match="budget must be positive"):
             sample_instance({"budget": (-2.0, -1.0)}, 2, 2, 0)
+
+
+class TestTrainingGroup:
+    @staticmethod
+    def group_config(warmup):
+        from bwmarket.tinynet import PruneSchedule
+        cfg = ExperimentConfig(episodes=12, schedule=PruneSchedule(0.0, 0.5, 2, 3, 2))
+        cfg.ranges["similarity"] = (0.85, 1.0)   # every link usable: rewards vary
+        cfg.env.warmup_policy = warmup
+        cfg.env.episode_length = 4
+        cfg.ppo.rollout_size = 8
+        cfg.ppo.update_epochs = 2
+        return cfg.validate()
+
+    @pytest.mark.parametrize("warmup", [WARMUP_ZEROS, WARMUP_UNIFORM])
+    @pytest.mark.parametrize("algorithms", [ALGORITHMS,
+                                            ("greedy", "tiny_madrl", "greedy")])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_group_equals_separate_runs(self, warmup, algorithms, seed):
+        """Each run of a lock-step group gets the record it gets alone."""
+        cfg = self.group_config(warmup)
+        group = run_training_group(cfg, algorithms, seed)
+        assert [r.algorithm for r in group] == list(algorithms)
+        for rec in group:
+            alone = run_training(cfg, rec.algorithm, seed)
+            assert rec.run_id == alone.run_id
+            np.testing.assert_array_equal(rec.episode_rewards, alone.episode_rewards,
+                                          strict=True)
+            np.testing.assert_array_equal(rec.sparsity, alone.sparsity, strict=True)
+            assert rec.theoretical == alone.theoretical
+            assert rec.consistent == alone.consistent
+        if "tiny_madrl" in algorithms:  # the schedule pruned inside the episodes
+            assert group[algorithms.index("tiny_madrl")].sparsity[-1] > 0.4
+
+    def test_wall_ms_sums_to_group_time(self):
+        cfg = self.group_config(WARMUP_ZEROS)
+        start = time.perf_counter()
+        group = run_training_group(cfg, ALGORITHMS, 0)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        assert all(r.wall_ms > 0 for r in group)
+        assert sum(r.wall_ms for r in group) <= elapsed_ms
+
+    def test_non_finite_reward_names_episode_and_algorithm(self, monkeypatch):
+        from bwmarket.agents import RandomAgent
+        monkeypatch.setattr(RandomAgent, "act",
+                            lambda self, obs, rng: np.full(len(self.box_low), np.nan))
+        with pytest.raises(RuntimeError, match=r"episode 0 \(random\)"):
+            run_training_group(tiny_config(), ["greedy", "random"], 0)
 
 
 class TestPersistence:
@@ -298,6 +362,34 @@ class TestCli:
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert {"random", "greedy", "solve"} <= set(summary)
+
+    def test_compare_matches_separate_runs(self, tmp_path):
+        """compare's files equal those of one run per algorithm and seed: the
+        solve records, then algorithm-major and seed-minor, a repeated
+        algorithm run twice."""
+        doc = yaml.safe_load(Path(self._write_cfg(tmp_path)).read_text())
+        doc["seeds"] = [0, 3]
+        path = tmp_path / "two_seeds.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        algos = ["greedy", "random", "greedy"]
+        code = cli_main(["compare", "--algo", *algos, "--config", str(path),
+                         "--out", str(tmp_path / "cli")])
+        assert code == 0
+        cfg = load_config(path)
+        records = [run_solve(cfg, seed) for seed in cfg.seeds]
+        records += [run_training(cfg, a, seed) for a in algos for seed in cfg.seeds]
+        emit_results(records, tmp_path / "api")
+        write_summary(records, tmp_path / "api")
+
+        def without_wall(out):
+            rows = parse_results_csv(tmp_path / out / "results.csv")
+            return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+
+        assert without_wall("cli") == without_wall("api")
+        assert len(without_wall("cli")) == len(cfg.seeds) * (
+            1 + len(algos) * cfg.episodes * cfg.num_rsus)
+        assert ((tmp_path / "cli" / "summary.json").read_text()
+                == (tmp_path / "api" / "summary.json").read_text())
 
     @pytest.mark.parametrize("param", ["I", "J"])
     def test_sweep_market_size_default_grid(self, tmp_path, capsys, param):

@@ -301,13 +301,15 @@ def _build_agents(cfg: ExperimentConfig, env: PricingEnv, algorithm: str,
 
 
 class _Run:
-    """One algorithm's sellers inside a training group: its agents, its named
-    streams in run_training's draw order, its results, and the time its agents
-    take (act, record, update and prune)."""
+    """One algorithm's sellers inside a training group: its row of the group's
+    arrays, its agents, its named streams in run_training's draw order, its
+    results, and the time its agents take. A learned run acts, records and
+    updates through the group's _Stack, which bills it a share of its time."""
 
     def __init__(self, cfg: ExperimentConfig, env: PricingEnv, algorithm: str,
-                 seed: int):
+                 seed: int, row: int):
         self.algorithm = algorithm
+        self.row = row
         self.agents = _build_agents(cfg, env, algorithm, seed)
         self.policy_rngs = [named_rng(seed, f"policy:{j}") for j in range(env.num_agents)]
         self.warmup_rng = named_rng(seed, "warmup")
@@ -315,49 +317,73 @@ class _Run:
         self.episode_rewards = np.zeros((cfg.episodes, env.num_agents))
         self.sparsity = np.zeros(cfg.episodes)
         self.agent_s = 0.0
-        self._acts = [None] * env.num_agents   # (u, log_prob, value) per learned agent
-
-    def begin_episode(self, progress: float):
-        if self.learned:
-            start = time.perf_counter()
-            for agent in self.agents:
-                agent.set_progress(progress)
-            self.agent_s += time.perf_counter() - start
 
     def act(self, obs: np.ndarray, prices: np.ndarray):
-        """Write every agent's price row for its observation into prices."""
+        """Write each baseline agent's price row for its observation into prices."""
         start = time.perf_counter()
         for j, agent in enumerate(self.agents):
-            if self.learned:
-                prices[j], u, logp, value = agent.act(obs[j], self.policy_rngs[j])
-                self._acts[j] = (u, logp, value)
-            else:
-                prices[j] = agent.act(obs[j], self.policy_rngs[j])
+            prices[self.row, j] = agent.act(obs[self.row, j], self.policy_rngs[j])
         self.agent_s += time.perf_counter() - start
 
-    def record(self, obs: np.ndarray, rewards: np.ndarray, margins: np.ndarray,
-               done: bool):
+    def record(self, out):
+        if self.algorithm == "greedy":
+            start = time.perf_counter()
+            for agent, margins in zip(self.agents, out.margins[self.row]):
+                agent.update(margins)
+            self.agent_s += time.perf_counter() - start
+
+    def end_episode(self, episode: int, rewards: np.ndarray):
+        self.episode_rewards[episode] = rewards[self.row]
+        if self.algorithm == "tiny_madrl":
+            start = time.perf_counter()
+            for agent in self.agents:
+                agent.prune_step(episode)
+            self.sparsity[episode] = float(np.mean(
+                [a.current_sparsity() for a in self.agents]))
+            self.agent_s += time.perf_counter() - start
+
+
+class _Stack:
+    """Every seller of a group's learned runs in one PpoAgent.stack, in run
+    order; each seller keeps its run's policy stream. Its time is billed to
+    those runs in equal shares."""
+
+    def __init__(self, runs: list[_Run]):
+        self.runs = runs
+        self.rows = np.array([run.row for run in runs])
+        self.agent = PpoAgent.stack([a for run in runs for a in run.agents])
+        self.rngs = [rng for run in runs for rng in run.policy_rngs]
+        self.agent_s = 0.0
+
+    def begin_episode(self, progress: float):
         start = time.perf_counter()
-        for j, agent in enumerate(self.agents):
-            if self.learned:
-                u, logp, value = self._acts[j]
-                agent.record(obs[j], u, logp, rewards[j], value, done)
-            elif self.algorithm == "greedy":
-                agent.update(margins[j])
+        self.agent.set_progress(progress)
+        self.agent_s += time.perf_counter() - start
+
+    def act(self, obs: np.ndarray, prices: np.ndarray):
+        start = time.perf_counter()
+        self._obs = obs[self.rows].reshape(len(self.rngs), -1)
+        stack_prices, *self._acted = self.agent.act(self._obs, self.rngs)
+        prices[self.rows] = stack_prices.reshape(len(self.runs), *prices.shape[1:])
+        self.agent_s += time.perf_counter() - start
+
+    def record(self, out):
+        start = time.perf_counter()
+        u, log_prob, value = self._acted
+        self.agent.record(self._obs, u, log_prob, out.rewards[self.rows].reshape(-1),
+                          value, out.done)
         self.agent_s += time.perf_counter() - start
 
     def end_episode(self, episode: int, rewards: np.ndarray):
         start = time.perf_counter()
-        self.episode_rewards[episode] = rewards
-        for agent in self.agents:
-            if self.algorithm == "tiny_madrl":
-                agent.tiny_madrl_step(episode)
-            elif self.algorithm == "ppo":
-                agent.ppo_update()
-        if self.algorithm == "tiny_madrl":
-            self.sparsity[episode] = float(np.mean(
-                [a.current_sparsity() for a in self.agents]))
+        self.agent.ppo_update()  # before the tiny runs prune
         self.agent_s += time.perf_counter() - start
+        for run in self.runs:
+            run.end_episode(episode, rewards)
+
+    def bill(self):
+        for run in self.runs:
+            run.agent_s += self.agent_s / len(self.runs)
 
 
 def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
@@ -365,11 +391,14 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
     """Train one agent per seller for each algorithm, all runs in lock step.
 
     The runs share one instance, one reference solve and one env with a run
-    axis, so a round is one env step for every run. Each run keeps its own
-    agents and named streams, so its record equals the one it gets alone.
-    A record's wall_ms is its own agent time plus an equal share of the
-    group's shared time (sampling, solving, env steps and the loop), so the
-    records' wall_ms sum to the group's wall time.
+    axis, so a round is one env step for every run. Every learned seller of
+    every run sits in one PpoAgent.stack, so a round makes one actor and one
+    critic pass for all of them. Each run keeps its own agents and named
+    streams, so its record equals the one it gets alone.
+    A record's wall_ms is its own agent time (a learned run's share of the
+    stack's time included) plus an equal share of the group's shared time
+    (sampling, solving, env steps and the loop), so the records' wall_ms sum
+    to the group's wall time.
     """
     start = time.perf_counter()
     if instance is None:
@@ -377,31 +406,36 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
                                    named_rng(seed, "instance"))
     env = PricingEnv(instance, cfg.env, runs=len(algorithms))
     baseline, consistent = theoretical_baseline(instance)
-    runs = [_Run(cfg, env, algorithm, seed) for algorithm in algorithms]
+    runs = [_Run(cfg, env, algorithm, seed, k) for k, algorithm in enumerate(algorithms)]
+    learned = [run for run in runs if run.learned]
+    stack = _Stack(learned) if learned else None
+    units = [run for run in runs if not run.learned] + ([stack] if stack else [])
     steps = cfg.env.episode_length
     prices = np.empty((len(runs), env.num_agents, env.num_uavs))
 
     for episode in range(cfg.episodes):
-        for run in runs:
-            run.begin_episode(episode / max(cfg.episodes - 1, 1))
+        if stack:
+            stack.begin_episode(episode / max(cfg.episodes - 1, 1))
         obs = env.reset([run.warmup_rng for run in runs])
         ep_rewards = np.zeros((len(runs), env.num_agents))
         for _ in range(steps):
-            for run, run_obs, run_prices in zip(runs, obs, prices):
-                run.act(run_obs, run_prices)
+            for unit in units:
+                unit.act(obs, prices)
             out = env.step(prices)
             if not np.all(np.isfinite(out.rewards)):
                 first = np.flatnonzero(~np.isfinite(out.rewards).all(axis=1))[0]
                 algorithm = runs[first].algorithm
                 raise RuntimeError(
                     f"non-finite reward in episode {episode} ({algorithm})")
-            for k, run in enumerate(runs):
-                run.record(obs[k], out.rewards[k], out.margins[k], out.done)
+            for unit in units:
+                unit.record(out)
             ep_rewards += out.rewards
             obs = out.next_observations
-        for run, rewards in zip(runs, ep_rewards / steps):
-            run.end_episode(episode, rewards)
+        for unit in units:
+            unit.end_episode(episode, ep_rewards / steps)
 
+    if stack:
+        stack.bill()
     shared_s = time.perf_counter() - start - sum(run.agent_s for run in runs)
     digest = config_hash(cfg)
     return [RunRecord(f"{run.algorithm}-{digest}-{seed}", digest, seed, run.algorithm,

@@ -4,6 +4,14 @@ Hidden activations carry per-neuron binary masks (Hadamard product before the
 next layer), importance is the L2 norm of a neuron's incoming row concatenated
 with its outgoing column, sparsity follows a cubic ramp, and compaction
 physically deletes masked neurons at the end of training.
+
+A net may carry a leading stack axis: K nets of one shape, with (K, out, in)
+weights and (K, width) masks, run by the same forward and backward code with
+one matmul per layer. ``PrunableMlp.stack`` builds such a net and takes over
+the storage of the nets it stacks: from then on the stack owns their weights
+and masks, and each net's arrays are views of its slice. Edits in place
+(weight steps, ``update_masks``) through either reach the other. Importance,
+masking and compaction work on one unstacked net, such as one slice's view.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import numpy as np
 CHECKPOINT_VERSION = 1
 
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: z > 0.0),  # bool: x*True == x
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
     "identity": (lambda z: z, lambda z: np.ones_like(z)),
 }
@@ -23,7 +31,10 @@ _ACTIVATIONS = {
 
 @dataclass
 class DenseLayer:
-    """Fully connected layer: out x in weights, optional bias, named activation."""
+    """Fully connected layer: out x in weights, optional bias, named activation.
+
+    (K, out, in) weights and (K, out) bias make a stack of K layers.
+    """
 
     weights: np.ndarray
     bias: np.ndarray | None = None
@@ -31,24 +42,24 @@ class DenseLayer:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be a 2-D matrix")
+        if self.weights.ndim not in (2, 3):
+            raise ValueError("weights must be a 2-D matrix or a stack of them")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.bias is not None:
             self.bias = np.asarray(self.bias, dtype=float)
-            if self.bias.shape != (self.weights.shape[0],):
+            if self.bias.shape != self.weights.shape[:-1]:
                 raise ValueError("bias shape mismatch")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite weights")
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 @dataclass
@@ -94,16 +105,21 @@ def sparsity_at(schedule: PruneSchedule, epoch: int) -> float:
 
 
 class PrunableMlp:
-    """Layered dense net; masks live on hidden layers only."""
+    """Layered dense net; masks live on hidden layers only.
+
+    Stacked layers make a stack of nets, with one (K, width) mask per hidden
+    layer (see the module docstring).
+    """
 
     def __init__(self, layers: list[DenseLayer]):
         if not layers:
             raise ValueError("need at least one layer")
         for a, b in zip(layers, layers[1:]):
-            if b.in_dim != a.out_dim:
+            if (b.in_dim != a.out_dim
+                    or b.weights.shape[:-2] != a.weights.shape[:-2]):
                 raise ValueError("adjacent layer dimensions do not match")
         self.layers = layers
-        self.masks = [np.ones(l.out_dim) for l in layers[:-1]]
+        self.masks = [np.ones(l.weights.shape[:-1]) for l in layers[:-1]]
 
     # -- construction helpers ------------------------------------------------
 
@@ -120,6 +136,29 @@ class PrunableMlp:
             layers.append(DenseLayer(w, None, activations[k]))
         return cls(layers)
 
+    @classmethod
+    def stack(cls, nets: list["PrunableMlp"]) -> "PrunableMlp":
+        """One net stacking the given nets of one shape on a leading axis.
+
+        The stack takes over their storage: afterwards each net's weights,
+        bias and masks are views of its slice of the stack's.
+        """
+        layers = [DenseLayer(np.stack([n.layers[k].weights for n in nets]),
+                             None if layer.bias is None
+                             else np.stack([n.layers[k].bias for n in nets]),
+                             layer.activation)
+                  for k, layer in enumerate(nets[0].layers)]
+        stacked = cls(layers)
+        stacked.masks = [np.stack([n.masks[k] for n in nets])
+                         for k in range(len(stacked.masks))]
+        for i, net in enumerate(nets):
+            for layer, whole in zip(net.layers, stacked.layers):
+                layer.weights = whole.weights[i]
+                if layer.bias is not None:
+                    layer.bias = whole.bias[i]
+            net.masks = [m[i] for m in stacked.masks]
+        return stacked
+
     @property
     def num_hidden_layers(self) -> int:
         return len(self.layers) - 1
@@ -132,26 +171,30 @@ class PrunableMlp:
     def forward(self, x, masked: bool = True):
         """Batched forward pass; returns (output, cache) for backward.
 
-        x may be a single vector or a (batch, in_dim) matrix.
+        x may be a single vector or a (batch, in_dim) matrix; a stack of K nets
+        takes one of these per net, as (K, in_dim) or (K, batch, in_dim).
         """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        a = x[None, :] if single else x
-        if a.shape[1] != self.layers[0].in_dim:
+        single = x.ndim == self.layers[0].weights.ndim - 1
+        a = x[..., None, :] if single else x
+        if a.shape[-1] != self.layers[0].in_dim:
             raise ValueError("input dimension mismatch")
         cache = {"inputs": [a], "pre": []}
         for k, layer in enumerate(self.layers):
-            z = a @ layer.weights.T
+            z = a @ layer.weights.swapaxes(-1, -2)
             if layer.bias is not None:
-                z = z + layer.bias
+                z = z + layer.bias[..., None, :]
             act, _ = _ACTIVATIONS[layer.activation]
             o = act(z)
             if masked and k < len(self.masks):
-                o = o * self.masks[k]
+                # in place, unless the activation returned z itself (identity):
+                # a stacked batch's arrays are large enough that each fresh one
+                # costs page faults
+                o = np.multiply(o, self.masks[k][..., None, :], out=None if o is z else o)
             cache["pre"].append(z)
             cache["inputs"].append(o)
             a = o
-        out = a[0] if single else a
+        out = a[..., 0, :] if single else a
         return out, cache
 
     def backward(self, cache, output_gradient):
@@ -162,20 +205,22 @@ class PrunableMlp:
         exactly zero incoming and outgoing weight gradients.
         """
         g = np.asarray(output_gradient, dtype=float)
-        if g.ndim == 1:
-            g = g[None, :]
+        if g.ndim == self.layers[0].weights.ndim - 1:
+            g = g[..., None, :]
         weight_grads = [None] * len(self.layers)
         bias_grads = [None] * len(self.layers)
         delta = g
         for k in reversed(range(len(self.layers))):
             layer = self.layers[k]
-            if k < len(self.masks):
-                delta = delta * self.masks[k]
             _, dact = _ACTIVATIONS[layer.activation]
-            delta = delta * dact(cache["pre"][k])
-            weight_grads[k] = delta.T @ cache["inputs"][k]
+            if k < len(self.masks):  # delta is this call's own array: in place
+                delta *= self.masks[k][..., None, :]
+                delta *= dact(cache["pre"][k])
+            else:
+                delta = delta * dact(cache["pre"][k])
+            weight_grads[k] = delta.swapaxes(-1, -2) @ cache["inputs"][k]
             if layer.bias is not None:
-                bias_grads[k] = delta.sum(axis=0)
+                bias_grads[k] = delta.sum(axis=-2)
             delta = delta @ layer.weights
         return weight_grads, bias_grads
 
@@ -203,7 +248,9 @@ def update_masks(net: PrunableMlp, schedule: PruneSchedule, epoch: int,
     deterministically by (layer, index).  Each hidden layer keeps at least
     floor_neurons active (its top scorers are reactivated if needed).  Returns
     the threshold: the smallest surviving score, or 0 when nothing is masked.
-    Masks are soft; previously masked neurons may come back.
+    Masks are soft; previously masked neurons may come back.  The masks are
+    written in place, so a net that is a view of a stack's slice masks that
+    slice.
     """
     w = sparsity_at(schedule, epoch)
     scores = neuron_importance(net)
@@ -228,7 +275,8 @@ def update_masks(net: PrunableMlp, schedule: PruneSchedule, epoch: int,
             order = np.lexsort((np.arange(len(m)), -scores[k]))
             for idx in order[:floor_neurons]:
                 m[idx] = 1.0
-    net.masks = masks
+    for old, new in zip(net.masks, masks):
+        old[...] = new
     return threshold
 
 

@@ -415,3 +415,18 @@ class ReferencePricingEnv:
         self.t += 1
         return (self.observations(), rewards, clipped,
                 self.t >= self.config.episode_length)
+
+
+def reference_greedy_act(agent, rng: np.random.Generator) -> np.ndarray:
+    """GreedyAgent.act buyer by buyer: each buyer's arm test, draws and price
+    on their own."""
+    prices = np.empty(agent.num_uavs)
+    for i in range(agent.num_uavs):
+        if agent.counts[i].sum() == 0 or rng.uniform() < agent.epsilon:
+            k = int(rng.integers(agent.num_levels))
+        else:
+            k = int(np.argmax(agent.means[i]))
+        agent._last_choice[i] = k
+        prices[i] = (agent.box_low[i]
+                     + agent.levels[k] * (agent.box_high[i] - agent.box_low[i]))
+    return np.minimum(prices, agent.box_high)

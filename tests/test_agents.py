@@ -15,6 +15,8 @@ from bwmarket.agents import (
 from bwmarket.harness import ExperimentConfig, run_training
 from bwmarket.tinynet import PruneSchedule
 
+from _oracles import reference_greedy_act
+
 
 def make_agent(obs_dim=4, action_dim=2, seed=0, **overrides):
     cfg = PpoConfig(**overrides)
@@ -63,6 +65,33 @@ class TestAdvantages:
         adv, _ = compute_advantages(buf, discount=0.9, normalize=True)
         assert adv.mean() == pytest.approx(0.0, abs=1e-12)
         assert adv.std() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRolloutBuffer:
+    def test_rows_past_capacity_are_kept(self):
+        buf = RolloutBuffer(capacity=1)
+        for done in (False, True, False, True, False):
+            buf.add(np.zeros(2), np.zeros(1), 0.0, 2.0, 0.0, done)
+        assert buf.full and len(buf) == 5
+        _, ret = compute_advantages(buf, discount=0.9)
+        np.testing.assert_allclose(ret, [3.8, 2.0, 3.8, 2.0, 2.0])
+
+    def test_stacked_rows_match_separate_buffers(self):
+        rng = np.random.default_rng(16)
+        stacked, alone = RolloutBuffer(3), [RolloutBuffer(3) for _ in range(2)]
+        for t in range(4):
+            obs, action = rng.uniform(size=(2, 5)), rng.uniform(size=(2, 3))
+            log_prob, reward, value = rng.uniform(size=(3, 2))
+            stacked.add(obs, action, log_prob, reward, value, t == 1)
+            for k, buf in enumerate(alone):
+                buf.add(obs[k], action[k], log_prob[k], reward[k], value[k], t == 1)
+        for field, fields in zip(stacked.rollout(), zip(*(b.rollout() for b in alone))):
+            np.testing.assert_array_equal(field, np.stack(fields))
+        for normalize in (False, True):
+            both = compute_advantages(stacked, 0.9, normalize)
+            for k, buf in enumerate(alone):
+                for a, b in zip(both, compute_advantages(buf, 0.9, normalize)):
+                    np.testing.assert_array_equal(a[k], b)
 
 
 class TestActing:
@@ -136,6 +165,18 @@ class TestPpoUpdate:
         for layer, w in zip(agent.actor.layers, before):
             np.testing.assert_array_equal(layer.weights, w)
 
+    def test_aborted_update_discards_its_rollout(self):
+        agent = make_agent(rollout_size=8, update_epochs=1)
+        rng = np.random.default_rng(6)
+        fill_on_policy(agent, rng, 7)
+        _, u, logp, value = agent.act(np.zeros(4), rng)
+        agent.record(np.full(4, np.nan), u, logp, 1.0, value, True)
+        assert agent.ppo_update()["aborted"]
+        assert len(agent.buffer) == 0
+        fill_on_policy(agent, rng, 8)
+        assert not agent.ppo_update()["aborted"]
+        assert (agent.update_count, agent.aborted_updates) == (1, 1)
+
     def test_update_changes_weights(self):
         agent = make_agent(rollout_size=8, update_epochs=2)
         fill_on_policy(agent, np.random.default_rng(5), 8)
@@ -144,6 +185,77 @@ class TestPpoUpdate:
         changed = any(not np.array_equal(l.weights, w)
                       for l, w in zip(agent.actor.layers, before))
         assert changed
+
+
+class TestStack:
+    """PpoAgent.stack acts, records and updates each seller as it would alone."""
+
+    @staticmethod
+    def sellers(seed):
+        return [make_agent(seed=seed + j, rollout_size=8, update_epochs=3)
+                for j in range(2)]
+
+    @staticmethod
+    def nan_value_in_second_update_epoch(net, seller):
+        """Make net's second rollout-batch forward return NaN for one seller."""
+        forward, calls = net.forward, []
+
+        def patched(x, masked=True):
+            out, cache = forward(x, masked)
+            if np.ndim(x) == net.layers[0].weights.ndim:  # a rollout, not one act
+                calls.append(x)
+                if len(calls) == 2:
+                    out = out.copy()
+                    out[seller] = np.nan
+            return out, cache
+
+        net.forward = patched
+
+    def train(self, alone, members, stack, rollouts):
+        rng = np.random.default_rng(20)
+        rngs_alone = [np.random.default_rng(30 + j) for j in range(2)]
+        rngs_stack = [np.random.default_rng(30 + j) for j in range(2)]
+        for t in range(8 * rollouts):
+            obs = rng.uniform(0.0, 1.0, (2, 4))
+            rewards = rng.uniform(0.5, 1.5, 2)
+            done = (t + 1) % 4 == 0
+            stacked = stack.act(obs, rngs_stack)
+            stack.record(obs, *stacked[1:3], rewards, stacked[3], done)
+            for j, agent in enumerate(alone):
+                acted = agent.act(obs[j], rngs_alone[j])
+                for item, items in zip(acted, stacked):
+                    np.testing.assert_array_equal(items[j], item)
+                agent.record(obs[j], *acted[1:3], rewards[j], acted[3], done)
+            if (t + 1) % 8 == 0:
+                diags = stack.ppo_update()
+                assert diags == [agent.ppo_update() for agent in alone]
+        for a, b in zip(alone, members):
+            assert (a.update_count, a.aborted_updates) == (b.update_count,
+                                                           b.aborted_updates)
+            for la, lb in zip((*a.actor.layers, *a.critic.layers),
+                              (*b.actor.layers, *b.critic.layers)):
+                np.testing.assert_array_equal(la.weights, lb.weights)
+
+    def test_stack_equals_separate_agents(self):
+        alone, members = self.sellers(40), self.sellers(40)
+        stack = PpoAgent.stack(members)
+        stack.set_progress(0.5)
+        for agent in alone:
+            agent.set_progress(0.5)
+        self.train(alone, members, stack, rollouts=3)
+        assert [m.std for m in members] == [a.std for a in alone]
+
+    def test_abort_restores_and_skips_only_its_seller(self):
+        """Seller 0 aborts in the second epoch, after every seller has stepped."""
+        alone, members = self.sellers(50), self.sellers(50)
+        stack = PpoAgent.stack(members)
+        before = [l.weights.copy() for l in members[0].actor.layers]
+        self.nan_value_in_second_update_epoch(stack.critic, 0)
+        self.nan_value_in_second_update_epoch(alone[0].critic, Ellipsis)
+        self.train(alone, members, stack, rollouts=1)
+        assert [m.aborted_updates for m in members] == [1, 0]
+        for layer, w in zip(members[0].actor.layers, before):
+            np.testing.assert_array_equal(layer.weights, w)
 
 
 class TestTinyMadrl:
@@ -256,6 +368,23 @@ class TestGreedy:
             agent.means[:, k] = 1.0
             prices = agent.act(None, rng)
             assert np.all((low <= prices) & (prices <= high)), k
+
+
+    def test_act_matches_per_buyer_loop(self):
+        """Same prices, arms and draws as pricing each buyer on its own."""
+        rng = np.random.default_rng(14)
+        low, high = rng.uniform(1.0, 4.0, 6), rng.uniform(5.0, 35.0, 6)
+        agent, oracle = (GreedyAgent(low, high, num_levels=7, epsilon=0.3)
+                         for _ in range(2))
+        rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
+        for _ in range(300):
+            np.testing.assert_array_equal(agent.act(None, rng_a),
+                                          reference_greedy_act(oracle, rng_b))
+            np.testing.assert_array_equal(agent._last_choice, oracle._last_choice)
+            margins = rng.uniform(0.0, 5.0, 6) * (rng.uniform(size=6) < 0.7)
+            agent.update(margins)
+            oracle.update(margins)
+        assert rng_a.uniform() == rng_b.uniform()
 
 
 class TestRandom:

@@ -232,25 +232,83 @@ class TestTrainingGroup:
         cfg.ppo.update_epochs = 2
         return cfg.validate()
 
+    @staticmethod
+    def assert_records_equal(rec, alone):
+        assert rec.run_id == alone.run_id
+        np.testing.assert_array_equal(rec.episode_rewards, alone.episode_rewards,
+                                      strict=True)
+        np.testing.assert_array_equal(rec.sparsity, alone.sparsity, strict=True)
+        assert rec.theoretical == alone.theoretical
+        assert rec.consistent == alone.consistent
+
     @pytest.mark.parametrize("warmup", [WARMUP_ZEROS, WARMUP_UNIFORM])
     @pytest.mark.parametrize("algorithms", [ALGORITHMS,
-                                            ("greedy", "tiny_madrl", "greedy")])
+                                            ("greedy", "tiny_madrl", "greedy"),
+                                            ("tiny_madrl", "ppo", "tiny_madrl")])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_group_equals_separate_runs(self, warmup, algorithms, seed):
         """Each run of a lock-step group gets the record it gets alone."""
-        cfg = self.group_config(warmup)
+        self.check_group(self.group_config(warmup), algorithms, seed)
+
+    @pytest.mark.parametrize("algorithms", [ALGORITHMS,
+                                            ("tiny_madrl", "ppo", "tiny_madrl")])
+    def test_group_equals_separate_runs_pruning_the_critic(self, algorithms):
+        cfg = self.group_config(WARMUP_UNIFORM)
+        cfg.prune_critic = True
+        self.check_group(cfg, algorithms, 3)
+
+    def check_group(self, cfg, algorithms, seed):
         group = run_training_group(cfg, algorithms, seed)
         assert [r.algorithm for r in group] == list(algorithms)
         for rec in group:
-            alone = run_training(cfg, rec.algorithm, seed)
-            assert rec.run_id == alone.run_id
-            np.testing.assert_array_equal(rec.episode_rewards, alone.episode_rewards,
-                                          strict=True)
-            np.testing.assert_array_equal(rec.sparsity, alone.sparsity, strict=True)
-            assert rec.theoretical == alone.theoretical
-            assert rec.consistent == alone.consistent
+            self.assert_records_equal(rec, run_training(cfg, rec.algorithm, seed))
         if "tiny_madrl" in algorithms:  # the schedule pruned inside the episodes
             assert group[algorithms.index("tiny_madrl")].sparsity[-1] > 0.4
+
+    def test_aborting_seller_leaves_the_others_alone(self, monkeypatch):
+        """A seller whose updates abort restores and skips only itself: the
+        other run of its stack trains and records as if it were not there."""
+        from bwmarket import harness
+        from bwmarket.agents import PpoAgent
+        cfg = self.group_config(WARMUP_UNIFORM)
+        build, stack = harness._build_agents, PpoAgent.stack
+
+        def train(break_ppo):
+            built = {}
+
+            def build_and_keep(cfg, env, algorithm, seed):
+                built[algorithm] = build(cfg, env, algorithm, seed)
+                return built[algorithm]
+
+            def stack_and_break(agents):
+                stacked = stack(agents)
+                if break_ppo:  # NaN values: every update of this seller aborts
+                    failing = built["ppo"][0]
+                    layers = (*failing.actor.layers, *failing.critic.layers[:-1])
+                    failing.initial = [l.weights.copy() for l in layers]
+                    failing.critic.layers[-1].weights[...] = np.nan
+                return stacked
+
+            monkeypatch.setattr(harness, "_build_agents", build_and_keep)
+            monkeypatch.setattr(PpoAgent, "stack", staticmethod(stack_and_break))
+            return run_training_group(cfg, ["tiny_madrl", "ppo"], 0), built
+
+        (tiny, _), clean = train(False)
+        (tiny_broken, _), broken = train(True)
+        self.assert_records_equal(tiny_broken, tiny)
+        for a, b in zip(broken["tiny_madrl"], clean["tiny_madrl"]):
+            for net_a, net_b in ((a.actor, b.actor), (a.critic, b.critic)):
+                for la, lb in zip(net_a.layers, net_b.layers):
+                    np.testing.assert_array_equal(la.weights, lb.weights)
+                for ma, mb in zip(net_a.masks, net_b.masks):
+                    np.testing.assert_array_equal(ma, mb)
+        rollouts = cfg.episodes * cfg.env.episode_length // cfg.ppo.rollout_size
+        failing, healthy = broken["ppo"]
+        assert (failing.update_count, failing.aborted_updates) == (0, rollouts)
+        assert (healthy.update_count, healthy.aborted_updates) == (rollouts, 0)
+        for layer, w in zip((*failing.actor.layers, *failing.critic.layers),
+                            failing.initial):
+            np.testing.assert_array_equal(layer.weights, w)
 
     def test_wall_ms_sums_to_group_time(self):
         cfg = self.group_config(WARMUP_ZEROS)

@@ -88,6 +88,58 @@ class TestMaskedForward:
         np.testing.assert_allclose(net.forward(x)[0], oracle, atol=1e-12)
 
 
+class TestStackedNets:
+    """A stack of K nets computes each net's forward and backward bit for bit."""
+
+    @staticmethod
+    def nets(rng, k, hidden):
+        nets = [PrunableMlp.create([12, *hidden, 3], rng=rng) for _ in range(k)]
+        for net in nets:  # partial masks, different per net
+            for m in net.masks:
+                m[rng.permutation(len(m))[:len(m) // 3]] = 0.0
+        return nets
+
+    @pytest.mark.parametrize("hidden", [(64, 64), (32,), (16, 8)])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("batch", [None, 80])
+    def test_stack_matches_each_net(self, hidden, k, batch):
+        rng = np.random.default_rng(k * 100 + len(hidden))
+        nets = self.nets(rng, k, hidden)
+        shape = (k, 12) if batch is None else (k, batch, 12)
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal((*shape[:-1], 3))
+        alone = []
+        for net, x_k, g_k in zip(nets, x, g):
+            out, cache = net.forward(x_k)
+            alone.append((out, net.backward(cache, g_k)[0]))
+        stacked = PrunableMlp.stack(nets)
+        out, cache = stacked.forward(x)
+        grads, _ = stacked.backward(cache, g)
+        assert out.shape == (*shape[:-1], 3)
+        for i, (out_k, grads_k) in enumerate(alone):
+            np.testing.assert_array_equal(out[i], out_k)
+            for grad, grad_k in zip(grads, grads_k):
+                np.testing.assert_array_equal(grad[i], grad_k)
+
+    def test_nets_become_views_of_their_slices(self):
+        rng = np.random.default_rng(5)
+        nets = self.nets(rng, 3, (16, 8))
+        before = [[l.weights.copy() for l in net.layers] for net in nets]
+        stacked = PrunableMlp.stack(nets)
+        for i, net in enumerate(nets):
+            for layer, whole, w in zip(net.layers, stacked.layers, before[i]):
+                np.testing.assert_array_equal(whole.weights[i], w)
+                assert np.shares_memory(layer.weights, whole.weights)
+        # masking one net through its view masks its slice alone
+        others = [m[[0, 2]].copy() for m in stacked.masks]
+        sched = PruneSchedule(0.5, 0.5, start_epoch=0, total_steps=1)
+        update_masks(nets[1], sched, epoch=0, floor_neurons=1)
+        for m, other, view in zip(stacked.masks, others, nets[1].masks):
+            np.testing.assert_array_equal(m[[0, 2]], other)
+            np.testing.assert_array_equal(m[1], view)
+        assert 1.0 - sum(m[1].sum() for m in stacked.masks) / 24 == pytest.approx(0.5)
+
+
 # =====================================================================
 # Backward
 # =====================================================================

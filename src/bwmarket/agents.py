@@ -394,7 +394,7 @@ class GreedyAgent:
         tried = self.counts.any(axis=1)
         best = self.means.argmax(axis=1)
         for i in range(self.num_uavs):
-            if not tried[i] or rng.uniform() < self.epsilon:
+            if not tried[i] or rng.random() < self.epsilon:
                 self._last_choice[i] = rng.integers(self.num_levels)
             else:
                 self._last_choice[i] = best[i]
@@ -417,6 +417,9 @@ class RandomAgent:
     def __init__(self, box_low, box_high):
         self.box_low = np.asarray(box_low, dtype=float)
         self.box_high = np.asarray(box_high, dtype=float)
+        self.span = self.box_high - self.box_low
 
     def act(self, observation, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.box_low, self.box_high)
+        # rng.uniform(low, high) draws low + (high - low) * random(), but pays
+        # numpy's broadcasting set-up on every call
+        return self.box_low + self.span * rng.random(self.span.shape)

@@ -13,6 +13,14 @@ every buyer best response: follower_best_response is its one-row call, and
 all_followers_respond, solve_equilibrium and verify_equilibrium call it on
 whole price matrices.  The buyer utility and the seller margin are written
 once each, in _buyer_utilities and _margins.
+
+Terms that do not depend on the prices are built once and then only read.
+The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
+the I x J market, and water-fills only the rows whose budget binds, gathered
+once and shrunk as rows exit.  _leader_terms builds the leader map's terms
+(the gather plan of the positive links, their rival sums, q*c*S and the
+fallback prices) once per solve for all binding buyers, and
+leader_best_response_map builds them for its one row.
 """
 
 from __future__ import annotations
@@ -335,15 +343,18 @@ def _pack(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     flat indices of their k support entries in ascending order.
     """
     J = support.shape[-1]
-    s = support.reshape(-1, J)
-    flat = np.argsort(~s, axis=1, kind="stable") + J * np.arange(len(s))[:, None]
-    sizes = s.sum(axis=1)
+    entries = np.flatnonzero(support)         # row by row, each ascending
+    row = entries // J
+    # support sizes in the smallest integer type, which a stable sort sorts
+    # by radix
+    sizes = np.bincount(row, minlength=support.size // J).astype(np.min_scalar_type(J))
     by_size = np.argsort(sizes, kind="stable")
-    ends = np.cumsum(np.bincount(sizes, minlength=J + 1))
-    plan = []
-    for k in np.flatnonzero(ends[1:] > ends[:-1]) + 1:
-        rows = by_size[ends[k - 1]:ends[k]]
-        plan.append((rows, flat[rows, :k]))
+    entries = entries[np.argsort(sizes[row], kind="stable")]
+    plan, r, e = [], 0, 0
+    for k, n in enumerate(np.bincount(sizes, minlength=J + 1).tolist()):
+        if k and n:
+            plan.append((by_size[r:r + n], entries[e:e + n * k].reshape(n, k)))
+        r, e = r + n, e + n * k
     return plan
 
 
@@ -384,11 +395,14 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
     """
     rows = np.swapaxes(prices, -1, -2)        # strided like prices[:, i]
     p = np.ascontiguousarray(rows)            # so cand and b come out contiguous
-    positive = np.broadcast_to(np.isfinite(S) & (S > 0.0), p.shape)
+    I, J = S.shape
+    # price-independent terms, once per call on the I x J market
+    positive = np.isfinite(S) & (S > 0.0)
     S = np.where(positive, S, 0.0)
     d = delta[:, None]
+    dS, dqS, inv_q = d * S, d * q * S, 1.0 / q
 
-    cand = np.where(positive & (p < d * q * S), d * S / p - 1.0 / q, 0.0)
+    cand = np.where(positive & (p < dqS), dS / p - inv_q, 0.0)
     cand = np.maximum(cand, 0.0)
     demands = np.zeros(p.shape)
     lam = np.zeros(p.shape[:-1])
@@ -399,28 +413,41 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
     demands[slack] = cand[slack]
     exits[slack] = _SLACK
 
-    # budget binds: water-filling, each open row shrinking its own support.
-    # Only the first step can find lambda <= 0 (a usable link priced past its
-    # choke point), and its demands at lambda = 0 are the slack candidates,
-    # which overspend; so lambda is floored at 1e-15, as is a closed row's -1.
-    # Every later support still holds the optimal support S*, so it never
-    # empties and its unconstrained spend exceeds R, which makes lambda > 0.
-    open_ = wants & ~slack
-    support = positive & open_[..., None]
-    p_over_q = p / q
-    while open_.any():
+    # budget binds: water-filling on the open rows only, gathered once, each
+    # shrinking its own support and scattered back when it exits. Only the
+    # first step can find lambda <= 0 (a usable link priced past its choke
+    # point), and its demands at lambda = 0 are the slack candidates, which
+    # overspend; so lambda is floored at 1e-15. Every later support still
+    # holds the optimal support S*, so it never empties and its unconstrained
+    # spend exceeds R, which makes lambda > 0.
+    flat = np.flatnonzero(wants & ~slack)     # flat (..., I) index of each open row
+    buyer = flat % I
+    # np.take and np.compress move whole rows far faster than fancy indexing
+    p_o = np.take(p.reshape(-1, J), flat, axis=0)
+    del p, cand     # the open rows' copies replace them: no higher peak memory
+    support, S_o = (np.take(x, buyer, axis=0) for x in (positive, S))
+    delta_o, budget_o = delta[buyer], budget[buyer]
+    p_over_q = p_o / q
+    demands_flat, lam_flat, exits_flat = (demands.reshape(-1, J), lam.reshape(-1),
+                                          exits.reshape(-1))
+    while flat.size:
         plan = _pack(support)
-        lam_k = (delta * _packed_sums(S, plan)
-                 / (budget + _packed_sums(p_over_q, plan)) - 1.0)
+        lam_k = (delta_o * _packed_sums(S_o, plan)
+                 / (budget_o + _packed_sums(p_over_q, plan)) - 1.0)
         lam_k = np.where(lam_k > 0.0, lam_k, 1e-15)
-        b = d * S / (p * (1.0 + lam_k[..., None])) - 1.0 / q
+        b = delta_o[:, None] * S_o / (p_o * (1.0 + lam_k[:, None])) - inv_q
         keep = support & (b > 0)
-        binding = open_ & (keep == support).all(axis=-1)
-        demands[binding] = np.where(support, b, 0.0)[binding]
-        lam[binding] = lam_k[binding]
-        exits[binding] = _BINDING
-        open_ &= ~binding
-        support = keep & open_[..., None]
+        done = (keep == support).all(axis=-1)
+        exit_ = flat[done]
+        demands_flat[exit_] = np.compress(done, np.where(support, b, 0.0), axis=0)
+        lam_flat[exit_] = lam_k[done]
+        exits_flat[exit_] = _BINDING
+        if done.all():
+            break
+        go = ~done
+        flat, delta_o, budget_o = flat[go], delta_o[go], budget_o[go]
+        support, S_o, p_o, p_over_q = (np.compress(go, x, axis=0)
+                                       for x in (keep, S_o, p_o, p_over_q))
     return demands, lam, exits
 
 
@@ -464,25 +491,47 @@ def _slack_prices(m: _MarketArrays) -> np.ndarray:
     return np.where(m.S > 0.0, slack, m.c)
 
 
-def _leader_map(p: np.ndarray, m: _MarketArrays, slack: np.ndarray,
-                plan, sum_S: np.ndarray) -> np.ndarray:
+class _LeaderTerms(NamedTuple):
+    """The price-independent terms of the leader map on n buyer rows (n x J
+    unless noted): q (J,), the gather plan of the positive links, the budget
+    column R (n x 1), q*c*S, the rival sums sum_S - S, where the formula
+    applies (positive link and positive rival sum), and the fallback there
+    (the slack price on a positive link without rivals, else c)."""
+
+    q: np.ndarray
+    plan: list
+    budget: np.ndarray
+    qcS: np.ndarray
+    denom: np.ndarray
+    formula: np.ndarray
+    fallback: np.ndarray
+
+
+def _leader_terms(m: _MarketArrays, slack: np.ndarray) -> _LeaderTerms:
+    """The leader map's terms on the buyer rows of m; slack is _slack_prices(m)."""
+    positive = m.S > 0.0
+    plan = _pack(positive)
+    denom = _packed_sums(m.S, plan)[:, None] - m.S
+    return _LeaderTerms(m.q, plan, m.budget[:, None], m.q * m.c * m.S, denom,
+                        positive & (denom > 0.0), np.where(positive, slack, m.c))
+
+
+def _leader_map(p: np.ndarray, t: _LeaderTerms) -> np.ndarray:
     """Sellers' unclamped best-response map on every buyer row of p (n x J).
 
     Row r, coordinate j maps to
     sqrt(q_j c_j S_rj (R_r + sum_{k!=j} p_rk/q_k) / sum_{k!=j} S_rk), the sums
     over the links with positive log-quality; a coordinate without such a
     competitor maps to its slack price, a link without positive log-quality to
-    c_j. m holds the n buyer rows, slack is _slack_prices(m), plan is _pack of
-    the positive links and sum_S their S sums. Each entry is evaluated in the
-    order written here, so it equals the seller-by-seller formula bit for bit.
+    c_j. t is _leader_terms of the n buyer rows. Each entry is evaluated in
+    the order written here, so it equals the seller-by-seller formula bit for
+    bit.
     """
-    p_over_q = p / m.q
-    other = _packed_sums(p_over_q, plan)[:, None] - p_over_q
-    denom = sum_S[:, None] - m.S
+    p_over_q = p / t.q
+    other = _packed_sums(p_over_q, t.plan)[:, None] - p_over_q
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sqrt(m.q * m.c * m.S * (m.budget[:, None] + other) / denom)
-    out = np.where(denom > 0.0, out, slack)
-    return np.where(m.S > 0.0, out, m.c)
+        out = np.sqrt(t.qcS * (t.budget + other) / t.denom)
+    return np.where(t.formula, out, t.fallback)
 
 
 def leader_unconstrained_price(instance: GameInstance, rsu_index: int,
@@ -505,8 +554,7 @@ def leader_best_response_map(instance: GameInstance, uav_index: int,
     """
     p = np.asarray(price_vector, dtype=float)
     m = instance.arrays.buyers([uav_index])
-    plan = _pack(m.S > 0.0)
-    out = _leader_map(p[None], m, _slack_prices(m), plan, _packed_sums(m.S, plan))[0]
+    out = _leader_map(p[None], _leader_terms(m, _slack_prices(m)))[0]
     return np.clip(out, m.c, m.cap) if clamp else out
 
 
@@ -517,30 +565,23 @@ def _leader_fixed_points(p: np.ndarray, m: _MarketArrays, slack: np.ndarray,
     A row is frozen once it moves by less than tolerance; the others go on,
     up to max_iterations. Rows are independent subgames, so each stops where
     its own one-buyer iteration stops; the fixed point of a standard function
-    is unique and reached from any start (Yates 1995). Returns the prices, the
-    iterations and the last residual of every row (inf for a row never
-    iterated).
+    is unique and reached from any start (Yates 1995). Every row is mapped on
+    each iteration, from the map's terms built once, and a frozen row keeps
+    its prices. Returns the prices, the iterations and the last residual of
+    every row (inf for a row never iterated).
     """
-    p = p.copy()
+    terms = _leader_terms(m, slack)
     iterations = np.zeros(len(p), dtype=int)
     residual = np.full(len(p), np.inf)
-    open_rows = np.arange(len(p))
-    p_open, m_open = p, None
+    open_ = np.ones(len(p), dtype=bool)
     for k in range(1, max_iterations + 1):
-        if not open_rows.size:
+        if not open_.any():
             break
-        if m_open is None:      # the open set changed: repack its positive links
-            m_open = m.buyers(open_rows)
-            slack_open = slack[open_rows]
-            plan = _pack(m_open.S > 0.0)
-            sum_S = _packed_sums(m_open.S, plan)
-        p_next = np.clip(_leader_map(p_open, m_open, slack_open, plan, sum_S), m.c, m.cap)
-        res = np.max(np.abs(p_next - p_open), axis=1)
-        p[open_rows], residual[open_rows], iterations[open_rows] = p_next, res, k
-        p_open = p_next
-        done = res < tolerance
-        if done.any():
-            open_rows, p_open, m_open = open_rows[~done], p_next[~done], None
+        p_next = np.clip(_leader_map(p, terms), m.c, m.cap)
+        res = np.max(np.abs(p_next - p), axis=1)
+        p = np.where(open_[:, None], p_next, p)
+        residual[open_], iterations[open_] = res[open_], k
+        open_ &= ~(res < tolerance)
     return p, iterations, residual
 
 

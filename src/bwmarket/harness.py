@@ -469,9 +469,9 @@ def run_solve(cfg: ExperimentConfig, seed: int,
         raise RuntimeError(f"equilibrium verification failed for seed {seed}")
     wall_ms = (time.perf_counter() - start) * 1000.0
     theoretical = float(np.mean(sol.rsu_utilities))
-    run_id = f"solve-{config_hash(cfg)}-{seed}"
-    return RunRecord(run_id, config_hash(cfg), seed, "solve", np.zeros((0, 0)),
-                     np.array([]), theoretical, consistent, wall_ms)
+    cfg_hash = config_hash(cfg)
+    return RunRecord(f"solve-{cfg_hash}-{seed}", cfg_hash, seed, "solve",
+                     np.zeros((0, 0)), np.array([]), theoretical, consistent, wall_ms)
 
 
 # ---------------------------------------------------------------------------

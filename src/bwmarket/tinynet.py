@@ -221,7 +221,8 @@ class PrunableMlp:
             weight_grads[k] = delta.swapaxes(-1, -2) @ cache["inputs"][k]
             if layer.bias is not None:
                 bias_grads[k] = delta.sum(axis=-2)
-            delta = delta @ layer.weights
+            if k:   # the gradient w.r.t. the network's input is never used
+                delta = delta @ layer.weights
         return weight_grads, bias_grads
 
 

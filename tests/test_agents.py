@@ -397,6 +397,18 @@ class TestRandom:
         assert abs(draws.mean() - center) < 3 * sigma
         assert draws.min() >= 2.0 and draws.max() <= 10.0
 
+    def test_act_matches_uniform_draws(self):
+        """Draw by draw the prices of rng.uniform(low, high) on the same seed,
+        leaving the stream at the same position."""
+        rng = np.random.default_rng(16)
+        low, high = rng.uniform(1.0, 4.0, 5), rng.uniform(5.0, 35.0, 5)
+        agent = RandomAgent(low, high)
+        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(500):
+            np.testing.assert_array_equal(agent.act(None, rng_a),
+                                          rng_b.uniform(low, high), strict=True)
+        assert rng_a.random() == rng_b.random()
+
 
 class TestLearning:
     def test_ppo_reaches_most_of_theoretical(self):

@@ -404,6 +404,27 @@ class TestBatchedFollower:
             assert not w.degenerate or not np.any(inst.arrays.S[i] > 0.0)
 
 
+class TestPackedSums:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_each_row_sums_its_support_as_numpy_does(self, data):
+        # values of mixed sign and magnitude, so that any other summation
+        # order shows in the last bits; densities 0 and 1 give empty and full
+        # rows, and a leading batch shape is flattened like the kernel's
+        J = data.draw(st.integers(1, 10), label="J")
+        batch = tuple(data.draw(st.lists(st.integers(0, 3), max_size=2), label="batch"))
+        shape = batch + (data.draw(st.integers(0, 12), label="rows"), J)
+        density = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        support = rng.random(shape) < density
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        got = game._packed_sums(values, game._pack(support))
+        assert got.shape == shape[:-1]
+        for row in np.ndindex(shape[:-1]):
+            want = np.add.reduce(values[row][support[row]])
+            assert got[row].tobytes() == want.tobytes(), row
+
+
 # =====================================================================
 # Leader best responses
 # =====================================================================
@@ -470,6 +491,31 @@ class TestLeaderResponses:
                 for i in range(2):
                     np.testing.assert_array_equal(leader_best_response_map(inst, i, p),
                                                   reference_leader_map(inst, i, p))
+
+    def test_fixed_points_of_a_stack_match_each_row_alone(self):
+        # rows converge after different numbers of iterations; a converged
+        # row stays in the stack, frozen, while the others go on
+        rng = np.random.default_rng(31)
+        spread = False
+        for trial in range(40):
+            J = 1 + trial % 10
+            inst = random_instance(rng, I=6, J=J,
+                                   min_component=0.85 if trial % 4 < 2 else 0.0)
+            m = inst.arrays
+            slack = game._slack_prices(m)
+            start = rng.uniform(m.c, m.cap, (6, J))
+            for max_iterations in (4, game.FIXED_POINT_MAX_ITER):
+                p, iterations, residual = game._leader_fixed_points(
+                    start, m, slack, game.FIXED_POINT_TOL, max_iterations)
+                for i in range(6):
+                    p_i, iterations_i, residual_i = game._leader_fixed_points(
+                        start[[i]], m.buyers([i]), slack[[i]], game.FIXED_POINT_TOL,
+                        max_iterations)
+                    np.testing.assert_array_equal(p[i], p_i[0], strict=True)
+                    assert iterations[i] == iterations_i[0]
+                    assert residual[i] == residual_i[0]
+                spread |= len(set(iterations.tolist())) > 1
+        assert spread
 
 
 # =====================================================================

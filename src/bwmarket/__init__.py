@@ -4,14 +4,12 @@ from .game import (
     ChannelLink,
     DemandMatrix,
     EquilibriumSolution,
-    FollowerSolution,
     GameInstance,
     PriceMatrix,
     RsuProfile,
     SsimTriple,
     UavProfile,
     all_followers_respond,
-    follower_best_response,
     solve_equilibrium,
     verify_equilibrium,
 )

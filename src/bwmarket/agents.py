@@ -386,7 +386,7 @@ class GreedyAgent:
         self.means = np.zeros((self.num_uavs, num_levels))
         self.counts = np.zeros((self.num_uavs, num_levels), dtype=int)
         self._last_choice = np.zeros(self.num_uavs, dtype=int)
-        self._buyers = np.arange(self.num_uavs)
+        self._row_starts = np.arange(self.num_uavs) * num_levels
 
     def act(self, observation, rng: np.random.Generator) -> np.ndarray:
         # the uniform draw is made only for a buyer with a played arm, so the
@@ -405,10 +405,10 @@ class GreedyAgent:
 
     def update(self, per_uav_margins) -> None:
         """Feed back the (price - cost) * demand margin earned per buyer."""
-        arm = (self._buyers, self._last_choice)   # one arm per buyer
-        self.counts[arm] += 1
-        self.means[arm] += ((np.asarray(per_uav_margins, dtype=float) - self.means[arm])
-                            / self.counts[arm])
+        arm = self._row_starts + self._last_choice   # one flat arm per buyer
+        counts, means = self.counts.reshape(-1), self.means.reshape(-1)
+        counts[arm] += 1
+        means[arm] += (np.asarray(per_uav_margins, dtype=float) - means[arm]) / counts[arm]
 
 
 class RandomAgent:

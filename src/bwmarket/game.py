@@ -11,8 +11,10 @@ Every solver reads the market's dense arrays, GameInstance.arrays, built once
 per instance.  One water-filling kernel, _batched_follower_demands, solves
 every buyer best response: follower_best_response is its one-row call, and
 all_followers_respond, solve_equilibrium and verify_equilibrium call it on
-whole price matrices.  The buyer utility and the seller margin are written
-once each, in _buyer_utilities and _margins.
+whole price matrices.  A buyer's answer depends only on the values of the
+prices it is posted, not on how the caller lays them out in memory.  The
+buyer utility and the seller margin are written once each, in
+_buyer_utilities and _margins.
 
 Terms that do not depend on the prices are built once and then only read.
 The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
@@ -34,7 +36,6 @@ import numpy as np
 
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 10_000
-KKT_TOL = 1e-8
 
 CASE_BUDGET_INACTIVE = "budget_inactive"
 CASE_BUDGET_ACTIVE = "budget_active"
@@ -160,9 +161,6 @@ class GameInstance:
     def price_caps(self) -> np.ndarray:
         return self.arrays.cap.copy()
 
-    def efficiencies(self) -> np.ndarray:
-        return self.arrays.q.copy()
-
 
 @dataclass
 class PriceMatrix:
@@ -194,13 +192,14 @@ class DemandMatrix:
         I, J = instance.num_uavs, instance.num_rsus
         if demands.shape[-2:] != (I, J):
             raise ValueError(f"expected shape (..., {I}, {J}), got {demands.shape}")
-        _check_demands(demands, prices, instance)
+        _check_demands(demands, prices, instance.arrays.budget)
         self.demands = demands
 
 
 def _check_demands(demands: np.ndarray, prices: np.ndarray | None,
-                   instance: GameInstance) -> None:
-    """Reject negative demands and, given J x I prices, any spend over budget.
+                   budget: np.ndarray) -> None:
+    """Reject negative demands and, given J x I prices, any spend over the
+    buyers' budgets (I,).
 
     Takes I x J demands with any leading batch shape (prices alike, ... x J x I).
     """
@@ -208,7 +207,7 @@ def _check_demands(demands: np.ndarray, prices: np.ndarray | None,
         raise ValueError("negative demand entry")
     if prices is not None:
         spend = np.sum(demands * np.swapaxes(prices, -1, -2), axis=-1)
-        if np.any(spend > instance.arrays.budget + 1e-9):
+        if np.any(spend > budget + 1e-9):
             raise ValueError("per-UAV spend exceeds budget")
 
 
@@ -331,7 +330,7 @@ def _rowdot(x, y) -> np.ndarray:
 
     Stacked row @ column products go to the same BLAS dot as a 1-D ``@``, with
     each operand's own stride. BLAS sums unit and non-unit strides in
-    different orders, so a spend depends on the price layout a caller passes.
+    different orders, so the result depends on the operands' layout.
     """
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
@@ -374,27 +373,26 @@ def _packed_sums(values: np.ndarray, plan) -> np.ndarray:
     return out
 
 
-def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
-                              delta: np.ndarray, budget: np.ndarray):
+def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
     """Every buyer's exact best response to a stack of J x I price matrices.
 
-    prices is (..., J, I); q is (J,); S is the I x J log-quality matrix, -inf
-    on an unusable link; delta and budget are (I,). Returns the demands
-    (..., I, J), the budget multiplier (..., I) and the exit taken (..., I),
-    one of _NO_DEMAND, _SLACK and _BINDING.
+    prices is (..., J, I) and m holds the market's I buyer rows. Returns the
+    demands (..., I, J), the budget multiplier (..., I) and the exit taken
+    (..., I), one of _NO_DEMAND, _SLACK and _BINDING.
 
     The unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are kept when
     their spend p @ b fits the budget. Otherwise the budget binds and each
     row runs a water-filling over its own shrinking support (Palomar &
     Fonollosa, IEEE TSP 2005): lambda = delta*sum S / (R + sum p/q) - 1, then
     b = delta*S/(p*(1 + lambda)) - 1/q, dropping the links whose demand is
-    nonpositive until the support is self-consistent. Each buyer's spend is
-    a dot product over its price column with the column's own stride, and
-    each support sum rounds as np.sum does, so the result equals a
-    buyer-by-buyer solve bit for bit.
+    nonpositive until the support is self-consistent. Each price column is
+    copied to a contiguous buyer row, its spend is one dot product over that
+    row and each support sum rounds as np.sum does, so a buyer's answer
+    depends only on its price values and equals a buyer-by-buyer solve bit
+    for bit.
     """
-    rows = np.swapaxes(prices, -1, -2)        # strided like prices[:, i]
-    p = np.ascontiguousarray(rows)            # so cand and b come out contiguous
+    p = np.ascontiguousarray(np.swapaxes(prices, -1, -2))   # buyer rows
+    q, S, delta, budget = m.q, m.S, m.delta, m.budget
     I, J = S.shape
     # price-independent terms, once per call on the I x J market
     positive = np.isfinite(S) & (S > 0.0)
@@ -409,7 +407,7 @@ def _batched_follower_demands(prices: np.ndarray, q: np.ndarray, S: np.ndarray,
     exits = np.full(p.shape[:-1], _NO_DEMAND)
 
     wants = (cand > 0).any(axis=-1)
-    slack = wants & (_rowdot(rows, cand) <= budget)
+    slack = wants & (_rowdot(p, cand) <= budget)
     demands[slack] = cand[slack]
     exits[slack] = _SLACK
 
@@ -460,9 +458,9 @@ def follower_best_response(instance: GameInstance, uav_index: int,
     usable link.
     """
     m = instance.arrays.buyers([uav_index])
-    # one price column, with the caller's stride, as the kernel's J x 1 matrix
+    # one price column as the kernel's J x 1 matrix
     demands, lam, exits = _batched_follower_demands(
-        np.asarray(price_row, dtype=float)[:, None], m.q, m.S, m.delta, m.budget)
+        np.asarray(price_row, dtype=float)[:, None], m)
     b = demands[0]
     case = CASE_BUDGET_ACTIVE if exits[0] == _BINDING else CASE_BUDGET_INACTIVE
     return FollowerSolution(b, case, float(lam[0]), frozenset(np.flatnonzero(b > 0).tolist()),
@@ -473,8 +471,7 @@ def all_followers_respond(instance: GameInstance, prices) -> DemandMatrix:
     """Every buyer's best response to its price column (J x I prices in, or a
     stack of them, ... x J x I), in one kernel call and one check."""
     P = prices.prices if isinstance(prices, PriceMatrix) else np.asarray(prices, dtype=float)
-    m = instance.arrays
-    demands = _batched_follower_demands(P, m.q, m.S, m.delta, m.budget)[0]
+    demands = _batched_follower_demands(P, instance.arrays)[0]
     return DemandMatrix(demands, instance, prices=P)
 
 
@@ -532,16 +529,6 @@ def _leader_map(p: np.ndarray, t: _LeaderTerms) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.sqrt(t.qcS * (t.budget + other) / t.denom)
     return np.where(t.formula, out, t.fallback)
-
-
-def leader_unconstrained_price(instance: GameInstance, rsu_index: int,
-                               uav_index: int) -> float:
-    """Profit-maximizing price sqrt(delta*S*q*c) when the buyer's budget is slack."""
-    m = instance.arrays.buyers([uav_index])
-    S = m.S[0, rsu_index]
-    if not (np.isfinite(S) and S > 0):
-        raise ValueError("no profitable price: buyer never demands from this seller")
-    return float(_slack_prices(m)[0, rsu_index])
 
 
 def leader_best_response_map(instance: GameInstance, uav_index: int,
@@ -602,18 +589,17 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
     m = instance.arrays
     I = len(m.S)
 
-    # slack-budget candidates (buyer rows, contiguous like a scalar price row)
+    # slack-budget candidates, one price row per buyer
     slack = _slack_prices(m)
     p_tilde = np.clip(slack, m.c, m.cap)
-    d_tilde, _, exits = _batched_follower_demands(p_tilde.T, m.q, m.S, m.delta, m.budget)
+    d_tilde, _, exits = _batched_follower_demands(p_tilde.T, m)
 
     # binding-budget candidates: fixed points of the clamped best-response map
     binding = np.flatnonzero(exits == _BINDING)
     mb = m.buyers(binding)
     p_hat, iters, res = _leader_fixed_points(p_tilde[binding], mb, slack[binding],
                                              tolerance, max_iterations)
-    d_hat, _, exits_hat = _batched_follower_demands(p_hat.T, mb.q, mb.S, mb.delta,
-                                                    mb.budget)
+    d_hat, _, exits_hat = _batched_follower_demands(p_hat.T, mb)
     hat_active = exits_hat == _BINDING
     ok = hat_active & (res < tolerance)
 
@@ -638,7 +624,7 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
     residual = np.zeros(I)
     residual[binding] = np.where(take_hat, res, 0.0)
 
-    # final demands on the J x I matrix, whose columns are strided as P[:, i]
+    # final demands on the J x I price matrix
     prices = PriceMatrix(np.ascontiguousarray(buyer_prices.T), instance)
     P = prices.prices
     demands = all_followers_respond(instance, prices)
@@ -692,8 +678,8 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
             probe = draws[start:start + block]
             trial = np.repeat(P[None], len(probe), axis=0)
             trial[:, j] = probe
-            demands = _batched_follower_demands(trial, m.q, m.S, m.delta, m.budget)[0]
-            _check_demands(demands, trial, instance)
+            demands = _batched_follower_demands(trial, m)[0]
+            _check_demands(demands, trial, m.budget)
             margins[start:start + block] = _margins(trial, demands, m.c)[:, j].sum(axis=-1)
         worst = float(np.max((margins - solution.rsu_utilities[j]) / scale,
                              initial=0.0))

@@ -79,7 +79,7 @@ def grid_follower_utility(instance: GameInstance, uav_index: int,
                           price_row, n: int = 200) -> float:
     """Brute-force follower optimum: separable utility over a budget-feasible grid."""
     p = np.asarray(price_row, dtype=float)
-    q = instance.efficiencies()
+    q = instance.arrays.q
     S = log_quality_row(instance, uav_index)
     uav = instance.uavs[uav_index]
     delta, R = uav.delta, uav.budget
@@ -118,8 +118,10 @@ def reference_follower_best_response(instance: GameInstance, uav_index: int,
     computes the binding-budget multiplier, dropping sellers whose demand goes
     nonpositive and recomputing until the support is self-consistent.
     """
-    p = np.asarray(price_row, dtype=float)
-    q = instance.efficiencies()
+    # a contiguous row: BLAS sums a strided vector in another order, and a
+    # buyer's answer depends only on its price values
+    p = np.ascontiguousarray(price_row, dtype=float)
+    q = instance.arrays.q
     S = log_quality_row(instance, uav_index)
     uav = instance.uavs[uav_index]
     delta, R = uav.delta, uav.budget
@@ -233,7 +235,7 @@ def reference_leader_map(instance: GameInstance, uav_index: int,
     solve_equilibrium: the same formulas in the same order, one seller at a time.
     """
     p = np.asarray(price_vector, dtype=float)
-    q = instance.efficiencies()
+    q = instance.arrays.q
     cs = instance.costs()
     caps = instance.price_caps()
     S = log_quality_row(instance, uav_index)
@@ -262,7 +264,7 @@ def _reference_uav_prices(instance: GameInstance, uav_index: int,
                           tolerance: float, max_iterations: int):
     """One buyer's equilibrium price column:
     (prices, case, iterations, residual, consistent, diagnostic)."""
-    q = instance.efficiencies()
+    q = instance.arrays.q
     cs = instance.costs()
     caps = instance.price_caps()
     S = log_quality_row(instance, uav_index)

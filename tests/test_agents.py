@@ -356,6 +356,22 @@ class TestGreedy:
         assert agent.means[0, 1] == pytest.approx(6.0)
         assert agent.counts[0, 1] == 2
 
+    def test_update_matches_per_buyer_running_mean(self):
+        """Same counts and means, bit for bit, as updating each buyer's played
+        arm on its own."""
+        rng = np.random.default_rng(16)
+        agent = GreedyAgent(np.ones(5), np.full(5, 9.0), num_levels=6)
+        counts, means = np.zeros((5, 6), dtype=int), np.zeros((5, 6))
+        for _ in range(3000):
+            agent._last_choice[:] = rng.integers(6, size=5)
+            margins = rng.uniform(0.0, 5.0, 5) * (rng.random(5) < 0.7)
+            agent.update(margins)
+            for i, k in enumerate(agent._last_choice):
+                counts[i, k] += 1
+                means[i, k] += (margins[i] - means[i, k]) / counts[i, k]
+        np.testing.assert_array_equal(agent.counts, counts, strict=True)
+        assert agent.means.tobytes() == means.tobytes()
+
     def test_every_level_prices_inside_box(self):
         # cost 1-4, cap 5-35 as sampled by default; low + 1.0 * (high - low)
         # rounds above high in a few percent of such boxes

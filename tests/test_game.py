@@ -21,7 +21,6 @@ from bwmarket.game import (
     all_followers_respond,
     follower_best_response,
     leader_best_response_map,
-    leader_unconstrained_price,
     log_quality_row,
     rsu_utility,
     solve_equilibrium,
@@ -205,7 +204,7 @@ class TestFollowerBestResponse:
             if sol.case_label != CASE_BUDGET_ACTIVE:
                 continue
             checked += 1
-            q = inst.efficiencies()
+            q = inst.arrays.q
             S = log_quality_row(inst, 0)
             delta = inst.uavs[0].delta
             for j in sol.support:
@@ -265,14 +264,22 @@ class TestBatchedFollower:
     @staticmethod
     def check_against_reference(inst, prices):
         """The kernel == the reference on every buyer column of a (K, J, I)
-        price stack, each column passed with the stack's own strides; on every
-        third price matrix, so do follower_best_response (every field),
-        all_followers_respond and, for a C-contiguous stack, env.step (demands
-        and rewards). Returns the kernel's exits and the first water-filling
+        price stack, each column passed with the stack's own strides, and the
+        kernel gives the same bits for the stack's values laid out as strided
+        buyer columns and as contiguous buyer rows; on every third price
+        matrix, follower_best_response (every field), all_followers_respond
+        and, for a C-contiguous stack, env.step (demands and rewards) equal the
+        reference too. Returns the kernel's exits and the first water-filling
         multiplier over the usable links (the lambda the reference loop starts
         from)."""
         q, _, _, S, delta, budget = inst.arrays
-        demands, lam, exits = game._batched_follower_demands(prices, q, S, delta, budget)
+        out = game._batched_follower_demands(prices, inst.arrays)
+        demands, lam, exits = out
+        rows = np.ascontiguousarray(np.swapaxes(prices, -1, -2))
+        for layout in (np.ascontiguousarray(prices), np.swapaxes(rows, -1, -2)):
+            for got, want in zip(game._batched_follower_demands(layout, inst.arrays), out):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
         usable = np.isfinite(S) & (S > 0.0)
         want = [[reference_follower_best_response(inst, i, P[:, i])
                  for i in range(inst.num_uavs)] for P in prices]
@@ -306,7 +313,6 @@ class TestBatchedFollower:
                 np.testing.assert_array_equal(out.rewards, [
                     rsu_utility(inst, j, P[j], want_demands[k][:, j])
                     for j in range(len(P))], strict=True)
-        rows = np.swapaxes(prices, -1, -2)
         first_lam = (delta * np.where(usable, S, 0.0).sum(axis=1)
                      / (budget + np.where(usable, rows / q, 0.0).sum(axis=-1)) - 1.0)
         return exits, first_lam
@@ -357,7 +363,8 @@ class TestBatchedFollower:
         # exit that the kernel dropped: equal outputs show neither one fires.
         # Links are unusable (SSIM 0), have S <= 0, or are usable; prices sit
         # at cost, at cap, inside the box or past the choke price delta*q*S;
-        # budgets sit near each buyer's unconstrained spend.
+        # budgets sit near each buyer's unconstrained spend, a tie on that
+        # spend summed over a strided or over a contiguous price column.
         J = data.draw(st.integers(1, 6), label="J")
         I = data.draw(st.integers(1, 4), label="I")
         rsus = []
@@ -388,10 +395,12 @@ class TestBatchedFollower:
             usable = S > 0
             cand = np.where(usable & (P[:, i] < delta * q * np.where(usable, S, 0.0)),
                             delta * np.where(usable, S, 0.0) / P[:, i] - 1.0 / q, 0.0)
-            spend = float(P[:, i] @ np.maximum(cand, 0.0))
-            if spend > 0:
+            cand = np.maximum(cand, 0.0)
+            spends = {"strided": float(P[:, i] @ cand),
+                      "contiguous": float(np.ascontiguousarray(P[:, i]) @ cand)}
+            if spends["strided"] > 0:
                 scale = data.draw(st.sampled_from([0.3, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5]))
-                budget = spend * scale
+                budget = spends[data.draw(st.sampled_from(list(spends)))] * scale
             else:
                 budget = data.draw(st.floats(0.1, 20.0))
             uavs.append(UavProfile(delta, budget, threshold, triples))
@@ -431,7 +440,7 @@ class TestPackedSums:
 class TestLeaderResponses:
     def test_unconstrained_price_closed_form(self):
         inst = simple_instance(J=1, budget=1e9)
-        p_star = leader_unconstrained_price(inst, 0, 0)
+        p_star = float(game._slack_prices(inst.arrays)[0, 0])
         assert p_star == pytest.approx(math.sqrt(10.0 * LN2 * 10.0 * 1.0), rel=1e-12)
         # 1-D oracle: (p - c) * demand(p) is maximized at p_star
         grid = np.linspace(1.0, 35.0, 4000)
@@ -441,14 +450,15 @@ class TestLeaderResponses:
     def test_unconstrained_price_sqrt_homogeneity(self):
         inst_1 = simple_instance(J=1, cost=1.0)
         inst_4 = simple_instance(J=1, cost=4.0)
-        p1 = leader_unconstrained_price(inst_1, 0, 0)
-        p4 = leader_unconstrained_price(inst_4, 0, 0)
+        p1 = game._slack_prices(inst_1.arrays)[0, 0]
+        p4 = game._slack_prices(inst_4.arrays)[0, 0]
         assert p4 == pytest.approx(2.0 * p1, rel=1e-12)
 
-    def test_unconstrained_price_no_surplus_raises(self):
-        inst = simple_instance(J=1, ssim=0.4, threshold=0.5)
-        with pytest.raises(ValueError):
-            leader_unconstrained_price(inst, 0, 0)
+    def test_link_without_positive_log_quality_prices_at_cost(self):
+        # S < 0 on link 0 and -inf (SSIM 0) on link 1: neither has a slack price
+        inst = simple_instance(J=2, ssim=0.4, threshold=0.5, cost=3.0)
+        inst.uavs[0].per_rsu_ssim[1] = SsimTriple(0.0, 1.0, 1.0)
+        np.testing.assert_array_equal(game._slack_prices(inst.arrays), [[3.0, 3.0]])
 
     def test_symmetric_fixed_point_is_five(self):
         inst = simple_instance(J=2, budget=2.0)

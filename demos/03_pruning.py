@@ -37,7 +37,7 @@ def main():
     print(f"parameters:     {parameter_count(net)} -> {parameter_count(small)}")
 
     x = rng.standard_normal((100, 8))
-    full_out, _ = net.forward(x, masked=True)
+    full_out, _ = net.forward(x)
     small_out, _ = small.forward(x)
     print(f"max output difference after compaction: "
           f"{np.max(np.abs(full_out - small_out)):.2e}")

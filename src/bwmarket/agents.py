@@ -290,8 +290,8 @@ class PpoAgent:
                 live &= finite
                 if not live.any():
                     break
-            a_grads, _ = self.actor.backward(cache, dZ)
-            c_grads, _ = self.critic.backward(vcache, dV)
+            a_grads = self.actor.backward(cache, dZ)
+            c_grads = self.critic.backward(vcache, dV)
             step = live[..., None, None]   # an aborted seller keeps its weights
             for layer, g in zip(self.actor.layers, a_grads):
                 g *= cfg.actor_lr

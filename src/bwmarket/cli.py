@@ -54,14 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig().validate()
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seeds = [args.seed]
     if args.out is not None:
         cfg.out = args.out
     if args.strict:
         cfg.strict = True
-    return cfg
+    return cfg.validate()
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,6 @@ never perturbs instance sampling.
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import json
@@ -109,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("verify_probes must be >= 0")
         if not self.seeds:
             raise ConfigError("seeds list is empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         return self
 
 
@@ -500,13 +501,11 @@ class SweepSpec:
 
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value):
-    cfg = copy.deepcopy(cfg)
     if parameter in ("I", "J"):
-        setattr(cfg, _INSTANCE_KEYS[parameter], value)
-    else:  # one scalar cost (or cap) for every seller
-        key = "bandwidth_cost" if parameter == "c" else "price_cap"
-        cfg.ranges[key] = (float(value), float(value))
-    return cfg
+        return replace(cfg, **{_INSTANCE_KEYS[parameter]: value})
+    # one scalar cost (or cap) for every seller
+    key = "bandwidth_cost" if parameter == "c" else "price_cap"
+    return replace(cfg, ranges={**cfg.ranges, key: (float(value), float(value))})
 
 
 def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):

@@ -16,42 +16,37 @@ masking and compaction work on one unstacked net, such as one slice's view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-CHECKPOINT_VERSION = 1
-
-_ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: z > 0.0),  # bool: x*True == x
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
-}
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
 class DenseLayer:
-    """Fully connected layer: out x in weights, optional bias, named activation.
+    """Fully connected layer without bias: out x in weights.
 
-    (K, out, in) weights and (K, out) bias make a stack of K layers.
+    (K, out, in) weights make a stack of K layers.
     """
 
     weights: np.ndarray
-    bias: np.ndarray | None = None
-    activation: str = "relu"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim not in (2, 3):
             raise ValueError("weights must be a 2-D matrix or a stack of them")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=float)
-            if self.bias.shape != self.weights.shape[:-1]:
-                raise ValueError("bias shape mismatch")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite weights")
+
+    @property
+    def bias(self) -> None:
+        """Always None: no layer has a bias.
+
+        Read-only, and kept only because the benchmark's compact observer
+        (perfbench/spans.py) still reads ``layer.bias``.
+        """
+        return None
 
     @property
     def out_dim(self) -> int:
@@ -79,6 +74,10 @@ class PruneSchedule:
             raise ValueError("target_sparsity must lie in [0, 1)")
         if self.initial_sparsity > self.target_sparsity:
             raise ValueError("initial sparsity above target")
+        if self.start_epoch < 0:
+            raise ValueError("start_epoch must be >= 0")
+        if self.total_steps < 1:
+            raise ValueError("total_steps must be >= 1")
         if self.frequency < 1:
             raise ValueError("frequency must be >= 1")
 
@@ -105,10 +104,10 @@ def sparsity_at(schedule: PruneSchedule, epoch: int) -> float:
 
 
 class PrunableMlp:
-    """Layered dense net; masks live on hidden layers only.
+    """Dense net of bias-free ReLU hidden layers and a linear output layer.
 
-    Stacked layers make a stack of nets, with one (K, width) mask per hidden
-    layer (see the module docstring).
+    Masks live on the hidden layers only. Stacked layers make a stack of nets,
+    with one (K, width) mask per hidden layer (see the module docstring).
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -124,38 +123,27 @@ class PrunableMlp:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def create(cls, sizes: list[int], activations: list[str] | None = None,
+    def create(cls, sizes: list[int],
                rng: np.random.Generator | None = None) -> "PrunableMlp":
         """He-style random init for the dims in sizes (input, hidden..., output)."""
         rng = rng or np.random.default_rng()
-        if activations is None:
-            activations = ["relu"] * (len(sizes) - 2) + ["identity"]
-        layers = []
-        for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-            w = rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in)
-            layers.append(DenseLayer(w, None, activations[k]))
-        return cls(layers)
+        return cls([DenseLayer(rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in))
+                    for n_in, n_out in zip(sizes, sizes[1:])])
 
     @classmethod
     def stack(cls, nets: list["PrunableMlp"]) -> "PrunableMlp":
         """One net stacking the given nets of one shape on a leading axis.
 
-        The stack takes over their storage: afterwards each net's weights,
-        bias and masks are views of its slice of the stack's.
+        The stack takes over their storage: afterwards each net's weights and
+        masks are views of its slice of the stack's.
         """
-        layers = [DenseLayer(np.stack([n.layers[k].weights for n in nets]),
-                             None if layer.bias is None
-                             else np.stack([n.layers[k].bias for n in nets]),
-                             layer.activation)
-                  for k, layer in enumerate(nets[0].layers)]
-        stacked = cls(layers)
+        stacked = cls([DenseLayer(np.stack([n.layers[k].weights for n in nets]))
+                       for k in range(len(nets[0].layers))])
         stacked.masks = [np.stack([n.masks[k] for n in nets])
                          for k in range(len(stacked.masks))]
         for i, net in enumerate(nets):
             for layer, whole in zip(net.layers, stacked.layers):
                 layer.weights = whole.weights[i]
-                if layer.bias is not None:
-                    layer.bias = whole.bias[i]
             net.masks = [m[i] for m in stacked.masks]
         return stacked
 
@@ -168,62 +156,49 @@ class PrunableMlp:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, x, masked: bool = True):
-        """Batched forward pass; returns (output, cache) for backward.
+    def forward(self, x):
+        """Batched masked forward pass; returns (output, cache) for backward.
 
         x may be a single vector or a (batch, in_dim) matrix; a stack of K nets
-        takes one of these per net, as (K, in_dim) or (K, batch, in_dim).
+        takes one of these per net, as (K, in_dim) or (K, batch, in_dim). The
+        cache is the list of every layer's input.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == self.layers[0].weights.ndim - 1
         a = x[..., None, :] if single else x
         if a.shape[-1] != self.layers[0].in_dim:
             raise ValueError("input dimension mismatch")
-        cache = {"inputs": [a], "pre": []}
+        cache = [a]
         for k, layer in enumerate(self.layers):
-            z = a @ layer.weights.swapaxes(-1, -2)
-            if layer.bias is not None:
-                z = z + layer.bias[..., None, :]
-            act, _ = _ACTIVATIONS[layer.activation]
-            o = act(z)
-            if masked and k < len(self.masks):
-                # in place, unless the activation returned z itself (identity):
-                # a stacked batch's arrays are large enough that each fresh one
-                # costs page faults
-                o = np.multiply(o, self.masks[k][..., None, :], out=None if o is z else o)
-            cache["pre"].append(z)
-            cache["inputs"].append(o)
-            a = o
+            a = a @ layer.weights.swapaxes(-1, -2)
+            if k < len(self.masks):
+                # ReLU, then the mask, in place: a stacked batch's arrays are
+                # large enough that each fresh one costs page faults
+                np.maximum(a, 0.0, out=a)
+                a *= self.masks[k][..., None, :]
+                cache.append(a)
         out = a[..., 0, :] if single else a
         return out, cache
 
     def backward(self, cache, output_gradient):
-        """Gradients of a scalar loss w.r.t. every weight matrix (and bias).
+        """Gradients of a scalar loss w.r.t. every weight matrix, as a list.
 
         output_gradient is dloss/doutput with the same batch shape the forward
-        pass used.  Returns (weight_grads, bias_grads) lists; masked neurons get
-        exactly zero incoming and outgoing weight gradients.
+        pass used. Masked neurons get exactly zero incoming and outgoing
+        weight gradients.
         """
-        g = np.asarray(output_gradient, dtype=float)
-        if g.ndim == self.layers[0].weights.ndim - 1:
-            g = g[..., None, :]
-        weight_grads = [None] * len(self.layers)
-        bias_grads = [None] * len(self.layers)
-        delta = g
+        delta = np.asarray(output_gradient, dtype=float)
+        if delta.ndim == self.layers[0].weights.ndim - 1:
+            delta = delta[..., None, :]
+        grads = [None] * len(self.layers)
         for k in reversed(range(len(self.layers))):
-            layer = self.layers[k]
-            _, dact = _ACTIVATIONS[layer.activation]
             if k < len(self.masks):  # delta is this call's own array: in place
                 delta *= self.masks[k][..., None, :]
-                delta *= dact(cache["pre"][k])
-            else:
-                delta = delta * dact(cache["pre"][k])
-            weight_grads[k] = delta.swapaxes(-1, -2) @ cache["inputs"][k]
-            if layer.bias is not None:
-                bias_grads[k] = delta.sum(axis=-2)
+                delta *= cache[k + 1] > 0.0   # bool: x*True == x
+            grads[k] = delta.swapaxes(-1, -2) @ cache[k]
             if k:   # the gradient w.r.t. the network's input is never used
-                delta = delta @ layer.weights
-        return weight_grads, bias_grads
+                delta = delta @ self.layers[k].weights
+        return grads
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +262,16 @@ def compact(net: PrunableMlp) -> PrunableMlp:
     layers = []
     for k, layer in enumerate(net.layers):
         w = layer.weights
-        b = layer.bias
         if k > 0:
             w = w[:, keep[k - 1]]
         if k < len(net.masks):
             w = w[keep[k], :]
-            b = None if b is None else b[keep[k]]
-        layers.append(DenseLayer(w.copy(), None if b is None else b.copy(),
-                                 layer.activation))
+        layers.append(DenseLayer(w.copy()))
     return PrunableMlp(layers)
 
 
 def parameter_count(net: PrunableMlp) -> int:
-    return int(sum(l.weights.size + (0 if l.bias is None else l.bias.size)
-                   for l in net.layers))
+    return int(sum(l.weights.size for l in net.layers))
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +282,9 @@ def save_net(net: PrunableMlp, path, extra: dict | None = None) -> None:
     payload = {
         "version": np.array(CHECKPOINT_VERSION),
         "num_layers": np.array(len(net.layers)),
-        "activations": np.array([l.activation for l in net.layers]),
     }
     for k, layer in enumerate(net.layers):
         payload[f"w{k}"] = layer.weights
-        if layer.bias is not None:
-            payload[f"b{k}"] = layer.bias
     for k, m in enumerate(net.masks):
         payload[f"m{k}"] = m
     for key, val in (extra or {}).items():
@@ -330,11 +298,7 @@ def load_net(path) -> tuple[PrunableMlp, dict]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         n = int(data["num_layers"])
-        activations = [str(a) for a in data["activations"]]
-        layers = [DenseLayer(data[f"w{k}"],
-                             data[f"b{k}"] if f"b{k}" in data else None,
-                             activations[k]) for k in range(n)]
-        net = PrunableMlp(layers)
+        net = PrunableMlp([DenseLayer(data[f"w{k}"]) for k in range(n)])
         net.masks = [data[f"m{k}"] for k in range(n - 1)]
         extra = {key[2:]: data[key] for key in data.files if key.startswith("x_")}
     return net, extra

@@ -129,11 +129,11 @@ class TestGradients:
                 target = rng.standard_normal((4, 2))
 
                 def loss(nt):
-                    out, _ = nt.forward(x, masked=masked)
+                    out, _ = nt.forward(x)
                     return 0.5 * float(np.sum((out - target) ** 2))
 
-                out, cache = net.forward(x, masked=masked)
-                grads, _ = net.backward(cache, out - target)
+                out, cache = net.forward(x)
+                grads = net.backward(cache, out - target)
                 eps = 1e-6
                 for li, layer in enumerate(net.layers):
                     idx = (rng.integers(layer.weights.shape[0]),
@@ -165,8 +165,8 @@ class TestPruning:
         remaining = sum(small.hidden_sizes())
         ok &= 60 <= remaining <= 68
         x = rng.standard_normal((100, 6))
-        full_out, _ = net.forward(x, masked=True)
-        small_out, _ = small.forward(x, masked=True)
+        full_out, _ = net.forward(x)
+        small_out, _ = small.forward(x)
         ok &= bool(np.max(np.abs(full_out - small_out)) <= 1e-12)
         report(f"pruning schedule and compaction ({remaining}/128 kept)", ok)
 

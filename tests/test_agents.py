@@ -200,8 +200,8 @@ class TestStack:
         """Make net's second rollout-batch forward return NaN for one seller."""
         forward, calls = net.forward, []
 
-        def patched(x, masked=True):
-            out, cache = forward(x, masked)
+        def patched(x):
+            out, cache = forward(x)
             if np.ndim(x) == net.layers[0].weights.ndim:  # a rollout, not one act
                 calls.append(x)
                 if len(calls) == 2:

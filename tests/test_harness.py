@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from bwmarket import tinynet
 from bwmarket.cli import main as cli_main
 from bwmarket.env import WARMUP_UNIFORM, WARMUP_ZEROS
 from bwmarket.game import solve_equilibrium
@@ -119,6 +120,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"mystery": 1})
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"seeds": [0, -3]}, "seeds must be >= 0"),
+        ({"schedule": {"total_steps": -10}}, "total_steps must be >= 1"),
+        ({"schedule": {"total_steps": 0}}, "total_steps must be >= 1"),
+        ({"schedule": {"start_epoch": -1}}, "start_epoch must be >= 0"),
+    ])
+    def test_from_dict_out_of_domain(self, doc, message):
+        with pytest.raises(ValueError, match=message):  # ConfigError is one
+            config_from_dict(doc)
+
     def test_load_yaml(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"episodes": 4, "seeds": [3]}))
@@ -203,6 +214,14 @@ class TestRuns:
         assert set(aggregate) == {1.0, 2.0}
         for mean, sd in aggregate.values():
             assert np.isfinite(mean) and sd >= 0.0
+
+    @pytest.mark.parametrize("param,grid", [("c", [1.0, 2.0]), ("J", [1, 2])])
+    def test_sweep_leaves_the_callers_config_alone(self, param, grid):
+        cfg = tiny_config()
+        ranges, digest = dict(cfg.ranges), config_hash(cfg)
+        run_sweep(cfg, SweepSpec(param, grid, [0]))
+        assert cfg.ranges == ranges
+        assert config_hash(cfg) == digest
 
     def test_sweep_grid_must_increase(self):
         with pytest.raises(ConfigError):
@@ -508,6 +527,10 @@ class TestCli:
             "greedy epsilon above 1": "greedy_epsilon: 1.5\n",
             "negative greedy epsilon": "greedy_epsilon: -0.1\n",
             "negative verify probes": "verify_probes: -3\n",
+            "negative seed": "seeds: [-3]\n",
+            "negative schedule steps": "schedule: {total_steps: -10}\n",
+            "zero schedule steps": "schedule: {total_steps: 0}\n",
+            "negative schedule start": "schedule: {start_epoch: -5}\n",
         }
         for name, text in cases.items():
             path = tmp_path / "bad.yaml"
@@ -518,6 +541,14 @@ class TestCli:
             assert code == 2, name
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "train"])
+    def test_negative_seed_override_reports_error(self, tmp_path, capsys, command):
+        code = cli_main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: seeds must be >= 0, got [-1]\n"
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):
         code = cli_main(["train", "--algo", "random",
@@ -561,6 +592,22 @@ class TestBenchmarkHooks:
             assert (id(owner), key) in wrapped, attr
         for owner, key, original in patched:
             assert vars(owner)[key] is original, key
+
+    def test_compact_observer_counts_the_compacted_parameters(self, monkeypatch):
+        """The observer sums ``weights.size`` plus ``bias``, so it needs the
+        bias-free layers' read-only ``bias`` property."""
+        spans = self.load("spans", monkeypatch)
+        net = tinynet.PrunableMlp.create([6, 16, 16, 3], rng=np.random.default_rng(0))
+        tinynet.update_masks(net, tinynet.PruneSchedule(0.5, 0.5, 0, 1), epoch=0)
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            small = tinynet.compact(net)
+        finally:
+            tracer.uninstall()
+        count = tinynet.parameter_count(small)
+        assert count < tinynet.parameter_count(net)
+        assert tracer.metrics()["tinynet.compact.params_after"] == (count, "count")
 
     def test_check_solution_accepts_a_solved_market(self, monkeypatch):
         workloads = self.load("workloads", monkeypatch)

@@ -17,9 +17,8 @@ from bwmarket.tinynet import (
 )
 
 
-def random_net(rng, sizes=(3, 8, 6, 2), activation="tanh"):
-    acts = [activation] * (len(sizes) - 2) + ["identity"]
-    return PrunableMlp.create(list(sizes), acts, rng=rng)
+def random_net(rng, sizes=(3, 8, 6, 2)):
+    return PrunableMlp.create(list(sizes), rng=rng)
 
 
 # =====================================================================
@@ -27,22 +26,20 @@ def random_net(rng, sizes=(3, 8, 6, 2), activation="tanh"):
 # =====================================================================
 class TestForward:
     def test_identity_network_is_identity(self):
-        layers = [DenseLayer(np.eye(3), activation="identity"),
-                  DenseLayer(np.eye(3), activation="identity")]
-        net = PrunableMlp(layers)
-        x = np.array([1.0, -2.0, 3.0])
+        net = PrunableMlp([DenseLayer(np.eye(3)), DenseLayer(np.eye(3))])
+        x = np.array([1.0, 2.0, 3.0])  # the hidden ReLU passes x >= 0 unchanged
         np.testing.assert_allclose(net.forward(x)[0], x)
 
     def test_relu_clamps(self):
-        net = PrunableMlp([DenseLayer(np.array([[-1.0]]), activation="relu")])
+        net = PrunableMlp([DenseLayer(np.array([[-1.0]])), DenseLayer(np.array([[1.0]]))])
         assert net.forward(np.array([2.0]))[0][0] == 0.0
 
     def test_matches_straightline_oracle(self):
         rng = np.random.default_rng(0)
-        net = random_net(rng, sizes=(4, 5, 3), activation="tanh")
+        net = random_net(rng, sizes=(4, 5, 3))
         x = rng.standard_normal(4)
         # independent recomputation with plain matrix arithmetic
-        h = np.tanh(net.layers[0].weights @ x)
+        h = np.maximum(0.0, net.layers[0].weights @ x)
         y = net.layers[1].weights @ h
         out = net.forward(x)[0]
         np.testing.assert_allclose(out, y, atol=1e-12)
@@ -61,12 +58,6 @@ class TestForward:
 
 
 class TestMaskedForward:
-    def test_all_ones_mask_is_plain_forward(self):
-        rng = np.random.default_rng(2)
-        net = random_net(rng)
-        x = rng.standard_normal(3)
-        np.testing.assert_allclose(net.forward(x)[0], net.forward(x, masked=False)[0])
-
     def test_masked_neuron_weight_invariance(self):
         rng = np.random.default_rng(3)
         net = random_net(rng)
@@ -79,10 +70,10 @@ class TestMaskedForward:
 
     def test_half_mask_matches_zeroed_matrix_oracle(self):
         rng = np.random.default_rng(4)
-        net = random_net(rng, sizes=(3, 6, 2), activation="tanh")
+        net = random_net(rng, sizes=(3, 6, 2))
         net.masks[0][:3] = 0.0
         x = rng.standard_normal(3)
-        h = np.tanh(net.layers[0].weights @ x)
+        h = np.maximum(0.0, net.layers[0].weights @ x)
         h[:3] = 0.0
         oracle = net.layers[1].weights @ h
         np.testing.assert_allclose(net.forward(x)[0], oracle, atol=1e-12)
@@ -111,10 +102,10 @@ class TestStackedNets:
         alone = []
         for net, x_k, g_k in zip(nets, x, g):
             out, cache = net.forward(x_k)
-            alone.append((out, net.backward(cache, g_k)[0]))
+            alone.append((out, net.backward(cache, g_k)))
         stacked = PrunableMlp.stack(nets)
         out, cache = stacked.forward(x)
-        grads, _ = stacked.backward(cache, g)
+        grads = stacked.backward(cache, g)
         assert out.shape == (*shape[:-1], 3)
         for i, (out_k, grads_k) in enumerate(alone):
             np.testing.assert_array_equal(out[i], out_k)
@@ -145,17 +136,17 @@ class TestStackedNets:
 # =====================================================================
 class TestBackward:
     def test_linear_single_layer_gradient_is_input(self):
-        net = PrunableMlp([DenseLayer(np.array([[0.5, -0.5]]), activation="identity")])
+        net = PrunableMlp([DenseLayer(np.array([[0.5, -0.5]]))])
         x = np.array([2.0, 3.0])
         _, cache = net.forward(x)
-        grads, _ = net.backward(cache, np.array([1.0]))
+        grads = net.backward(cache, np.array([1.0]))
         np.testing.assert_allclose(grads[0], x[None, :])
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("mask_some", [False, True])
     def test_matches_finite_differences(self, seed, mask_some):
         rng = np.random.default_rng(seed)
-        net = random_net(rng, sizes=(3, 6, 5, 2), activation="tanh")
+        net = random_net(rng, sizes=(3, 6, 5, 2))
         if mask_some:
             net.masks[0][rng.integers(6)] = 0.0
             net.masks[1][rng.integers(5)] = 0.0
@@ -163,7 +154,7 @@ class TestBackward:
         w_out = rng.standard_normal(2)  # loss = w_out . output
 
         out, cache = net.forward(x)
-        grads, _ = net.backward(cache, w_out)
+        grads = net.backward(cache, w_out)
 
         eps = 1e-5
         for k, layer in enumerate(net.layers):
@@ -182,11 +173,11 @@ class TestBackward:
 
     def test_masked_neuron_gradients_exactly_zero(self):
         rng = np.random.default_rng(9)
-        net = random_net(rng, sizes=(3, 6, 2), activation="tanh")
+        net = random_net(rng, sizes=(3, 6, 2))
         net.masks[0][4] = 0.0
         x = rng.standard_normal(3)
         _, cache = net.forward(x)
-        grads, _ = net.backward(cache, np.ones(2))
+        grads = net.backward(cache, np.ones(2))
         assert np.all(grads[0][4, :] == 0.0)
         assert np.all(grads[1][:, 4] == 0.0)
 
@@ -197,13 +188,13 @@ class TestBackward:
 class TestImportance:
     def test_zero_weights_zero_scores(self):
         net = PrunableMlp([DenseLayer(np.zeros((4, 3))),
-                           DenseLayer(np.zeros((2, 4)), activation="identity")])
+                           DenseLayer(np.zeros((2, 4)))])
         scores = neuron_importance(net)
         np.testing.assert_array_equal(scores[0], np.zeros(4))
 
     def test_three_four_five(self):
         net = PrunableMlp([DenseLayer(np.array([[3.0, 4.0]])),
-                           DenseLayer(np.array([[0.0]]), activation="identity")])
+                           DenseLayer(np.array([[0.0]]))])
         assert neuron_importance(net)[0][0] == pytest.approx(5.0)
 
     def test_scale_homogeneity(self):
@@ -254,7 +245,7 @@ class TestUpdateMasks:
         # one hidden layer of 10 neurons with distinct scores
         w_in = np.diag(np.arange(1.0, 11.0))
         net = PrunableMlp([DenseLayer(w_in),
-                           DenseLayer(np.zeros((2, 10)), activation="identity")])
+                           DenseLayer(np.zeros((2, 10)))])
         sched = PruneSchedule(0.3, 0.3, start_epoch=0, total_steps=1, frequency=1)
         update_masks(net, sched, epoch=0, floor_neurons=1)
         np.testing.assert_array_equal(net.masks[0],
@@ -262,7 +253,7 @@ class TestUpdateMasks:
 
     def test_tie_break_by_layer_index(self):
         net = PrunableMlp([DenseLayer(np.ones((8, 3))),
-                           DenseLayer(np.zeros((2, 8)), activation="identity")])
+                           DenseLayer(np.zeros((2, 8)))])
         sched = PruneSchedule(0.5, 0.5, start_epoch=0, total_steps=1, frequency=1)
         update_masks(net, sched, epoch=0, floor_neurons=1)
         np.testing.assert_array_equal(net.masks[0], [0, 0, 0, 0, 1, 1, 1, 1])
@@ -355,7 +346,6 @@ class TestCheckpoint:
         loaded, extra = load_net(path)
         for a, b in zip(net.layers, loaded.layers):
             np.testing.assert_array_equal(a.weights, b.weights)
-            assert a.activation == b.activation
         for a, b in zip(net.masks, loaded.masks):
             np.testing.assert_array_equal(a, b)
         assert int(extra["epoch"]) == 17

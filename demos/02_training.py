@@ -6,7 +6,7 @@ should climb toward it while the random policy stays well below.
 
 import numpy as np
 
-from bwmarket import ExperimentConfig, run_training
+from bwmarket import ExperimentConfig, run_training_group
 
 
 def main():
@@ -14,9 +14,9 @@ def main():
     cfg.ranges["similarity"] = (0.85, 1.0)
     seed = 0
 
-    records = {}
-    for algo in ("tiny_madrl", "ppo", "greedy", "random"):
-        records[algo] = run_training(cfg, algo, seed)
+    # the four algorithms train in lock step; each record equals its solo run
+    algos = ("tiny_madrl", "ppo", "greedy", "random")
+    records = dict(zip(algos, run_training_group(cfg, algos, seed)))
 
     theoretical = records["ppo"].theoretical
     print(f"theoretical baseline (mean seller utility): {theoretical:.4f}\n")

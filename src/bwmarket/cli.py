@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .harness import (
     ALGORITHMS,
@@ -18,6 +19,13 @@ from .harness import (
     run_training_group,
     write_summary,
 )
+
+
+# Sweep grids used without --grid: the default cost and cap ranges in steps of
+# 0.5 and 5, and market sizes 1 to 4.
+_DEFAULT_GRIDS = {"c": (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
+                 "p_bar": (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0),
+                 "I": (1, 2, 3, 4), "J": (1, 2, 3, 4)}
 
 
 def _base_parser(sub, name, help_text):
@@ -44,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--algo", choices=ALGORITHMS, default="tiny_madrl")
 
     p_sweep = _base_parser(sub, "sweep", "equilibrium sweep over a parameter grid")
-    p_sweep.add_argument("--param", choices=("c", "p_bar", "I", "J"), default="c")
+    p_sweep.add_argument("--param", choices=list(_DEFAULT_GRIDS), default="c")
     p_sweep.add_argument("--grid", type=float, nargs="+", default=None)
 
     p_cmp = _base_parser(sub, "compare", "train every algorithm and summarize")
@@ -61,6 +69,8 @@ def _load(args) -> ExperimentConfig:
         cfg.out = args.out
     if args.strict:
         cfg.strict = True
+    if Path(cfg.out).exists() and not Path(cfg.out).is_dir():
+        raise ConfigError(f"output path {cfg.out!r} exists and is not a directory")
     return cfg.validate()
 
 
@@ -78,9 +88,8 @@ def main(argv=None) -> int:
         elif args.command == "train":
             records = [run_training(cfg, args.algo, seed) for seed in cfg.seeds]
         elif args.command == "sweep":
-            default = (1, 2, 3, 4) if args.param in ("I", "J") else (
-                1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-            spec = SweepSpec(args.param, args.grid or list(default), cfg.seeds)
+            spec = SweepSpec(args.param, args.grid or list(_DEFAULT_GRIDS[args.param]),
+                             cfg.seeds)
             records, aggregate = run_sweep(cfg, spec)
             for value, (mean, sd) in aggregate.items():
                 print(f"{args.param}={value}: avg reward {mean:.4f} +- {sd:.4f}")
@@ -95,9 +104,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    csv_path = emit_results(records, cfg.out, fmt="csv")
-    emit_results(records, cfg.out, fmt="jsonl")
-    summary_path = write_summary(records, cfg.out)
+    try:
+        csv_path = emit_results(records, cfg.out, fmt="csv")
+        emit_results(records, cfg.out, fmt="jsonl")
+        summary_path = write_summary(records, cfg.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {csv_path} and {summary_path}")
     if cfg.strict and any(not r.consistent for r in records):
         return 1

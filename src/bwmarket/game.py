@@ -11,10 +11,11 @@ Every solver reads the market's dense arrays, GameInstance.arrays, built once
 per instance.  One water-filling kernel, _batched_follower_demands, solves
 every buyer best response: follower_best_response is its one-row call, and
 all_followers_respond, solve_equilibrium and verify_equilibrium call it on
-whole price matrices.  A buyer's answer depends only on the values of the
-prices it is posted, not on how the caller lays them out in memory.  The
-buyer utility and the seller margin are written once each, in
-_buyer_utilities and _margins.
+whole price matrices.  A solve makes two kernel passes, one per candidate,
+and returns the chosen candidates' own demands.  A buyer's answer depends
+only on the values of the prices it is posted, not on how the caller lays
+them out in memory.  The buyer utility and the seller margin are written once
+each, in _buyer_utilities and _margins.
 
 Terms that do not depend on the prices are built once and then only read.
 The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
@@ -582,22 +583,23 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
     clamped leader map, iterated for all binding buyers at once, each frozen as
     it converges. If the budget case contradicts both candidates, the more
     profitable one is kept with a diagnostic and the solve is inconsistent.
-    Every buyer's result equals a buyer-by-buyer solve bit for bit.
+    A solve makes two kernel passes, one per candidate, and each buyer keeps
+    the prices and the demands of the candidate it takes. Every buyer's result
+    equals a buyer-by-buyer solve bit for bit.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     m = instance.arrays
-    I = len(m.S)
 
     # slack-budget candidates, one price row per buyer
     slack = _slack_prices(m)
-    p_tilde = np.clip(slack, m.c, m.cap)
-    d_tilde, _, exits = _batched_follower_demands(p_tilde.T, m)
+    prices = np.clip(slack, m.c, m.cap)
+    demands, _, exits = _batched_follower_demands(prices.T, m)
 
     # binding-budget candidates: fixed points of the clamped best-response map
     binding = np.flatnonzero(exits == _BINDING)
     mb = m.buyers(binding)
-    p_hat, iters, res = _leader_fixed_points(p_tilde[binding], mb, slack[binding],
+    p_hat, iters, res = _leader_fixed_points(prices[binding], mb, slack[binding],
                                              tolerance, max_iterations)
     d_hat, _, exits_hat = _batched_follower_demands(p_hat.T, mb)
     hat_active = exits_hat == _BINDING
@@ -605,35 +607,30 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
 
     # case assumptions contradicted on both candidates: keep the more
     # profitable one, with a diagnostic
+    mixed = np.flatnonzero(~ok)
+    rows = binding[mixed]
+    v_tilde = np.sum((prices[rows] - m.c) * demands[rows], axis=1)
+    v_hat = np.sum((p_hat[mixed] - m.c) * d_hat[mixed], axis=1)
     take_hat = ok.copy()
-    diagnostics = []
-    for k in np.flatnonzero(~ok):
-        i = binding[k]
-        v_tilde = float(np.sum((p_tilde[i] - m.c) * d_tilde[i]))
-        v_hat = float(np.sum((p_hat[k] - m.c) * d_hat[k]))
-        diagnostics.append(f"uav {i}: mixed-case resolution "
-                           f"(slack-margin {v_tilde:.6g}, binding-margin {v_hat:.6g})")
-        take_hat[k] = v_hat >= v_tilde
+    take_hat[mixed] = v_hat >= v_tilde
+    diagnostics = [f"uav {i}: mixed-case resolution "
+                   f"(slack-margin {a:.6g}, binding-margin {b:.6g})"
+                   for i, a, b in zip(rows.tolist(), v_tilde.tolist(), v_hat.tolist())]
 
-    buyer_prices = p_tilde.copy()
-    buyer_prices[binding[take_hat]] = p_hat[take_hat]
-    active = np.zeros(I, dtype=bool)
-    active[binding] = ~take_hat | hat_active
-    iterations = np.zeros(I, dtype=int)
-    iterations[binding] = iters
-    residual = np.zeros(I)
-    residual[binding] = np.where(take_hat, res, 0.0)
+    active = exits == _BINDING
+    active[binding[take_hat & ~hat_active]] = False
+    chosen = binding[take_hat]
+    prices[chosen], demands[chosen] = p_hat[take_hat], d_hat[take_hat]
 
-    # final demands on the J x I price matrix
-    prices = PriceMatrix(np.ascontiguousarray(buyer_prices.T), instance)
+    prices = PriceMatrix(np.ascontiguousarray(prices.T), instance)
     P = prices.prices
-    demands = all_followers_respond(instance, prices)
+    demands = DemandMatrix(demands, instance, prices=P)
     D = demands.demands
     cases = [CASE_BUDGET_ACTIVE if a else CASE_BUDGET_INACTIVE for a in active]
     return EquilibriumSolution(prices, demands, _margins(P, D, m.c).sum(axis=1),
                                _buyer_utilities(m, D, P.T), cases,
-                               int(np.max(iterations, initial=0)),
-                               float(np.max(residual, initial=0.0)),
+                               int(np.max(iters, initial=0)),
+                               float(np.max(np.where(take_hat, res, 0.0), initial=0.0)),
                                bool(ok.all()), diagnostics)
 
 

@@ -90,6 +90,9 @@ class ExperimentConfig:
         for key, (lo, hi) in self.ranges.items():
             if key not in DEFAULT_RANGES:
                 raise ConfigError(f"unknown parameter range {key!r}")
+            if not all(math.isfinite(v) for v in (lo, hi, hi - lo)):
+                raise ConfigError(f"range for {key!r} must be finite with a finite "
+                                  f"width: [{lo}, {hi}]")
             if lo > hi:
                 raise ConfigError(f"empty range for {key!r}: [{lo}, {hi}]")
         if self.ranges["bandwidth_cost"][1] > self.ranges["price_cap"][0]:

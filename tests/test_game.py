@@ -639,6 +639,29 @@ class TestEquilibrium:
             assert want.per_uav_case[i] == case
         assert want.consistent == (not mixed)
 
+    def test_solve_makes_two_kernel_passes(self, monkeypatch):
+        """A solve returns the demands of the candidates it solved: one kernel
+        pass on every buyer's slack candidate, one on the binding buyers'
+        fixed points, and no follower pass on the answer."""
+        kernel = game._batched_follower_demands
+        shapes = []
+
+        def counted(prices, m):
+            shapes.append(prices.shape)
+            return kernel(prices, m)
+
+        def refused(*args):
+            raise AssertionError("all_followers_respond called by the solve")
+
+        monkeypatch.setattr(game, "_batched_follower_demands", counted)
+        monkeypatch.setattr(game, "all_followers_respond", refused)
+        inst = sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 3)
+        sol = solve_equilibrium(inst)
+        assert sol.diagnostics   # binding, slack and mixed-case buyers alike
+        assert len(shapes) == 2
+        assert shapes[0] == (10, 100)
+        assert shapes[1][0] == 10 and 0 < shapes[1][1] < 100
+
     def test_symmetric_anchor(self):
         inst = simple_instance(J=2, budget=2.0)
         sol = solve_equilibrium(inst)

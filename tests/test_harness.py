@@ -482,6 +482,34 @@ class TestCli:
         assert [line.split(":")[0] for line in out.splitlines()[:4]] == [
             f"{param}={v}" for v in (1, 2, 3, 4)]
 
+    @pytest.mark.parametrize("param, first", [("c", (1.0, 1.5, 2.0, 2.5)),
+                                              ("p_bar", (5.0, 10.0, 15.0, 20.0))])
+    def test_sweep_price_default_grid(self, tmp_path, capsys, param, first):
+        """Each price parameter has its own default grid; the cap grid lies
+        above every default cost, so its first cell is a valid market."""
+        code = cli_main(["sweep", "--param", param,
+                         "--config", self._write_cfg(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines()[:4]] == [
+            f"{param}={v}" for v in first]
+
+    def test_out_path_not_a_directory_reports_error(self, tmp_path, capsys):
+        """An --out that names a file is refused before any work; one below a
+        file fails when the results are written. Both exit 2 with one line."""
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        for out in (taken, taken / "sub"):
+            code = cli_main(["solve", "--config", self._write_cfg(tmp_path),
+                             "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2, out
+            assert captured.err.startswith("error: "), captured.err
+            assert captured.err.count("\n") == 1, captured.err
+            assert "wrote" not in captured.out
+        assert taken.read_text() == "keep\n"
+
     def test_sweep_bad_grid_reports_error(self, tmp_path, capsys):
         cases = [
             (["I", "2", "2"], "sweep grid must be strictly increasing"),
@@ -531,6 +559,10 @@ class TestCli:
             "negative schedule steps": "schedule: {total_steps: -10}\n",
             "zero schedule steps": "schedule: {total_steps: 0}\n",
             "negative schedule start": "schedule: {start_epoch: -5}\n",
+            "NaN range": "instance: {ranges: {delta: [.nan, .nan]}}\n",
+            "infinite range": "instance: {ranges: {budget: [1.0, .inf]}}\n",
+            "range of infinite width":
+                "instance: {ranges: {noise_dbm: [-1.0e+308, 1.0e+308]}}\n",
         }
         for name, text in cases.items():
             path = tmp_path / "bad.yaml"

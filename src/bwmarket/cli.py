@@ -36,7 +36,8 @@ def _base_parser(sub, name, help_text):
                    help="override the config's seed list with one seed")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--strict", action="store_true",
-                   help="treat equilibrium verification failures as errors")
+                   help="exit 1, after writing the outputs, if any run's "
+                        "equilibrium is inconsistent or fails verification")
     return p
 
 
@@ -69,8 +70,15 @@ def _load(args) -> ExperimentConfig:
         cfg.out = args.out
     if args.strict:
         cfg.strict = True
-    if Path(cfg.out).exists() and not Path(cfg.out).is_dir():
-        raise ConfigError(f"output path {cfg.out!r} exists and is not a directory")
+    # the deepest existing path on the way to out must be a directory, or the
+    # outputs could not be written after all the work
+    out = Path(cfg.out).absolute()
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {cfg.out!r}: {str(existing)!r} exists and "
+                          f"is not a directory")
+    if args.command == "compare" and len(set(args.algo)) < len(args.algo):
+        raise ConfigError(f"--algo must not repeat, got {args.algo}")
     return cfg.validate()
 
 
@@ -112,7 +120,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {csv_path} and {summary_path}")
-    if cfg.strict and any(not r.consistent for r in records):
+    inconsistent = [r.run_id for r in records if not r.consistent]
+    if cfg.strict and inconsistent:
+        print(f"error: equilibrium check failed for {', '.join(inconsistent)}",
+              file=sys.stderr)
         return 1
     return 0
 

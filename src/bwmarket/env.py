@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (
-    DemandMatrix,
-    GameInstance,
-    _margins,
-    all_followers_respond,
-    solve_equilibrium,
-)
+from .game import GameInstance, _batched_follower_demands, _margins, solve_equilibrium
 
 WARMUP_ZEROS = "zeros"
 WARMUP_UNIFORM = "uniform_random"
@@ -63,10 +57,10 @@ class StepOutcome:
 
     next_observations: np.ndarray   # agents x observation_dim
     rewards: np.ndarray             # agents
-    demands: DemandMatrix           # buyers x agents
+    demands: np.ndarray             # buyers x agents
     done: bool
-    demand_clipped: bool = False    # in any run
-    margins: np.ndarray | None = None   # agents x buyers; row sums are the rewards
+    demand_clipped: bool            # in any run
+    margins: np.ndarray             # agents x buyers; row sums are the rewards
 
 
 class PricingEnv:
@@ -119,7 +113,7 @@ class PricingEnv:
             for _ in range(self.config.history_length):
                 prices = np.stack([rng.uniform(c, cap, size=shape) for rng in rngs])
                 prices = prices.reshape(self._lead + shape)
-                self._shift(prices, all_followers_respond(self.instance, prices).demands)
+                self._shift(prices, _batched_follower_demands(prices, self._market)[0])
         return self.observations()
 
     def _shift(self, prices: np.ndarray, demands: np.ndarray) -> bool:
@@ -144,9 +138,9 @@ class PricingEnv:
         if prices.shape != shape:
             raise ValueError(f"expected shape {shape}, got {prices.shape}")
         prices = np.clip(prices, self._market.c[:, None], self._market.cap[:, None])
-        demands = all_followers_respond(self.instance, prices)
-        margins = _margins(prices, demands.demands, self._market.c)
-        clipped = self._shift(prices, demands.demands)
+        demands = _batched_follower_demands(prices, self._market)[0]
+        margins = _margins(prices, demands, self._market.c)
+        clipped = self._shift(prices, demands)
         self._t += 1
         done = self._t >= self.config.episode_length
         return StepOutcome(self.observations(), margins.sum(axis=-1), demands, done,

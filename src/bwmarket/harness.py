@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError("seeds list is empty")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         return self
 
 
@@ -191,7 +193,8 @@ def load_config(path) -> ExperimentConfig:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable digest of the canonical config serialization, without the output
-    directory: one experiment gets one digest wherever it is written."""
+    directory and with strict, which sets only the exit code, at its default:
+    one experiment gets one digest wherever it is written and however strict."""
     def canon(obj):
         if hasattr(obj, "__dataclass_fields__"):
             return {f.name: canon(getattr(obj, f.name)) for f in fields(obj)}
@@ -202,6 +205,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
         return obj
     doc = canon(cfg)
     del doc["out"]
+    doc["strict"] = False
     blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -307,8 +311,9 @@ def _build_agents(cfg: ExperimentConfig, env: PricingEnv, algorithm: str,
 class _Run:
     """One algorithm's sellers inside a training group: its row of the group's
     arrays, its agents, its named streams in run_training's draw order, its
-    results, and the time its agents take. A learned run acts, records and
-    updates through the group's _Stack, which bills it a share of its time."""
+    results, and the time its agents take, as the group's loop measures it. A
+    learned run acts, records and updates through the group's _Stack, which
+    bills it a share of its time."""
 
     def __init__(self, cfg: ExperimentConfig, env: PricingEnv, algorithm: str,
                  seed: int, row: int):
@@ -324,33 +329,27 @@ class _Run:
 
     def act(self, obs: np.ndarray, prices: np.ndarray):
         """Write each baseline agent's price row for its observation into prices."""
-        start = time.perf_counter()
         for j, agent in enumerate(self.agents):
             prices[self.row, j] = agent.act(obs[self.row, j], self.policy_rngs[j])
-        self.agent_s += time.perf_counter() - start
 
     def record(self, out):
         if self.algorithm == "greedy":
-            start = time.perf_counter()
             for agent, margins in zip(self.agents, out.margins[self.row]):
                 agent.update(margins)
-            self.agent_s += time.perf_counter() - start
 
     def end_episode(self, episode: int, rewards: np.ndarray):
         self.episode_rewards[episode] = rewards[self.row]
         if self.algorithm == "tiny_madrl":
-            start = time.perf_counter()
             for agent in self.agents:
                 agent.prune_step(episode)
             self.sparsity[episode] = float(np.mean(
                 [a.current_sparsity() for a in self.agents]))
-            self.agent_s += time.perf_counter() - start
 
 
 class _Stack:
     """Every seller of a group's learned runs in one PpoAgent.stack, in run
-    order; each seller keeps its run's policy stream. Its time is billed to
-    those runs in equal shares."""
+    order; each seller keeps its run's policy stream. Its time, as the group's
+    loop measures it, is billed to those runs in equal shares."""
 
     def __init__(self, runs: list[_Run]):
         self.runs = runs
@@ -359,39 +358,34 @@ class _Stack:
         self.rngs = [rng for run in runs for rng in run.policy_rngs]
         self.agent_s = 0.0
 
-    def begin_episode(self, progress: float):
-        start = time.perf_counter()
-        self.agent.set_progress(progress)
-        self.agent_s += time.perf_counter() - start
-
     def act(self, obs: np.ndarray, prices: np.ndarray):
-        start = time.perf_counter()
         self._obs = obs[self.rows].reshape(len(self.rngs), -1)
         stack_prices, *self._acted = self.agent.act(self._obs, self.rngs)
         prices[self.rows] = stack_prices.reshape(len(self.runs), *prices.shape[1:])
-        self.agent_s += time.perf_counter() - start
 
     def record(self, out):
-        start = time.perf_counter()
         u, log_prob, value = self._acted
         self.agent.record(self._obs, u, log_prob, out.rewards[self.rows].reshape(-1),
                           value, out.done)
-        self.agent_s += time.perf_counter() - start
-
-    def end_episode(self, episode: int, rewards: np.ndarray):
-        start = time.perf_counter()
-        self.agent.ppo_update()  # before the tiny runs prune
-        self.agent_s += time.perf_counter() - start
-        for run in self.runs:
-            run.end_episode(episode, rewards)
 
     def bill(self):
         for run in self.runs:
             run.agent_s += self.agent_s / len(self.runs)
 
 
-def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
-                       instance: GameInstance | None = None) -> list[RunRecord]:
+def _sample(cfg: ExperimentConfig, seed: int) -> GameInstance:
+    return sample_instance(cfg.ranges, cfg.num_uavs, cfg.num_rsus,
+                           named_rng(seed, "instance"))
+
+
+def _timed(unit, call, *args):
+    """call(*args), its duration added to unit.agent_s."""
+    start = time.perf_counter()
+    call(*args)
+    unit.agent_s += time.perf_counter() - start
+
+
+def run_training_group(cfg: ExperimentConfig, algorithms, seed: int) -> list[RunRecord]:
     """Train one agent per seller for each algorithm, all runs in lock step.
 
     The runs share one instance, one reference solve and one env with a run
@@ -405,9 +399,7 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
     to the group's wall time.
     """
     start = time.perf_counter()
-    if instance is None:
-        instance = sample_instance(cfg.ranges, cfg.num_uavs, cfg.num_rsus,
-                                   named_rng(seed, "instance"))
+    instance = _sample(cfg, seed)
     env = PricingEnv(instance, cfg.env, runs=len(algorithms))
     baseline, consistent = theoretical_baseline(instance)
     runs = [_Run(cfg, env, algorithm, seed, k) for k, algorithm in enumerate(algorithms)]
@@ -419,12 +411,12 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
 
     for episode in range(cfg.episodes):
         if stack:
-            stack.begin_episode(episode / max(cfg.episodes - 1, 1))
+            _timed(stack, stack.agent.set_progress, episode / max(cfg.episodes - 1, 1))
         obs = env.reset([run.warmup_rng for run in runs])
         ep_rewards = np.zeros((len(runs), env.num_agents))
         for _ in range(steps):
             for unit in units:
-                unit.act(obs, prices)
+                _timed(unit, unit.act, obs, prices)
             out = env.step(prices)
             if not np.all(np.isfinite(out.rewards)):
                 first = np.flatnonzero(~np.isfinite(out.rewards).all(axis=1))[0]
@@ -432,11 +424,13 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
                 raise RuntimeError(
                     f"non-finite reward in episode {episode} ({algorithm})")
             for unit in units:
-                unit.record(out)
+                _timed(unit, unit.record, out)
             ep_rewards += out.rewards
             obs = out.next_observations
-        for unit in units:
-            unit.end_episode(episode, ep_rewards / steps)
+        if stack:
+            _timed(stack, stack.agent.ppo_update)  # before the tiny runs prune
+        for run in runs:
+            _timed(run, run.end_episode, episode, ep_rewards / steps)
 
     if stack:
         stack.bill()
@@ -450,27 +444,21 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int,
             for run in runs]
 
 
-def run_training(cfg: ExperimentConfig, algorithm: str, seed: int,
-                 instance: GameInstance | None = None) -> RunRecord:
+def run_training(cfg: ExperimentConfig, algorithm: str, seed: int) -> RunRecord:
     """Train one agent per seller for the configured number of episodes."""
-    return run_training_group(cfg, [algorithm], seed, instance)[0]
+    return run_training_group(cfg, [algorithm], seed)[0]
 
 
-def run_solve(cfg: ExperimentConfig, seed: int,
-              instance: GameInstance | None = None) -> RunRecord:
-    """Solve and verify the analytic equilibrium for one sampled instance."""
+def run_solve(cfg: ExperimentConfig, seed: int) -> RunRecord:
+    """Solve and verify the analytic equilibrium for one sampled instance; the
+    record's consistent flag is False when either step fails."""
     start = time.perf_counter()
-    if instance is None:
-        instance = sample_instance(cfg.ranges, cfg.num_uavs, cfg.num_rsus,
-                                   named_rng(seed, "instance"))
+    instance = _sample(cfg, seed)
     sol = solve_equilibrium(instance)
     consistent = sol.consistent
     if consistent and cfg.verify_probes > 0:
-        report = verify_equilibrium(instance, sol, cfg.verify_probes,
-                                    rng_seed=seed)
-        consistent = consistent and report.passed
-    if cfg.strict and not consistent:
-        raise RuntimeError(f"equilibrium verification failed for seed {seed}")
+        consistent = verify_equilibrium(instance, sol, cfg.verify_probes,
+                                        rng_seed=seed).passed
     wall_ms = (time.perf_counter() - start) * 1000.0
     theoretical = float(np.mean(sol.rsu_utilities))
     cfg_hash = config_hash(cfg)

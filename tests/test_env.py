@@ -11,6 +11,7 @@ from bwmarket.env import (
     default_demand_scale,
     theoretical_baseline,
 )
+from bwmarket import game
 from bwmarket.game import rsu_utility
 
 from _oracles import ReferencePricingEnv, random_instance, simple_instance
@@ -83,7 +84,7 @@ class TestStep:
                   for j in range(2)]
         out = env.step(prices)
         for j in range(2):
-            expected = rsu_utility(inst, j, prices[j], out.demands.demands[:, j])
+            expected = rsu_utility(inst, j, prices[j], out.demands[:, j])
             assert out.rewards[j] == expected
 
     def test_out_of_box_actions_clamped(self, symmetric):
@@ -231,13 +232,15 @@ class TestRunAxis:
                 # a wider box than [c, cap], so clamping fires on both sides
                 prices = rng.uniform(c[:, None] - 1.0, cap[:, None] + 5.0, size=(E, J, I))
                 out = stack.step(prices)
+                game._check_demands(out.demands, np.clip(prices, c[:, None], cap[:, None]),
+                                    inst.arrays.budget)
                 clipped = []
                 for k in range(E):
                     one = singles[k].step(prices[k])
                     for got, want in [(out.next_observations[k], one.next_observations),
                                       (out.rewards[k], one.rewards),
                                       (out.margins[k], one.margins),
-                                      (out.demands.demands[k], one.demands.demands)]:
+                                      (out.demands[k], one.demands)]:
                         np.testing.assert_array_equal(got, want, strict=True)
                     ref_obs, ref_rewards, ref_clipped, ref_done = refs[k].step(prices[k])
                     np.testing.assert_array_equal(out.next_observations[k], ref_obs)

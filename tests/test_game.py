@@ -308,7 +308,7 @@ class TestBatchedFollower:
             if prices.flags.c_contiguous:
                 # env.step stacks the agents' price rows into a contiguous matrix
                 out = env.step(list(P))
-                np.testing.assert_array_equal(out.demands.demands, want_demands[k],
+                np.testing.assert_array_equal(out.demands, want_demands[k],
                                               strict=True)
                 np.testing.assert_array_equal(out.rewards, [
                     rsu_utility(inst, j, P[j], want_demands[k][:, j])

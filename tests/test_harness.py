@@ -177,6 +177,11 @@ class TestConfig:
         b.episodes = 301
         assert config_hash(a) != config_hash(b)
 
+    def test_strict_keeps_the_digest(self):
+        """strict sets only the exit code, so a strict run writes a plain run's ids."""
+        plain = ExperimentConfig()
+        assert config_hash(replace(plain, strict=True)) == config_hash(plain)
+
 
 class TestRuns:
     def test_solve_record(self):
@@ -446,13 +451,12 @@ class TestCli:
 
     def test_compare_matches_separate_runs(self, tmp_path):
         """compare's files equal those of one run per algorithm and seed: the
-        solve records, then algorithm-major and seed-minor, a repeated
-        algorithm run twice."""
+        solve records, then algorithm-major and seed-minor."""
         doc = yaml.safe_load(Path(self._write_cfg(tmp_path)).read_text())
         doc["seeds"] = [0, 3]
         path = tmp_path / "two_seeds.yaml"
         path.write_text(yaml.safe_dump(doc))
-        algos = ["greedy", "random", "greedy"]
+        algos = ["greedy", "random"]
         code = cli_main(["compare", "--algo", *algos, "--config", str(path),
                          "--out", str(tmp_path / "cli")])
         assert code == 0
@@ -495,9 +499,20 @@ class TestCli:
         assert [line.split(":")[0] for line in out.splitlines()[:4]] == [
             f"{param}={v}" for v in first]
 
-    def test_out_path_not_a_directory_reports_error(self, tmp_path, capsys):
-        """An --out that names a file is refused before any work; one below a
-        file fails when the results are written. Both exit 2 with one line."""
+    @staticmethod
+    def forbid_work(monkeypatch):
+        from bwmarket import cli
+
+        def fail(*args):
+            raise AssertionError("the command ran before its options were checked")
+
+        for name in ("run_solve", "run_training", "run_training_group", "run_sweep"):
+            monkeypatch.setattr(cli, name, fail)
+
+    def test_out_path_not_a_directory_reports_error(self, tmp_path, capsys, monkeypatch):
+        """An --out that names a file, or a path below one, is refused before
+        any work: exit 2 with one line."""
+        self.forbid_work(monkeypatch)
         taken = tmp_path / "taken"
         taken.write_text("keep\n")
         for out in (taken, taken / "sub"):
@@ -509,6 +524,56 @@ class TestCli:
             assert captured.err.count("\n") == 1, captured.err
             assert "wrote" not in captured.out
         assert taken.read_text() == "keep\n"
+
+    def test_repeated_seed_or_algorithm_reports_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """A repeated seed or --algo value would write one run id twice; it is
+        refused before any work: exit 2 with one line, nothing written."""
+        self.forbid_work(monkeypatch)
+        doc = yaml.safe_load(Path(self._write_cfg(tmp_path)).read_text())
+        doc["seeds"] = [0, 3, 0]
+        repeated_seed = tmp_path / "repeated_seed.yaml"
+        repeated_seed.write_text(yaml.safe_dump(doc))
+        cases = [
+            (["solve", "--config", str(repeated_seed)], "seeds must not repeat"),
+            (["compare", "--algo", "greedy", "random", "greedy",
+              "--config", self._write_cfg(tmp_path)], "--algo must not repeat"),
+        ]
+        for argv, message in cases:
+            code = cli_main([*argv, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert message in err, err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["solve"], ["train", "--algo", "random"]])
+    def test_strict_writes_outputs_then_names_inconsistent_runs(self, tmp_path, capsys,
+                                                                monkeypatch, argv):
+        """--strict writes every output, then exits 1 with one line naming the
+        runs whose equilibrium failed: a verification failure of a solve, or an
+        inconsistent reference solve of a training run."""
+        from bwmarket import harness
+        from bwmarket.game import VerificationReport
+        monkeypatch.setattr(harness, "verify_equilibrium",
+                            lambda *args, **kwargs: VerificationReport(1, [(0, 1.0)], [], 1.0))
+        monkeypatch.setattr(harness, "theoretical_baseline", lambda inst: (1.0, False))
+        out = tmp_path / "out"
+        code = cli_main([*argv, "--config", self._write_cfg(tmp_path), "--strict",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (out / "results.csv").exists() and (out / "summary.json").exists()
+        assert "wrote" in captured.out
+        run_id = parse_results_csv(out / "results.csv")[0]["run_id"]
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert run_id in captured.err, captured.err
+
+    def test_strict_consistent_run_exits_zero(self, tmp_path, capsys):
+        code = cli_main(["solve", "--config", self._write_cfg(tmp_path), "--strict",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_sweep_bad_grid_reports_error(self, tmp_path, capsys):
         cases = [

@@ -20,10 +20,17 @@ each, in _buyer_utilities and _margins.
 Terms that do not depend on the prices are built once and then only read.
 The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
 the I x J market, and water-fills only the rows whose budget binds, gathered
-once and shrunk as rows exit.  _leader_terms builds the leader map's terms
+once and shrunk as rows exit; when every open row exits on a step, they are
+written back in one go.  _leader_terms builds the leader map's terms
 (the gather plan of the positive links, their rival sums, q*c*S and the
 fallback prices) once per solve for all binding buyers, and
-leader_best_response_map builds them for its one row.
+leader_best_response_map builds them for its one row.  A support whose rows
+all have one size (every link, in a dense market) packs as one group in row
+order, summed without a sort or a scatter.
+
+verify_equilibrium hands the kernel its seller probes as contiguous buyer
+rows, so the kernel copies nothing, and scores the buyers' probes many
+buyers at a time.
 """
 
 from __future__ import annotations
@@ -336,11 +343,13 @@ def _rowdot(x, y) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _pack(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _pack(support: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
     """Gather plan of _packed_sums for a boolean (..., J) support.
 
     Per support size k, the flat indices of the rows of that size and the
-    flat indices of their k support entries in ascending order.
+    flat indices of their k support entries in ascending order. When every row
+    has the same size k > 0 the plan is that one group in row order, its rows
+    None, and its entries None too when k == J (every entry of every row).
     """
     J = support.shape[-1]
     entries = np.flatnonzero(support)         # row by row, each ascending
@@ -348,6 +357,10 @@ def _pack(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     # support sizes in the smallest integer type, which a stable sort sorts
     # by radix
     sizes = np.bincount(row, minlength=support.size // J).astype(np.min_scalar_type(J))
+    k = int(sizes[0]) if sizes.size else 0
+    # one support size: the total, which is cheap to test, then every row
+    if entries.size == k * sizes.size and (sizes == k).all():
+        return [(None, None if k == J else entries.reshape(-1, k))] if k else []
     by_size = np.argsort(sizes, kind="stable")
     entries = entries[np.argsort(sizes[row], kind="stable")]
     plan, r, e = [], 0, 0
@@ -364,12 +377,17 @@ def _packed_sums(values: np.ndarray, plan) -> np.ndarray:
     plan is _pack(support). Each row is gathered to its support (ascending
     index) and the rows are summed in groups of one support size, so each sum
     runs over the same contiguous elements as np.sum on the gathered support
-    and rounds the same way. A row with an empty support sums to 0.
+    and rounds the same way. A row with an empty support sums to 0. A
+    one-size plan sums its group in row order, with no scatter, and a full
+    support sums the contiguous values without a gather.
     """
     v = values.reshape(-1)
     out = np.zeros(values.shape[:-1])
     flat_out = out.reshape(-1)
     for rows, gather in plan:
+        if rows is None:
+            group = v.reshape(-1, values.shape[-1]) if gather is None else v[gather]
+            return np.add.reduce(group, axis=1).reshape(out.shape)
         flat_out[rows] = np.add.reduce(v[gather], axis=1)
     return out
 
@@ -436,13 +454,16 @@ def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
         lam_k = np.where(lam_k > 0.0, lam_k, 1e-15)
         b = delta_o[:, None] * S_o / (p_o * (1.0 + lam_k[:, None])) - inv_q
         keep = support & (b > 0)
+        if np.count_nonzero(keep) == np.count_nonzero(support):   # all rows exit
+            demands_flat[flat] = np.where(support, b, 0.0)
+            lam_flat[flat] = lam_k
+            exits_flat[flat] = _BINDING
+            break
         done = (keep == support).all(axis=-1)
         exit_ = flat[done]
         demands_flat[exit_] = np.compress(done, np.where(support, b, 0.0), axis=0)
         lam_flat[exit_] = lam_k[done]
         exits_flat[exit_] = _BINDING
-        if done.all():
-            break
         go = ~done
         flat, delta_o, budget_o = flat[go], delta_o[go], budget_o[go]
         support, S_o, p_o, p_over_q = (np.compress(go, x, axis=0)
@@ -638,8 +659,9 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
 # Equilibrium verification
 # ---------------------------------------------------------------------------
 
-# Buyer rows per batched solve in verify_equilibrium: the kernel's temporaries
-# grow with the batch, and past ~1000 rows a bigger batch barely runs faster.
+# Rows per batch in verify_equilibrium, buyer rows of a seller's probes and
+# probe rows of the buyers': the temporaries grow with the batch, and past
+# ~1000 rows a bigger batch barely runs faster.
 _PROBE_BLOCK_ROWS = 1024
 
 
@@ -653,11 +675,12 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
     demand rows must not beat its equilibrium utility.
 
     Each seller's probes are drawn at once and solved as one batch, in blocks
-    of at most 1024 buyer rows to bound memory; each buyer's probes are scored
-    as one array. The draws come in the order of a probe-by-probe loop (seller
-    by seller, then buyer by buyer), so a given rng_seed gives the report that
-    loop gives. A probe whose followers return a negative demand or overspend
-    a budget raises ValueError.
+    of at most 1024 buyer rows to bound memory; the buyers' probes are scored
+    as one array per block of whole buyers, at most 1024 probe rows unless one
+    buyer has more. The draws come in the order of a probe-by-probe loop
+    (seller by seller, then buyer by buyer), so a given rng_seed gives the
+    report that loop gives. A probe whose followers return a negative demand
+    or overspend a budget raises ValueError.
     """
     rng = np.random.default_rng(rng_seed)
     P = solution.prices.prices
@@ -673,27 +696,37 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
         margins = np.empty(num_probes)
         for start in range(0, num_probes, block):
             probe = draws[start:start + block]
-            trial = np.repeat(P[None], len(probe), axis=0)
-            trial[:, j] = probe
+            rows = np.repeat(P.T[None], len(probe), axis=0)   # contiguous buyer rows
+            rows[:, :, j] = probe
+            trial = np.swapaxes(rows, 1, 2)
             demands = _batched_follower_demands(trial, m)[0]
             _check_demands(demands, trial, m.budget)
-            margins[start:start + block] = _margins(trial, demands, m.c)[:, j].sum(axis=-1)
+            margins[start:start + block] = _margins(
+                probe[:, None], demands[:, :, j:j + 1], m.c[j:j + 1]).sum(axis=-1)[:, 0]
         worst = float(np.max((margins - solution.rsu_utilities[j]) / scale,
                              initial=0.0))
         if worst > rel_tol:
             rsu_violations.append((j, worst))
         max_violation = max(max_violation, worst)
 
+    # buyer i's probe rows score against its price column, a strided operand
+    # as in a one-buyer check
+    worst_uav = np.empty(I)
+    step = max(1, _PROBE_BLOCK_ROWS // max(1, num_probes))
+    for lo in range(0, I, step):
+        mb = m.buyers(slice(lo, lo + step))
+        p_cols = P.T[lo:lo + step, None, :]
+        draws = rng.random((len(mb.S), num_probes, J + 1))   # direction, then spend share
+        spend = draws[:, :, J] * mb.budget[:, None]
+        direction = draws[:, :, :J]
+        b = direction * (spend / np.maximum(_rowdot(direction, p_cols), 1e-12))[:, :, None]
+        utilities = _buyer_utilities(mb._replace(S=mb.S[:, None], delta=mb.delta[:, None]),
+                                     b, p_cols)   # buyer rows, each with a probe axis
+        base = solution.uav_utilities[lo:lo + step, None]
+        worst_uav[lo:lo + step] = np.max((utilities - base) / np.maximum(1.0, np.abs(base)),
+                                         axis=1, initial=0.0)
     uav_violations: list[tuple[int, float]] = []
-    for i in range(I):
-        base = solution.uav_utilities[i]
-        p_i = P[:, i]
-        draws = rng.random((num_probes, J + 1))   # direction, then spend share
-        spend = draws[:, J] * m.budget[i]
-        direction = draws[:, :J]
-        b = direction * (spend / np.maximum(_rowdot(direction, p_i), 1e-12))[:, None]
-        utilities = _buyer_utilities(m.buyers([i]), b, p_i)
-        worst = float(np.max((utilities - base) / max(1.0, abs(base)), initial=0.0))
+    for i, worst in enumerate(worst_uav.tolist()):
         if worst > rel_tol:
             uav_violations.append((i, worst))
         max_violation = max(max_violation, worst)

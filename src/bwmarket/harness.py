@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one UAV and one RSU")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
+        if self.floor_neurons < 1:
+            raise ConfigError(f"floor_neurons must be >= 1, got {self.floor_neurons}")
         if self.greedy_levels < 1:
             raise ConfigError("greedy_levels must be >= 1")
         if not 0.0 <= self.greedy_epsilon <= 1.0:
@@ -227,26 +229,28 @@ def sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
     # parameters whatever the market size; sweeps over I or J stay paired.
     rsu_parent, uav_parent = rng.spawn(2)
 
-    def draw(gen, key):
-        lo, hi = full[key]
-        return float(gen.uniform(lo, hi))
+    def bounds(keys):
+        """The (low, high) ends of the ranges of keys, as two arrays."""
+        return np.array([full[key] for key in keys], dtype=float).T
+
+    # One vector draw per entity gives the values of one scalar draw per
+    # parameter, in this order, at the same stream position.
+    rsu_lo, rsu_hi = bounds(["transmit_power_dbm", "channel_gain_db", "noise_dbm",
+                             "bandwidth_cost", "price_cap"])
+    uav_lo, uav_hi = bounds(["delta", "budget", "ssim_threshold"]
+                            + ["similarity"] * (3 * num_rsus))
 
     # The profiles reject out-of-domain draws (a negative budget, say) with
     # ValueError; the ranges came from the config, so report a ConfigError.
     try:
         rsus = []
         for gen in rsu_parent.spawn(num_rsus):
-            link = ChannelLink(draw(gen, "transmit_power_dbm"),
-                               draw(gen, "channel_gain_db"), draw(gen, "noise_dbm"))
-            rsus.append(RsuProfile(draw(gen, "bandwidth_cost"),
-                                   draw(gen, "price_cap"), link))
+            power, gain, noise, cost, cap = gen.uniform(rsu_lo, rsu_hi).tolist()
+            rsus.append(RsuProfile(cost, cap, ChannelLink(power, gain, noise)))
         uavs = []
         for gen in uav_parent.spawn(num_uavs):
-            delta = draw(gen, "delta")
-            budget = draw(gen, "budget")
-            threshold = draw(gen, "ssim_threshold")
-            triples = [SsimTriple(draw(gen, "similarity"), draw(gen, "similarity"),
-                                  draw(gen, "similarity")) for _ in range(num_rsus)]
+            delta, budget, threshold, *similarity = gen.uniform(uav_lo, uav_hi).tolist()
+            triples = [SsimTriple(*similarity[k:k + 3]) for k in range(0, 3 * num_rsus, 3)]
             uavs.append(UavProfile(delta, budget, threshold, triples))
         return GameInstance(uavs, rsus)
     except ValueError as exc:

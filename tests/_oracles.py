@@ -26,6 +26,7 @@ from bwmarket.game import (
     rsu_utility,
     uav_utility,
 )
+from bwmarket.harness import DEFAULT_RANGES
 
 
 def link_with_efficiency(q: float) -> ChannelLink:
@@ -432,3 +433,36 @@ def reference_greedy_act(agent, rng: np.random.Generator) -> np.ndarray:
         prices[i] = (agent.box_low[i]
                      + agent.levels[k] * (agent.box_high[i] - agent.box_low[i]))
     return np.minimum(prices, agent.box_high)
+
+
+def reference_sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
+                              seed) -> GameInstance:
+    """Entity-by-entity sampling with one scalar uniform draw per parameter.
+
+    The reference for harness.sample_instance: the same substreams, each
+    parameter drawn on its own in the order the profiles list them.
+    """
+    full = dict(DEFAULT_RANGES)
+    full.update(ranges)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(seed))
+    rsu_parent, uav_parent = rng.spawn(2)
+
+    def draw(gen, key):
+        lo, hi = full[key]
+        return float(gen.uniform(lo, hi))
+
+    rsus = []
+    for gen in rsu_parent.spawn(num_rsus):
+        link = ChannelLink(draw(gen, "transmit_power_dbm"),
+                           draw(gen, "channel_gain_db"), draw(gen, "noise_dbm"))
+        rsus.append(RsuProfile(draw(gen, "bandwidth_cost"), draw(gen, "price_cap"), link))
+    uavs = []
+    for gen in uav_parent.spawn(num_uavs):
+        delta = draw(gen, "delta")
+        budget = draw(gen, "budget")
+        threshold = draw(gen, "ssim_threshold")
+        triples = [SsimTriple(draw(gen, "similarity"), draw(gen, "similarity"),
+                              draw(gen, "similarity")) for _ in range(num_rsus)]
+        uavs.append(UavProfile(delta, budget, threshold, triples))
+    return GameInstance(uavs, rsus)

@@ -356,6 +356,19 @@ class TestBatchedFollower:
         assert exits[0, 0] == game._BINDING
         assert first_lam[0, 0] < 0.0
 
+    def test_matches_scalar_solver_on_a_probe_block(self):
+        # one verifier block on a dense 15 x 6 market: 68 probes of seller 2's
+        # row, 1,020 buyer rows laid out as the verifier lays them out
+        inst = sample_instance({"similarity": (0.85, 1.0)}, 15, 6, 1)
+        P = solve_equilibrium(inst).prices.prices
+        m = inst.arrays
+        n = game._PROBE_BLOCK_ROWS // 15
+        rows = np.repeat(P.T[None], n, axis=0)
+        rows[:, :, 2] = np.random.default_rng(5).uniform(m.c[2], m.cap[2], size=(n, 15))
+        exits, _ = self.check_against_reference(inst, np.swapaxes(rows, 1, 2))
+        assert exits.shape == (68, 15)
+        assert np.mean(exits == game._BINDING) > 0.9
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_matches_reference_on_drawn_edge_markets(self, data):
@@ -428,6 +441,31 @@ class TestPackedSums:
         support = rng.random(shape) < density
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
         got = game._packed_sums(values, game._pack(support))
+        assert got.shape == shape[:-1]
+        for row in np.ndindex(shape[:-1]):
+            want = np.add.reduce(values[row][support[row]])
+            assert got[row].tobytes() == want.tobytes(), row
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_rows_of_one_support_size(self, data):
+        # every row holds exactly k entries, k = 0..J: the plan is one group in
+        # row order (no group at all for k == 0), and up to 1,100 rows span a
+        # whole verifier probe block; the values are contiguous or strided
+        J = data.draw(st.integers(1, 10), label="J")
+        k = data.draw(st.integers(0, J), label="k")
+        batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=1), label="batch"))
+        rows = data.draw(st.one_of(st.integers(0, 20), st.integers(1000, 1100)), label="rows")
+        shape = batch + (rows, J)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        support = rng.random(shape).argsort(axis=-1) < k
+        wide = shape[:-1] + (2 * J,)
+        raw = rng.standard_normal(wide) * 10.0 ** rng.integers(-8, 9, wide)
+        strided = data.draw(st.booleans(), label="strided")
+        values = raw[..., ::2] if strided else np.ascontiguousarray(raw[..., :J])
+        plan = game._pack(support)
+        assert len(plan) == (1 if k and support.size else 0)
+        got = game._packed_sums(values, plan)
         assert got.shape == shape[:-1]
         for row in np.ndindex(shape[:-1]):
             want = np.add.reduce(values[row][support[row]])
@@ -574,6 +612,14 @@ VERIFY_CASES = [
      20, seed, 1e-6)
     for I, J, seed, low in [(15, 2, 0, False), (15, 6, 1, False), (15, 6, 2, True),
                             (3, 3, 3, True), (15, 3, 4, False), (9, 3, 5, True)]
+] + [
+    # a sweep's own setting, 200 probes: seller blocks of 68, 68 and 64 probes
+    # and buyer blocks of 5 buyers (at I = 12: 85, 85, 30 and 5, 5, 2);
+    # understated, so that every seller and buyer reports its worst probe
+    ("sweep-I15-J6-200-probes-understated", lambda: trends_market(15, 6, 7, True),
+     200, 7, 1e-6),
+    ("sweep-I12-J3-200-probes-understated", lambda: trends_market(12, 3, 8, True),
+     200, 8, 1e-6),
 ]
 
 

@@ -38,6 +38,8 @@ from bwmarket.harness import (
     write_summary,
 )
 
+from _oracles import reference_sample_instance
+
 
 def tiny_config(**overrides):
     cfg = ExperimentConfig(num_uavs=1, num_rsus=1, episodes=3)
@@ -89,6 +91,25 @@ class TestSampling:
     def test_cost_above_cap_rejected(self):
         with pytest.raises(ConfigError):
             sample_instance({"bandwidth_cost": (1.0, 40.0)}, 1, 1, 0)
+
+    @pytest.mark.parametrize("ranges", [
+        {}, {"similarity": (0.85, 1.0)},
+        {"bandwidth_cost": (2.5, 2.5), "similarity": (0.7, 0.7)},
+    ], ids=["default", "dense", "zero-width"])
+    def test_matches_scalar_draws(self, ranges):
+        """One vector draw per entity gives what one scalar draw per parameter
+        gives: every profile field (repr shows each float exactly) and every
+        byte of the market arrays, for integer seeds and a Generator."""
+        for seed in range(12):
+            for I, J in ((1, 1), (3, 2), (15, 6), (7, 10)):
+                seeds = ((seed, seed) if seed % 4 else
+                         (np.random.default_rng(seed), np.random.default_rng(seed)))
+                got = sample_instance(ranges, I, J, seeds[0])
+                want = reference_sample_instance(ranges, I, J, seeds[1])
+                assert repr(got) == repr(want), (seed, I, J)
+                for a, b in zip(got.arrays, want.arrays):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (seed, I, J)
 
 
 class TestConfig:
@@ -628,6 +649,8 @@ class TestCli:
             "infinite range": "instance: {ranges: {budget: [1.0, .inf]}}\n",
             "range of infinite width":
                 "instance: {ranges: {noise_dbm: [-1.0e+308, 1.0e+308]}}\n",
+            "zero floor neurons": "floor_neurons: 0\n",
+            "negative floor neurons": "floor_neurons: -5\n",
         }
         for name, text in cases.items():
             path = tmp_path / "bad.yaml"

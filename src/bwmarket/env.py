@@ -29,7 +29,7 @@ WARMUP_UNIFORM = "uniform_random"
 def default_demand_scale(instance: GameInstance) -> float:
     """Upper bound on any single demand: delta_max * ln(1/min threshold) / c_min."""
     m = instance.arrays
-    th_min = min(u.ssim_threshold for u in instance.uavs)
+    th_min = float(np.min(instance.ssim_thresholds))
     return float(np.max(m.delta) * math.log(1.0 / th_min) / np.min(m.c))
 
 

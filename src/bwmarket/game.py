@@ -8,8 +8,15 @@ map, which is a standard function (positive, monotone, scalable), so its fixed
 point is unique.  solve_equilibrium runs all buyers' subgames at once.
 
 Every solver reads the market's dense arrays, GameInstance.arrays, built once
-per instance.  One water-filling kernel, _batched_follower_demands, solves
-every buyer best response: follower_best_response is its one-row call, and
+per instance by one builder, _market_arrays.  A hand-built instance,
+GameInstance(uavs, rsus), builds them from its profiles on first use.  A
+sampled instance (GameInstance._from_draws) builds them straight from its
+per-entity draws, checked in a few vector operations against the same field
+checks the profiles make, and builds its profiles only when they are read;
+no solver reads them.
+
+One water-filling kernel, _batched_follower_demands, solves every buyer best
+response: follower_best_response is its one-row call, and
 all_followers_respond, solve_equilibrium and verify_equilibrium call it on
 whole price matrices.  A solve makes two kernel passes, one per candidate,
 and returns the chosen candidates' own demands.  A buyer's answer depends
@@ -53,6 +60,51 @@ CASE_BUDGET_ACTIVE = "budget_active"
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _spectrum_efficiency(snr_db: float) -> float:
+    """Spectrum efficiency q = log2(1 + 10^(snr_db/10)) in scalar math."""
+    return math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+
+
+# The domain of each entity's fields, as (ok, message, value) checks in the
+# order the entity makes them. ok is written with & and abs, so it takes one
+# entity's floats or arrays of entities alike, and NaN fails it; message
+# names the failing value with {}.
+
+def _link_checks(snr_db, q) -> list:
+    return [((q > 0) & (abs(q) < math.inf),
+             "non-positive spectrum efficiency from SNR {} dB", snr_db)]
+
+
+def _triple_checks(luminance, contrast, structure) -> list:
+    return [((v >= 0.0) & (v <= 1.0), f"{name} component {{}} outside [0, 1]", v)
+            for name, v in (("luminance", luminance), ("contrast", contrast),
+                            ("structure", structure))]
+
+
+def _uav_checks(delta, budget, ssim_threshold) -> list:
+    return [(abs(delta) < math.inf, "delta must be finite, got {}", delta),
+            (delta > 0, "delta must be positive", None),
+            (abs(budget) < math.inf, "budget must be finite, got {}", budget),
+            (budget > 0, "budget must be positive", None),
+            ((ssim_threshold > 0.0) & (ssim_threshold < 1.0),
+             "ssim_threshold must lie in (0, 1)", None)]
+
+
+def _rsu_checks(bandwidth_cost, price_cap) -> list:
+    return [(abs(bandwidth_cost) < math.inf, "bandwidth_cost must be finite, got {}",
+             bandwidth_cost),
+            (bandwidth_cost > 0, "bandwidth_cost must be positive", None),
+            (abs(price_cap) < math.inf, "price_cap must be finite, got {}", price_cap),
+            (bandwidth_cost <= price_cap, "empty price box: cost exceeds cap", None)]
+
+
+def _check(checks) -> None:
+    """Raise ValueError for one entity's first failed check."""
+    for ok, message, value in checks:
+        if not ok:
+            raise ValueError(message.format(value))
+
+
 @dataclass
 class ChannelLink:
     """Downlink from one seller, parameterized in the dB domain.
@@ -68,9 +120,8 @@ class ChannelLink:
 
     def __post_init__(self):
         snr_db = self.transmit_power_dbm + self.channel_gain_db - self.noise_dbm
-        self.spectrum_efficiency = math.log2(1.0 + 10.0 ** (snr_db / 10.0))
-        if not (self.spectrum_efficiency > 0 and math.isfinite(self.spectrum_efficiency)):
-            raise ValueError(f"non-positive spectrum efficiency from SNR {snr_db} dB")
+        self.spectrum_efficiency = _spectrum_efficiency(snr_db)
+        _check(_link_checks(snr_db, self.spectrum_efficiency))
 
 
 @dataclass
@@ -83,10 +134,7 @@ class SsimTriple:
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        for name, v in (("luminance", self.luminance), ("contrast", self.contrast),
-                        ("structure", self.structure)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} component {v} outside [0, 1]")
+        _check(_triple_checks(self.luminance, self.contrast, self.structure))
         if any(w <= 0 for w in self.weights):
             raise ValueError("similarity weights must be positive")
 
@@ -101,12 +149,7 @@ class UavProfile:
     per_rsu_ssim: list[SsimTriple]
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if not 0.0 < self.ssim_threshold < 1.0:
-            raise ValueError("ssim_threshold must lie in (0, 1)")
+        _check(_uav_checks(self.delta, self.budget, self.ssim_threshold))
 
 
 @dataclass
@@ -118,56 +161,131 @@ class RsuProfile:
     link: ChannelLink
 
     def __post_init__(self):
-        if self.bandwidth_cost <= 0:
-            raise ValueError("bandwidth_cost must be positive")
-        if self.bandwidth_cost > self.price_cap:
-            raise ValueError("empty price box: cost exceeds cap")
+        _check(_rsu_checks(self.bandwidth_cost, self.price_cap))
 
 
-@dataclass
+def _check_market_size(num_uavs: int, num_rsus: int) -> None:
+    if num_uavs < 1 or num_rsus < 1:
+        raise ValueError("need at least one UAV and one RSU")
+
+
+# The columns of a seller's and of a buyer's row of draws (GameInstance.
+# _from_draws); a buyer's row goes on with its luminance, contrast and
+# structure towards each seller in turn.
+_RSU_DRAWS = ("transmit_power_dbm", "channel_gain_db", "noise_dbm", "bandwidth_cost",
+              "price_cap")
+_UAV_DRAWS = ("delta", "budget", "ssim_threshold")
+
+
+def _rsu_profiles(rsu_draws: np.ndarray) -> list[RsuProfile]:
+    """The sellers' profiles from their draw rows (see GameInstance._from_draws)."""
+    return [RsuProfile(cost, cap, ChannelLink(power, gain, noise))
+            for power, gain, noise, cost, cap in rsu_draws.tolist()]
+
+
+def _uav_profiles(uav_draws: np.ndarray) -> list[UavProfile]:
+    """The buyers' profiles from their draw rows (see GameInstance._from_draws)."""
+    links = range(0, uav_draws.shape[1] - 3, 3)
+    return [UavProfile(delta, budget, threshold,
+                       [SsimTriple(*similarity[k:k + 3]) for k in links])
+            for delta, budget, threshold, *similarity in uav_draws.tolist()]
+
+
 class GameInstance:
-    """Full market description: I buyers, J sellers. Its dense arrays are
-    built from the profiles on first use and cached (``arrays``), so the
-    profiles must not change after a GameInstance's first use."""
+    """Full market description: I buyers (uavs), J sellers (rsus), and the
+    market's dense arrays (``arrays``), cached and read-only.
 
-    uavs: list[UavProfile]
-    rsus: list[RsuProfile]
+    GameInstance(uavs, rsus) builds its arrays from its profiles on first use,
+    so the profiles must not change after that. A sampled instance
+    (_from_draws) is built the other way round: its arrays come straight from
+    its draws, and its profiles are built from the draws only when ``uavs`` or
+    ``rsus`` is read; changing them changes no array.
+    """
 
-    def __post_init__(self):
-        if not self.uavs or not self.rsus:
-            raise ValueError("need at least one UAV and one RSU")
-        J = len(self.rsus)
-        for k, uav in enumerate(self.uavs):
+    def __init__(self, uavs: list[UavProfile], rsus: list[RsuProfile]):
+        _check_market_size(len(uavs), len(rsus))
+        J = len(rsus)
+        for k, uav in enumerate(uavs):
             if len(uav.per_rsu_ssim) != J:
                 raise ValueError(f"uav {k}: per_rsu_ssim length != {J}")
+        self.uavs, self.rsus = uavs, rsus
+        self._draws = None
+
+    @classmethod
+    def _from_draws(cls, rsu_draws: np.ndarray, uav_draws: np.ndarray) -> GameInstance:
+        """A market built from per-entity draws, one row per entity: rsu_draws
+        is J x 5 and uav_draws I x (3 + 3J), in the columns _RSU_DRAWS and
+        _UAV_DRAWS name. Draws outside the domain raise the ValueError that
+        building the profiles raises, for the first invalid entity, sellers
+        first."""
+        (I, _), (J, _) = uav_draws.shape, rsu_draws.shape
+        power, gain, noise, cost, cap = rsu_draws.T
+        delta, budget, threshold = uav_draws[:, :3].T
+        luminance, contrast, structure = np.moveaxis(uav_draws[:, 3:].reshape(I, J, 3), -1, 0)
+        snr_db = power + gain - noise
+        q = np.array([_spectrum_efficiency(x) for x in snr_db.tolist()])
+        checks = (_link_checks(snr_db, q) + _rsu_checks(cost, cap)
+                  + _triple_checks(luminance, contrast, structure)
+                  + _uav_checks(delta, budget, threshold))
+        if not all(ok.all() for ok, _, _ in checks):
+            _rsu_profiles(rsu_draws)    # raise the first invalid entity's error
+            _uav_profiles(uav_draws)
+        _check_market_size(I, J)
+        inst = cls.__new__(cls)
+        inst._draws = rsu_draws, uav_draws
+        inst.arrays = _market_arrays(q, cost, cap, luminance * contrast * structure,
+                                     threshold, delta, budget)
+        inst.ssim_thresholds = _read_only(threshold)
+        return inst
+
+    @cached_property
+    def uavs(self) -> list[UavProfile]:
+        """A sampled instance's buyers, built from its draws on first access."""
+        return _uav_profiles(self._draws[1])
+
+    @cached_property
+    def rsus(self) -> list[RsuProfile]:
+        """A sampled instance's sellers, built from its draws on first access."""
+        return _rsu_profiles(self._draws[0])
 
     @property
     def num_uavs(self) -> int:
-        return len(self.uavs)
+        return len(self.uavs if self._draws is None else self._draws[1])
 
     @property
     def num_rsus(self) -> int:
-        return len(self.rsus)
+        return len(self.rsus if self._draws is None else self._draws[0])
 
     @cached_property
     def arrays(self) -> _MarketArrays:
-        """The market's dense arrays, built on first use and read-only."""
-        m = _MarketArrays(
-            np.array([r.link.spectrum_efficiency for r in self.rsus]),
-            np.array([r.bandwidth_cost for r in self.rsus]),
-            np.array([r.price_cap for r in self.rsus]),
-            np.array([log_quality_row(self, i) for i in range(self.num_uavs)]),
-            np.array([u.delta for u in self.uavs], dtype=float),
-            np.array([u.budget for u in self.uavs], dtype=float))
-        for a in m:
-            a.setflags(write=False)
-        return m
+        """The market's dense arrays, built from the profiles on first use."""
+        rsus, uavs = self.rsus, self.uavs
+        return _market_arrays([r.link.spectrum_efficiency for r in rsus],
+                              [r.bandwidth_cost for r in rsus], [r.price_cap for r in rsus],
+                              [[ssim(t) for t in u.per_rsu_ssim] for u in uavs],
+                              self.ssim_thresholds, [u.delta for u in uavs],
+                              [u.budget for u in uavs])
+
+    @cached_property
+    def ssim_thresholds(self) -> np.ndarray:
+        """Each buyer's SSIM threshold (I,), read-only."""
+        return _read_only([u.ssim_threshold for u in self.uavs])
 
     def costs(self) -> np.ndarray:
         return self.arrays.c.copy()
 
     def price_caps(self) -> np.ndarray:
         return self.arrays.cap.copy()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(uavs={self.uavs!r}, rsus={self.rsus!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.uavs, self.rsus) == (other.uavs, other.rsus)
+
+    __hash__ = None
 
 
 @dataclass
@@ -183,7 +301,7 @@ class PriceMatrix:
             raise ValueError(f"expected shape {(J, I)}, got {prices.shape}")
         cs = instance.arrays.c[:, None]
         caps = instance.arrays.cap[:, None]
-        if np.any(prices < cs - 1e-12) or np.any(prices > caps + 1e-12):
+        if not (prices >= cs - 1e-12).all() or not (prices <= caps + 1e-12).all():
             raise ValueError("price entry outside its [cost, cap] box")
         self.prices = np.clip(prices, cs, caps)
 
@@ -207,15 +325,15 @@ class DemandMatrix:
 def _check_demands(demands: np.ndarray, prices: np.ndarray | None,
                    budget: np.ndarray) -> None:
     """Reject negative demands and, given J x I prices, any spend over the
-    buyers' budgets (I,).
+    buyers' budgets (I,); a NaN demand or spend is rejected too.
 
     Takes I x J demands with any leading batch shape (prices alike, ... x J x I).
     """
-    if np.any(demands < 0):
+    if not (demands >= 0).all():
         raise ValueError("negative demand entry")
     if prices is not None:
         spend = np.sum(demands * np.swapaxes(prices, -1, -2), axis=-1)
-        if np.any(spend > budget + 1e-9):
+        if not (spend <= budget + 1e-9).all():
             raise ValueError("per-UAV spend exceeds budget")
 
 
@@ -273,6 +391,27 @@ class _MarketArrays(NamedTuple):
                              budget=self.budget[rows])
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only float copy of values."""
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _market_arrays(q, c, cap, sim, threshold, delta, budget) -> _MarketArrays:
+    """A market's read-only arrays from its per-entity values: q, c and cap per
+    seller; the composite SSIM sim (I x J) and threshold, delta and budget per
+    buyer. Each log-quality S = ln(sim / threshold) is taken in scalar math,
+    entry by entry (numpy's vector log rounds some entries differently), and
+    is -inf on a link whose SSIM is 0."""
+    sim = np.asarray(sim, dtype=float)
+    usable = sim > 0.0
+    ratio = np.where(usable, sim / np.asarray(threshold)[:, None], 1.0)
+    logs = np.fromiter(map(math.log, ratio.ravel().tolist()), float, ratio.size)
+    S = np.where(usable, logs.reshape(ratio.shape), -np.inf)
+    return _MarketArrays(*map(_read_only, (q, c, cap, S, delta, budget)))
+
+
 # ---------------------------------------------------------------------------
 # Utility operations
 # ---------------------------------------------------------------------------
@@ -285,12 +424,7 @@ def ssim(triple: SsimTriple) -> float:
 
 def log_quality_row(instance: GameInstance, uav_index: int) -> np.ndarray:
     """Per-seller log-quality for one buyer; -inf marks an unusable (SSIM=0) link."""
-    uav = instance.uavs[uav_index]
-    out = np.empty(instance.num_rsus)
-    for j, triple in enumerate(uav.per_rsu_ssim):
-        s = ssim(triple)
-        out[j] = -np.inf if s <= 0.0 else math.log(s / uav.ssim_threshold)
-    return out
+    return instance.arrays.S[uav_index].copy()
 
 
 def _buyer_utilities(m: _MarketArrays, demands, prices) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 One master seed fans out into named, order-independent substreams (instance,
 warmup, per-agent policy) so results are reproducible and adding an algorithm
-never perturbs instance sampling.
+never perturbs instance sampling.  A sampled instance is its market arrays,
+built straight from one row of draws per seller and per buyer; its profile
+objects are built only if something reads them.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ import yaml
 from .agents import GreedyAgent, PpoAgent, PpoConfig, RandomAgent, TinyMadrlAgent
 from .env import EnvConfig, PricingEnv, theoretical_baseline
 from .game import (
-    ChannelLink,
+    _RSU_DRAWS,
+    _UAV_DRAWS,
     GameInstance,
-    RsuProfile,
-    SsimTriple,
-    UavProfile,
     solve_equilibrium,
     verify_equilibrium,
 )
@@ -90,11 +90,7 @@ class ExperimentConfig:
         for key, (lo, hi) in self.ranges.items():
             if key not in DEFAULT_RANGES:
                 raise ConfigError(f"unknown parameter range {key!r}")
-            if not all(math.isfinite(v) for v in (lo, hi, hi - lo)):
-                raise ConfigError(f"range for {key!r} must be finite with a finite "
-                                  f"width: [{lo}, {hi}]")
-            if lo > hi:
-                raise ConfigError(f"empty range for {key!r}: [{lo}, {hi}]")
+            _check_range(key, lo, hi)
         if self.ranges["bandwidth_cost"][1] > self.ranges["price_cap"][0]:
             raise ConfigError(
                 "bandwidth_cost range upper bound exceeds price_cap lower bound; "
@@ -118,6 +114,14 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         return self
+
+
+def _check_range(key: str, lo: float, hi: float) -> None:
+    if not all(math.isfinite(v) for v in (lo, hi, hi - lo)):
+        raise ConfigError(f"range for {key!r} must be finite with a finite "
+                          f"width: [{lo}, {hi}]")
+    if lo > hi:
+        raise ConfigError(f"empty range for {key!r}: [{lo}, {hi}]")
 
 
 # The instance section's keys and the fields they set; no other key sets these.
@@ -218,41 +222,40 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
                     seed: int | np.random.Generator) -> GameInstance:
-    """Uniform per-entity draws from the parameter ranges; deterministic per seed."""
+    """Uniform per-entity draws from the parameter ranges; deterministic per seed.
+
+    The market's arrays are built straight from the draws, and its profiles
+    only when something reads ``uavs`` or ``rsus``.
+    """
     full = dict(DEFAULT_RANGES)
     full.update(ranges)
     if full["bandwidth_cost"][1] > full["price_cap"][0]:
         raise ConfigError("bandwidth_cost range may exceed price_cap range")
+    for key in DEFAULT_RANGES:
+        _check_range(key, *full[key])
     rng = (seed if isinstance(seed, np.random.Generator)
            else np.random.default_rng(seed))
     # One substream per entity index, so seller j (and buyer i) keeps the same
     # parameters whatever the market size; sweeps over I or J stay paired.
     rsu_parent, uav_parent = rng.spawn(2)
 
-    def bounds(keys):
-        """The (low, high) ends of the ranges of keys, as two arrays."""
-        return np.array([full[key] for key in keys], dtype=float).T
+    def draws(parent, keys, count):
+        """One row of draws per entity, each from its own substream: gen.random
+        scaled into the ranges of keys, which gives what gen.uniform gives, bit
+        for bit, at the same stream position."""
+        lo, hi = np.array([full[key] for key in keys], dtype=float).T
+        gens = parent.spawn(count)
+        u = np.empty((len(gens), len(keys)))
+        for gen, row in zip(gens, u):
+            gen.random(out=row)
+        return lo + (hi - lo) * u
 
-    # One vector draw per entity gives the values of one scalar draw per
-    # parameter, in this order, at the same stream position.
-    rsu_lo, rsu_hi = bounds(["transmit_power_dbm", "channel_gain_db", "noise_dbm",
-                             "bandwidth_cost", "price_cap"])
-    uav_lo, uav_hi = bounds(["delta", "budget", "ssim_threshold"]
-                            + ["similarity"] * (3 * num_rsus))
-
-    # The profiles reject out-of-domain draws (a negative budget, say) with
+    # The draws outside a parameter's domain (a negative budget, say) raise
     # ValueError; the ranges came from the config, so report a ConfigError.
     try:
-        rsus = []
-        for gen in rsu_parent.spawn(num_rsus):
-            power, gain, noise, cost, cap = gen.uniform(rsu_lo, rsu_hi).tolist()
-            rsus.append(RsuProfile(cost, cap, ChannelLink(power, gain, noise)))
-        uavs = []
-        for gen in uav_parent.spawn(num_uavs):
-            delta, budget, threshold, *similarity = gen.uniform(uav_lo, uav_hi).tolist()
-            triples = [SsimTriple(*similarity[k:k + 3]) for k in range(0, 3 * num_rsus, 3)]
-            uavs.append(UavProfile(delta, budget, threshold, triples))
-        return GameInstance(uavs, rsus)
+        return GameInstance._from_draws(
+            draws(rsu_parent, _RSU_DRAWS, num_rsus),
+            draws(uav_parent, _UAV_DRAWS + ("similarity",) * (3 * num_rsus), num_uavs))
     except ValueError as exc:
         raise ConfigError(f"sampled instance rejected: {exc}") from None
 

@@ -838,6 +838,33 @@ class TestMatrixTypes:
         with pytest.raises(ValueError, match="expected shape"):
             DemandMatrix(np.zeros((3, 2, 1)), inst)
 
+    def test_nan_price_rejected(self):
+        inst = simple_instance(J=2)
+        with pytest.raises(ValueError, match="outside its"):
+            PriceMatrix(np.array([[np.nan], [2.0]]), inst)
+
+    def test_nan_demands_rejected(self):
+        inst = simple_instance(J=2, budget=2.0)
+        with pytest.raises(ValueError, match="negative demand"):
+            DemandMatrix(np.full((1, 2), np.nan), inst)
+        with pytest.raises(ValueError, match="spend exceeds budget"):
+            DemandMatrix(np.zeros((1, 2)), inst, prices=np.array([[np.nan], [2.0]]))
+
+    def test_followers_reject_a_nan_price(self):
+        with pytest.raises(ValueError):
+            all_followers_respond(simple_instance(J=2), np.array([[np.nan], [2.0]]))
+
+    @pytest.mark.parametrize("field", ["delta", "budget", "bandwidth_cost", "price_cap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_profiles_reject_non_finite_values(self, field, value):
+        uav = dict(delta=10.0, budget=2.0, ssim_threshold=0.5,
+                   per_rsu_ssim=[SsimTriple(1.0, 1.0, 1.0)])
+        rsu = dict(bandwidth_cost=1.0, price_cap=5.0, link=link_with_efficiency(1.0))
+        profile, kwargs = (UavProfile, uav) if field in uav else (RsuProfile, rsu)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            profile(**kwargs)
+
     def test_rsu_profile_empty_box_rejected(self):
         with pytest.raises(ValueError):
             RsuProfile(5.0, 4.0, link_with_efficiency(10.0))

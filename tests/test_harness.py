@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, sampling, runs, files, CLI."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -15,8 +16,8 @@ import yaml
 
 from bwmarket import tinynet
 from bwmarket.cli import main as cli_main
-from bwmarket.env import WARMUP_UNIFORM, WARMUP_ZEROS
-from bwmarket.game import solve_equilibrium
+from bwmarket.env import WARMUP_UNIFORM, WARMUP_ZEROS, PricingEnv
+from bwmarket.game import solve_equilibrium, verify_equilibrium
 from bwmarket.harness import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -39,6 +40,29 @@ from bwmarket.harness import (
 )
 
 from _oracles import reference_sample_instance
+
+# The sampled-market digests: one sha256 per (ranges, market size) over the
+# arrays of 300 integer seeds, recorded with the entity-by-entity sampler
+# that built the profiles first and the arrays from them.
+SAMPLED_DIGESTS = Path(__file__).with_name("sampled_digests.json")
+DIGEST_RANGES = {"default": {}, "dense": {"similarity": (0.85, 1.0)},
+                 "zero-width": {"bandwidth_cost": (2.5, 2.5), "similarity": (0.7, 0.7)}}
+DIGEST_SIZES = ((1, 1), (3, 2), (15, 6), (7, 10))
+
+
+def sampled_digests(seeds=range(300)) -> dict:
+    """sha256 of the dtype, shape and bytes of every market array of each
+    seed's sample_instance, one digest per (ranges, I x J)."""
+    out = {}
+    for name, ranges in DIGEST_RANGES.items():
+        for I, J in DIGEST_SIZES:
+            digest = hashlib.sha256()
+            for seed in seeds:
+                for a in sample_instance(ranges, I, J, seed).arrays:
+                    digest.update(f"{a.dtype}{a.shape}".encode())
+                    digest.update(a.tobytes())
+            out[f"{name} {I}x{J}"] = digest.hexdigest()
+    return out
 
 
 def tiny_config(**overrides):
@@ -110,6 +134,53 @@ class TestSampling:
                 for a, b in zip(got.arrays, want.arrays):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes(), (seed, I, J)
+
+    def test_sampled_arrays_match_recorded_digests(self):
+        """Every array byte of 3,600 sampled markets (300 seeds x 4 sizes x 3
+        range sets) is what the profile-first sampler gave."""
+        assert sampled_digests() == json.loads(SAMPLED_DIGESTS.read_text())["digests"]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_invalid_draws_raise_the_profiles_error(self, seed):
+        """Draws outside the domain are rejected with the error the profiles
+        raise, for the first invalid entity: sellers first, then in entity
+        order, then in field order."""
+        draw = np.random.default_rng(seed)
+        domain = {"transmit_power_dbm": (-400.0, 25.0), "bandwidth_cost": (-1.0, 4.0),
+                  "price_cap": (4.5, 35.0), "similarity": (-0.05, 1.05),
+                  "delta": (-2.0, 20.0), "budget": (-1.0, 10.0),
+                  "ssim_threshold": (0.2, 1.02)}
+        keys = draw.choice(list(domain), size=draw.integers(1, 4), replace=False)
+        ranges = {key: domain[key] for key in keys}
+        I, J = (int(n) for n in draw.integers(1, 6, size=2))
+        try:
+            reference_sample_instance(ranges, I, J, seed)
+        except ValueError as exc:
+            with pytest.raises(ConfigError) as got:
+                sample_instance(ranges, I, J, seed)
+            assert str(got.value) == f"sampled instance rejected: {exc}"
+        else:
+            assert repr(sample_instance(ranges, I, J, seed)) == repr(
+                reference_sample_instance(ranges, I, J, seed))
+
+    def test_reversed_or_unbounded_range_is_config_error(self):
+        with pytest.raises(ConfigError, match="empty range for 'delta'"):
+            sample_instance({"delta": (5.0, 2.0)}, 2, 2, 0)
+        with pytest.raises(ConfigError, match="finite width"):
+            sample_instance({"delta": (-1e308, 1e308)}, 2, 2, 0)
+
+    def test_hot_paths_build_no_profiles(self):
+        """Solving, verifying and stepping an env read a sampled market's
+        arrays only; its profiles are built when first read, as drawn."""
+        inst = sample_instance({"similarity": (0.85, 1.0)}, 6, 3, 4)
+        sol = solve_equilibrium(inst)
+        verify_equilibrium(inst, sol, num_probes=200)
+        env = PricingEnv(inst)
+        env.reset(0)
+        env.step(sol.prices.prices)
+        assert "uavs" not in vars(inst) and "rsus" not in vars(inst)
+        assert repr(inst) == repr(reference_sample_instance(
+            {"similarity": (0.85, 1.0)}, 6, 3, 4))
 
 
 class TestConfig:
@@ -264,9 +335,19 @@ class TestRuns:
     def test_sweep_market_size_grid_becomes_int(self):
         assert SweepSpec("I", [1.0, 3.0], [0]).grid == [1, 3]
 
-    def test_sample_instance_bad_range_is_config_error(self):
-        with pytest.raises(ConfigError, match="budget must be positive"):
-            sample_instance({"budget": (-2.0, -1.0)}, 2, 2, 0)
+    @pytest.mark.parametrize("ranges,message", [
+        ({"budget": (-2.0, -1.0)}, "budget must be positive"),
+        ({"delta": (-2.0, -1.0)}, "delta must be positive"),
+        ({"ssim_threshold": (1.5, 2.0)}, r"ssim_threshold must lie in \(0, 1\)"),
+        ({"similarity": (1.5, 2.0)}, "luminance component 1.8210588499726295 outside"),
+        ({"bandwidth_cost": (-2.0, -1.0)}, "bandwidth_cost must be positive"),
+        ({"transmit_power_dbm": (-5000.0, -4000.0)},
+         "non-positive spectrum efficiency from SNR -4342.981433215938 dB"),
+    ], ids=["budget", "delta", "ssim_threshold", "similarity", "bandwidth_cost",
+            "transmit_power"])
+    def test_sample_instance_bad_range_is_config_error(self, ranges, message):
+        with pytest.raises(ConfigError, match="sampled instance rejected: " + message):
+            sample_instance(ranges, 2, 2, 0)
 
 
 class TestTrainingGroup:

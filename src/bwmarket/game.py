@@ -29,11 +29,11 @@ The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
 the I x J market, and water-fills only the rows whose budget binds, gathered
 once and shrunk as rows exit; when every open row exits on a step, they are
 written back in one go.  _leader_terms builds the leader map's terms
-(the gather plan of the positive links, their rival sums, q*c*S and the
-fallback prices) once per solve for all binding buyers, and
-leader_best_response_map builds them for its one row.  A support whose rows
-all have one size (every link, in a dense market) packs as one group in row
-order, summed without a sort or a scatter.
+(the mask of the positive links, their rival sums, q*c*S and the fallback
+prices) once per solve for all binding buyers, and
+leader_best_response_map builds them for its one row.  Every sum over a
+buyer's support, in the water-filling and in the leader map, is one masked
+sum over the whole row, _support_sums.
 
 verify_equilibrium hands the kernel its seller probes as contiguous buyer
 rows, so the kernel copies nothing, and scores the buyers' probes many
@@ -61,8 +61,12 @@ CASE_BUDGET_ACTIVE = "budget_active"
 # ---------------------------------------------------------------------------
 
 def _spectrum_efficiency(snr_db: float) -> float:
-    """Spectrum efficiency q = log2(1 + 10^(snr_db/10)) in scalar math."""
-    return math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    """Spectrum efficiency q = log2(1 + 10^(snr_db/10)) in scalar math; inf
+    where 10^(snr_db/10) overflows a float (an SNR above about 3083 dB)."""
+    try:
+        return math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    except OverflowError:
+        return math.inf
 
 
 # The domain of each entity's fields, as (ok, message, value) checks in the
@@ -71,8 +75,8 @@ def _spectrum_efficiency(snr_db: float) -> float:
 # names the failing value with {}.
 
 def _link_checks(snr_db, q) -> list:
-    return [((q > 0) & (abs(q) < math.inf),
-             "non-positive spectrum efficiency from SNR {} dB", snr_db)]
+    return [(q > 0, "non-positive spectrum efficiency from SNR {} dB", snr_db),
+            (abs(q) < math.inf, "infinite spectrum efficiency from SNR {} dB", snr_db)]
 
 
 def _triple_checks(luminance, contrast, structure) -> list:
@@ -422,11 +426,6 @@ def ssim(triple: SsimTriple) -> float:
     return triple.luminance ** a * triple.contrast ** b * triple.structure ** v
 
 
-def log_quality_row(instance: GameInstance, uav_index: int) -> np.ndarray:
-    """Per-seller log-quality for one buyer; -inf marks an unusable (SSIM=0) link."""
-    return instance.arrays.S[uav_index].copy()
-
-
 def _buyer_utilities(m: _MarketArrays, demands, prices) -> np.ndarray:
     """Surplus sum_j delta*ln(1 + b_j q_j)*S_j - p_j b_j of every demand row
     (..., J) against its price row, for the buyer rows of m broadcast against
@@ -477,53 +476,18 @@ def _rowdot(x, y) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _pack(support: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-    """Gather plan of _packed_sums for a boolean (..., J) support.
+def _support_sums(values: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Each row's sum over its support: values (..., J) masked by the boolean
+    support to 0.0 off it and summed over the whole row.
 
-    Per support size k, the flat indices of the rows of that size and the
-    flat indices of their k support entries in ascending order. When every row
-    has the same size k > 0 the plan is that one group in row order, its rows
-    None, and its entries None too when k == J (every entry of every row).
+    numpy sums a row of fewer than 8 entries left to right, and adding an
+    exact 0.0 changes no bit, so for J <= 7 this equals np.sum over the
+    gathered support entries bit for bit. From J = 8 on, numpy's pairwise
+    sum groups the row's terms by position, so the zeros can move the last
+    bits; this masked order is then the defined one. An empty support sums
+    to 0.
     """
-    J = support.shape[-1]
-    entries = np.flatnonzero(support)         # row by row, each ascending
-    row = entries // J
-    # support sizes in the smallest integer type, which a stable sort sorts
-    # by radix
-    sizes = np.bincount(row, minlength=support.size // J).astype(np.min_scalar_type(J))
-    k = int(sizes[0]) if sizes.size else 0
-    # one support size: the total, which is cheap to test, then every row
-    if entries.size == k * sizes.size and (sizes == k).all():
-        return [(None, None if k == J else entries.reshape(-1, k))] if k else []
-    by_size = np.argsort(sizes, kind="stable")
-    entries = entries[np.argsort(sizes[row], kind="stable")]
-    plan, r, e = [], 0, 0
-    for k, n in enumerate(np.bincount(sizes, minlength=J + 1).tolist()):
-        if k and n:
-            plan.append((by_size[r:r + n], entries[e:e + n * k].reshape(n, k)))
-        r, e = r + n, e + n * k
-    return plan
-
-
-def _packed_sums(values: np.ndarray, plan) -> np.ndarray:
-    """np.sum(values[k][support[k]]) for every row k, in numpy's own order.
-
-    plan is _pack(support). Each row is gathered to its support (ascending
-    index) and the rows are summed in groups of one support size, so each sum
-    runs over the same contiguous elements as np.sum on the gathered support
-    and rounds the same way. A row with an empty support sums to 0. A
-    one-size plan sums its group in row order, with no scatter, and a full
-    support sums the contiguous values without a gather.
-    """
-    v = values.reshape(-1)
-    out = np.zeros(values.shape[:-1])
-    flat_out = out.reshape(-1)
-    for rows, gather in plan:
-        if rows is None:
-            group = v.reshape(-1, values.shape[-1]) if gather is None else v[gather]
-            return np.add.reduce(group, axis=1).reshape(out.shape)
-        flat_out[rows] = np.add.reduce(v[gather], axis=1)
-    return out
+    return np.add.reduce(np.where(support, values, 0.0), axis=-1)
 
 
 def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
@@ -540,9 +504,9 @@ def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
     b = delta*S/(p*(1 + lambda)) - 1/q, dropping the links whose demand is
     nonpositive until the support is self-consistent. Each price column is
     copied to a contiguous buyer row, its spend is one dot product over that
-    row and each support sum rounds as np.sum does, so a buyer's answer
-    depends only on its price values and equals a buyer-by-buyer solve bit
-    for bit.
+    row and each support sum is _support_sums over the whole row, so a
+    buyer's answer depends only on its price values and equals a
+    buyer-by-buyer solve in the same order bit for bit.
     """
     p = np.ascontiguousarray(np.swapaxes(prices, -1, -2))   # buyer rows
     q, S, delta, budget = m.q, m.S, m.delta, m.budget
@@ -582,9 +546,8 @@ def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
     demands_flat, lam_flat, exits_flat = (demands.reshape(-1, J), lam.reshape(-1),
                                           exits.reshape(-1))
     while flat.size:
-        plan = _pack(support)
-        lam_k = (delta_o * _packed_sums(S_o, plan)
-                 / (budget_o + _packed_sums(p_over_q, plan)) - 1.0)
+        lam_k = (delta_o * _support_sums(S_o, support)
+                 / (budget_o + _support_sums(p_over_q, support)) - 1.0)
         lam_k = np.where(lam_k > 0.0, lam_k, 1e-15)
         b = delta_o[:, None] * S_o / (p_o * (1.0 + lam_k[:, None])) - inv_q
         keep = support & (b > 0)
@@ -646,13 +609,14 @@ def _slack_prices(m: _MarketArrays) -> np.ndarray:
 
 class _LeaderTerms(NamedTuple):
     """The price-independent terms of the leader map on n buyer rows (n x J
-    unless noted): q (J,), the gather plan of the positive links, the budget
-    column R (n x 1), q*c*S, the rival sums sum_S - S, where the formula
-    applies (positive link and positive rival sum), and the fallback there
-    (the slack price on a positive link without rivals, else c)."""
+    unless noted): q (J,), the positive links (boolean), the budget column R
+    (n x 1), q*c*S, the rival sums sum_S - S, where the formula applies
+    (positive link and positive rival sum), and the fallback there (the slack
+    price on a positive link without rivals, else c). Each sum over the
+    positive links is _support_sums over the whole row."""
 
     q: np.ndarray
-    plan: list
+    positive: np.ndarray
     budget: np.ndarray
     qcS: np.ndarray
     denom: np.ndarray
@@ -663,9 +627,8 @@ class _LeaderTerms(NamedTuple):
 def _leader_terms(m: _MarketArrays, slack: np.ndarray) -> _LeaderTerms:
     """The leader map's terms on the buyer rows of m; slack is _slack_prices(m)."""
     positive = m.S > 0.0
-    plan = _pack(positive)
-    denom = _packed_sums(m.S, plan)[:, None] - m.S
-    return _LeaderTerms(m.q, plan, m.budget[:, None], m.q * m.c * m.S, denom,
+    denom = _support_sums(m.S, positive)[:, None] - m.S
+    return _LeaderTerms(m.q, positive, m.budget[:, None], m.q * m.c * m.S, denom,
                         positive & (denom > 0.0), np.where(positive, slack, m.c))
 
 
@@ -677,11 +640,12 @@ def _leader_map(p: np.ndarray, t: _LeaderTerms) -> np.ndarray:
     over the links with positive log-quality; a coordinate without such a
     competitor maps to its slack price, a link without positive log-quality to
     c_j. t is _leader_terms of the n buyer rows. Each entry is evaluated in
-    the order written here, so it equals the seller-by-seller formula bit for
-    bit.
+    the order written here, each sum over the positive links as
+    _support_sums, so it equals the seller-by-seller formula in that order
+    bit for bit.
     """
     p_over_q = p / t.q
-    other = _packed_sums(p_over_q, t.plan)[:, None] - p_over_q
+    other = _support_sums(p_over_q, t.positive)[:, None] - p_over_q
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.sqrt(t.qcS * (t.budget + other) / t.denom)
     return np.where(t.formula, out, t.fallback)

@@ -22,7 +22,6 @@ from bwmarket.game import (
     SsimTriple,
     UavProfile,
     VerificationReport,
-    log_quality_row,
     rsu_utility,
     uav_utility,
 )
@@ -81,7 +80,7 @@ def grid_follower_utility(instance: GameInstance, uav_index: int,
     """Brute-force follower optimum: separable utility over a budget-feasible grid."""
     p = np.asarray(price_row, dtype=float)
     q = instance.arrays.q
-    S = log_quality_row(instance, uav_index)
+    S = instance.arrays.S[uav_index]
     uav = instance.uavs[uav_index]
     delta, R = uav.delta, uav.budget
     J = instance.num_rsus
@@ -117,13 +116,15 @@ def reference_follower_best_response(instance: GameInstance, uav_index: int,
     it. Unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are accepted when
     the total spend fits the budget; otherwise a support-set water-filling
     computes the binding-budget multiplier, dropping sellers whose demand goes
-    nonpositive and recomputing until the support is self-consistent.
+    nonpositive and recomputing until the support is self-consistent. Each
+    sum over the support is np.sum over the whole J-wide row, 0.0 off the
+    support: the kernel's summation order.
     """
     # a contiguous row: BLAS sums a strided vector in another order, and a
     # buyer's answer depends only on its price values
     p = np.ascontiguousarray(price_row, dtype=float)
     q = instance.arrays.q
-    S = log_quality_row(instance, uav_index)
+    S = instance.arrays.S[uav_index]
     uav = instance.uavs[uav_index]
     delta, R = uav.delta, uav.budget
     J = instance.num_rsus
@@ -147,7 +148,9 @@ def reference_follower_best_response(instance: GameInstance, uav_index: int,
     # budget binds: water-filling over the shrinking support set
     support = np.flatnonzero(positive)
     while support.size > 0:
-        lam = delta * float(np.sum(S[support])) / (R + float(np.sum(p[support] / q[support]))) - 1.0
+        on = np.isin(np.arange(J), support)
+        lam = (delta * float(np.sum(np.where(on, S, 0.0)))
+               / (R + float(np.sum(np.where(on, p / q, 0.0)))) - 1.0)
         if lam <= 0.0:
             # reduced support fits the budget after all: fall back to candidates
             b = zeros.copy()
@@ -233,20 +236,22 @@ def reference_leader_map(instance: GameInstance, uav_index: int,
     """Clamped sellers' best-response map for one buyer, coordinate by coordinate.
 
     The reference for game.leader_best_response_map and the batched map of
-    solve_equilibrium: the same formulas in the same order, one seller at a time.
+    solve_equilibrium: the same formulas in the same order, one seller at a
+    time. The sums over the positive links are np.sum over the whole J-wide
+    row, 0.0 off those links: the batched map's summation order.
     """
     p = np.asarray(price_vector, dtype=float)
     q = instance.arrays.q
     cs = instance.costs()
     caps = instance.price_caps()
-    S = log_quality_row(instance, uav_index)
+    S = instance.arrays.S[uav_index]
     uav = instance.uavs[uav_index]
     R = uav.budget
     positive = np.isfinite(S) & (S > 0.0)
 
     out = cs.astype(float).copy()
-    sum_S = float(np.sum(S[positive]))
-    sum_pq = float(np.sum(p[positive] / q[positive]))
+    sum_S = float(np.sum(np.where(positive, S, 0.0)))
+    sum_pq = float(np.sum(np.where(positive, p / q, 0.0)))
     for j in range(instance.num_rsus):
         if not positive[j]:
             continue
@@ -268,7 +273,7 @@ def _reference_uav_prices(instance: GameInstance, uav_index: int,
     q = instance.arrays.q
     cs = instance.costs()
     caps = instance.price_caps()
-    S = log_quality_row(instance, uav_index)
+    S = instance.arrays.S[uav_index]
     delta = instance.uavs[uav_index].delta
     positive = np.isfinite(S) & (S > 0.0)
 

@@ -1,6 +1,9 @@
 """Tests for the game-theoretic core: utilities, best responses, equilibrium."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from bwmarket.game import (
     all_followers_respond,
     follower_best_response,
     leader_best_response_map,
-    log_quality_row,
     rsu_utility,
     solve_equilibrium,
     ssim,
@@ -46,10 +48,10 @@ LN2 = math.log(2.0)
 
 
 def one_link_log_quality(luminance: float, threshold: float = 0.5) -> float:
-    """log_quality_row of a one-buyer, one-seller market with the given SSIM."""
+    """The log-quality S of a one-buyer, one-seller market with the given SSIM."""
     uav = UavProfile(10.0, 2.0, threshold, [SsimTriple(luminance, 1.0, 1.0)])
     inst = GameInstance([uav], [RsuProfile(1.0, 5.0, link_with_efficiency(1.0))])
-    return float(log_quality_row(inst, 0)[0])
+    return float(inst.arrays.S[0, 0])
 
 
 # =====================================================================
@@ -76,6 +78,13 @@ class TestLinkAndSsim:
         snr_db = 22.0 - 23.0 + 114.0
         expected = math.log2(1.0 + 10.0 ** (snr_db / 10.0))
         assert abs(link.spectrum_efficiency - expected) < 1e-12
+
+    @pytest.mark.parametrize("power_dbm", [3083.0, 5000.0, math.inf])
+    def test_snr_past_float_range_rejected(self, power_dbm):
+        # 10^(snr/10) overflows a float from about 3083 dB on
+        message = f"infinite spectrum efficiency from SNR {power_dbm} dB"
+        with pytest.raises(ValueError, match=message):
+            ChannelLink(power_dbm, 0.0, 0.0)
 
     def test_ssim_unique_maximum(self):
         assert ssim(SsimTriple(1.0, 1.0, 1.0)) == 1.0
@@ -205,7 +214,7 @@ class TestFollowerBestResponse:
                 continue
             checked += 1
             q = inst.arrays.q
-            S = log_quality_row(inst, 0)
+            S = inst.arrays.S[0]
             delta = inst.uavs[0].delta
             for j in sol.support:
                 resid = (delta * q[j] * S[j] / (1.0 + sol.demands[j] * q[j])
@@ -426,50 +435,34 @@ class TestBatchedFollower:
             assert not w.degenerate or not np.any(inst.arrays.S[i] > 0.0)
 
 
-class TestPackedSums:
+class TestSupportSums:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
-    def test_each_row_sums_its_support_as_numpy_does(self, data):
+    def test_masked_sum_of_each_row(self, data):
         # values of mixed sign and magnitude, so that any other summation
         # order shows in the last bits; densities 0 and 1 give empty and full
-        # rows, and a leading batch shape is flattened like the kernel's
+        # rows, up to 1,100 rows span a whole verifier probe block, a leading
+        # batch shape is summed like the kernel's, and the values are
+        # contiguous or strided
         J = data.draw(st.integers(1, 10), label="J")
         batch = tuple(data.draw(st.lists(st.integers(0, 3), max_size=2), label="batch"))
-        shape = batch + (data.draw(st.integers(0, 12), label="rows"), J)
+        rows = data.draw(st.one_of(st.integers(0, 12), st.integers(1000, 1100)), label="rows")
+        shape = batch + (rows, J)
         density = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="density")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         support = rng.random(shape) < density
-        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-        got = game._packed_sums(values, game._pack(support))
-        assert got.shape == shape[:-1]
-        for row in np.ndindex(shape[:-1]):
-            want = np.add.reduce(values[row][support[row]])
-            assert got[row].tobytes() == want.tobytes(), row
-
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @given(st.data())
-    def test_rows_of_one_support_size(self, data):
-        # every row holds exactly k entries, k = 0..J: the plan is one group in
-        # row order (no group at all for k == 0), and up to 1,100 rows span a
-        # whole verifier probe block; the values are contiguous or strided
-        J = data.draw(st.integers(1, 10), label="J")
-        k = data.draw(st.integers(0, J), label="k")
-        batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=1), label="batch"))
-        rows = data.draw(st.one_of(st.integers(0, 20), st.integers(1000, 1100)), label="rows")
-        shape = batch + (rows, J)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        support = rng.random(shape).argsort(axis=-1) < k
         wide = shape[:-1] + (2 * J,)
         raw = rng.standard_normal(wide) * 10.0 ** rng.integers(-8, 9, wide)
         strided = data.draw(st.booleans(), label="strided")
         values = raw[..., ::2] if strided else np.ascontiguousarray(raw[..., :J])
-        plan = game._pack(support)
-        assert len(plan) == (1 if k and support.size else 0)
-        got = game._packed_sums(values, plan)
+        got = game._support_sums(values, support)
         assert got.shape == shape[:-1]
         for row in np.ndindex(shape[:-1]):
-            want = np.add.reduce(values[row][support[row]])
-            assert got[row].tobytes() == want.tobytes(), row
+            masked = np.sum(np.where(support[row], values[row], 0.0))
+            assert got[row].tobytes() == masked.tobytes(), row
+            if J <= 7:   # a row of fewer than 8 entries: the gathered sum's bits
+                gathered = np.add.reduce(values[row][support[row]])
+                assert got[row].tobytes() == gathered.tobytes(), row
 
 
 # =====================================================================
@@ -510,7 +503,7 @@ class TestLeaderResponses:
         rng = np.random.default_rng(23)
         for _ in range(1000):
             inst = random_instance(rng, I=1, J=3, min_component=0.85)
-            S = log_quality_row(inst, 0)
+            S = inst.arrays.S[0]
             assert np.all(np.isfinite(S) & (S > 0))
             p = rng.uniform(inst.costs(), inst.price_caps())
             phi = leader_best_response_map(inst, 0, p, clamp=False)
@@ -587,16 +580,19 @@ def solved(inst):
     return inst, solve_equilibrium(inst)
 
 
-def trends_market(I, J, seed, understate):
-    """A market of the trends sweeps: every link usable, budgets mostly binding.
+def understate(sol):
+    """Lower a solution's recorded utilities, so that probes beat them and a
+    verifier report carries the probes' own margins and utilities."""
+    sol.rsu_utilities = 0.9 * sol.rsu_utilities
+    sol.uav_utilities = sol.uav_utilities - 0.5 * np.abs(sol.uav_utilities)
 
-    understate lowers the recorded utilities, so that probes beat them and the
-    report carries the probes' own margins and utilities.
-    """
+
+def trends_market(I, J, seed, understated):
+    """A market of the trends sweeps: every link usable, budgets mostly
+    binding; its solution understated (understate) if asked."""
     inst, sol = solved(sample_instance({"similarity": (0.85, 1.0)}, I, J, seed))
-    if understate:
-        sol.rsu_utilities = 0.9 * sol.rsu_utilities
-        sol.uav_utilities = sol.uav_utilities - 0.5 * np.abs(sol.uav_utilities)
+    if understated:
+        understate(sol)
     return inst, sol
 
 
@@ -635,6 +631,41 @@ def assert_same_solution(got, want):
     for name in ("per_uav_case", "iterations", "residual", "consistent", "diagnostics"):
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b) and a == b, (name, a, b)
+
+
+# The solved-market digests: one sha256 per (ranges, market size) over every
+# field of solve_equilibrium and of a 20-probe verify_equilibrium report on
+# the understated solution (understate), for 12 seeds; recorded with the
+# gather-plan support sums, which give these J <= 7 markets the same bits as
+# the masked sums.
+SOLVED_DIGESTS = Path(__file__).with_name("solved_digests.json")
+SOLVED_RANGES = {"default": {}, "half": {"similarity": (0.5, 1.0)},
+                 "dense": {"similarity": (0.85, 1.0)}}
+SOLVED_SIZES = ((4, 1), (3, 2), (6, 3), (5, 4), (8, 5), (15, 6), (5, 7))
+
+
+def solved_digests(seeds=range(12)) -> dict:
+    """sha256 of the arrays (dtype, shape, bytes) and the repr of the other
+    fields of each seed's solution and report, one digest per (ranges, I x J)."""
+    out = {}
+    for name, ranges in SOLVED_RANGES.items():
+        for I, J in SOLVED_SIZES:
+            digest = hashlib.sha256()
+            for seed in seeds:
+                inst = sample_instance(ranges, I, J, seed)
+                sol = solve_equilibrium(inst)
+                for a in (sol.prices.prices, sol.demands.demands, sol.rsu_utilities,
+                          sol.uav_utilities):
+                    digest.update(f"{a.dtype}{a.shape}".encode())
+                    digest.update(a.tobytes())
+                digest.update(repr((sol.per_uav_case, sol.iterations, sol.residual,
+                                    sol.consistent, sol.diagnostics)).encode())
+                understate(sol)
+                report = verify_equilibrium(inst, sol, num_probes=20, rng_seed=seed)
+                digest.update(repr((report.num_probes, report.rsu_violations,
+                                    report.uav_violations, report.max_violation)).encode())
+            out[f"{name} {I}x{J}"] = digest.hexdigest()
+    return out
 
 
 ORACLE_FLOORS = (0.0, 0.5, 0.85)
@@ -684,6 +715,11 @@ class TestEquilibrium:
             assert any(d.startswith(f"uav {i}: mixed-case") for d in want.diagnostics)
             assert want.per_uav_case[i] == case
         assert want.consistent == (not mixed)
+
+    def test_solves_match_recorded_digests(self):
+        """Every bit of 252 solves and verifier reports on J = 1..7 markets
+        (12 seeds x 7 sizes x 3 range sets) is what the gather-plan sums gave."""
+        assert solved_digests() == json.loads(SOLVED_DIGESTS.read_text())["digests"]
 
     def test_solve_makes_two_kernel_passes(self, monkeypatch):
         """A solve returns the demands of the candidates it solved: one kernel

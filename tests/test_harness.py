@@ -343,8 +343,10 @@ class TestRuns:
         ({"bandwidth_cost": (-2.0, -1.0)}, "bandwidth_cost must be positive"),
         ({"transmit_power_dbm": (-5000.0, -4000.0)},
          "non-positive spectrum efficiency from SNR -4342.981433215938 dB"),
+        ({"transmit_power_dbm": (5000.0, 6000.0)},
+         "infinite spectrum efficiency from SNR 5657.018566784062 dB"),
     ], ids=["budget", "delta", "ssim_threshold", "similarity", "bandwidth_cost",
-            "transmit_power"])
+            "transmit_power", "transmit_power_overflow"])
     def test_sample_instance_bad_range_is_config_error(self, ranges, message):
         with pytest.raises(ConfigError, match="sampled instance rejected: " + message):
             sample_instance(ranges, 2, 2, 0)
@@ -816,3 +818,18 @@ class TestBenchmarkHooks:
         sol = solve_equilibrium(inst)
         assert np.any(sol.demands.demands > 0)
         assert workloads.check_solution(inst, sol) == []
+
+    def test_every_reference_market_passes_the_solve_large_checks(self, monkeypatch):
+        """All 64 recorded 100 x 10 markets of solve-large (the timed runs
+        draw 48 of them) pass its output checks, with the reference's own
+        mixed-case buyers and consistency."""
+        workloads = self.load("workloads", monkeypatch)
+        reference = json.loads(workloads.REFERENCE.read_text())["instances"]
+        assert len(reference) == 64
+        for ref in reference:
+            inst = workloads.large_instance(ref["seed"])
+            sol = solve_equilibrium(inst)
+            assert workloads.check_solution(inst, sol) == [], ref["seed"]
+            assert workloads.compare_reference(ref, sol) == [], ref["seed"]
+            assert workloads.mixed_buyers(sol) == set(ref["mixed"]), ref["seed"]
+            assert sol.consistent == ref["consistent"], ref["seed"]

@@ -51,7 +51,7 @@ class EnvConfig:
             raise ValueError(f"unknown warmup policy {self.warmup_policy!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class StepOutcome:
     """One round's result; with a run axis every array gains a leading E."""
 

@@ -26,9 +26,9 @@ each, in _buyer_utilities and _margins.
 
 Terms that do not depend on the prices are built once and then only read.
 The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
-the I x J market, and water-fills only the rows whose budget binds, gathered
-once and shrunk as rows exit; when every open row exits on a step, they are
-written back in one go.  _leader_terms builds the leader map's terms
+the I x J market, and water-fills every row of the call in place, each
+masked by its own support (empty where the budget does not bind), until no
+support changes.  _leader_terms builds the leader map's terms
 (the mask of the positive links, their rival sums, q*c*S and the fallback
 prices) once per solve for all binding buyers, and
 leader_best_response_map builds them for its one row.  Every sum over a
@@ -292,7 +292,7 @@ class GameInstance:
     __hash__ = None
 
 
-@dataclass
+@dataclass(eq=False)
 class PriceMatrix:
     """J x I seller prices, entrywise inside each seller's [cost, cap] box."""
 
@@ -310,7 +310,7 @@ class PriceMatrix:
         self.prices = np.clip(prices, cs, caps)
 
 
-@dataclass
+@dataclass(eq=False)
 class DemandMatrix:
     """I x J nonnegative buyer demands, per-buyer spend within budget; a stack
     of them (..., I, J) against a stack of J x I prices is checked alike."""
@@ -341,7 +341,7 @@ def _check_demands(demands: np.ndarray, prices: np.ndarray | None,
             raise ValueError("per-UAV spend exceeds budget")
 
 
-@dataclass
+@dataclass(eq=False)
 class FollowerSolution:
     """One buyer's exact best response to a posted price row."""
 
@@ -352,7 +352,7 @@ class FollowerSolution:
     degenerate: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class EquilibriumSolution:
     prices: PriceMatrix
     demands: DemandMatrix
@@ -498,74 +498,53 @@ def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
     (..., I), one of _NO_DEMAND, _SLACK and _BINDING.
 
     The unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are kept when
-    their spend p @ b fits the budget. Otherwise the budget binds and each
-    row runs a water-filling over its own shrinking support (Palomar &
-    Fonollosa, IEEE TSP 2005): lambda = delta*sum S / (R + sum p/q) - 1, then
+    their spend p @ b fits the budget. Otherwise the budget binds and the row
+    water-fills over its own shrinking support (Palomar & Fonollosa, IEEE
+    TSP 2005): lambda = delta*sum S / (R + sum p/q) - 1, then
     b = delta*S/(p*(1 + lambda)) - 1/q, dropping the links whose demand is
-    nonpositive until the support is self-consistent. Each price column is
-    copied to a contiguous buyer row, its spend is one dot product over that
-    row and each support sum is _support_sums over the whole row, so a
-    buyer's answer depends only on its price values and equals a
-    buyer-by-buyer solve in the same order bit for bit.
+    nonpositive until the support is self-consistent. Every row steps at
+    once, each masked by its own support (empty on the rows that do not
+    bind), until no support changes; a settled row gets the same lambda and
+    demands again on each later step. Each price column is copied to a
+    contiguous buyer row, its spend is one dot product over that row and
+    each support sum is _support_sums over the whole row, so a buyer's
+    answer depends only on its price values and equals a buyer-by-buyer
+    solve in the same order bit for bit.
     """
     p = np.ascontiguousarray(np.swapaxes(prices, -1, -2))   # buyer rows
     q, S, delta, budget = m.q, m.S, m.delta, m.budget
-    I, J = S.shape
     # price-independent terms, once per call on the I x J market
-    positive = np.isfinite(S) & (S > 0.0)
+    positive = S > 0.0
     S = np.where(positive, S, 0.0)
     d = delta[:, None]
     dS, dqS, inv_q = d * S, d * q * S, 1.0 / q
 
     cand = np.where(positive & (p < dqS), dS / p - inv_q, 0.0)
     cand = np.maximum(cand, 0.0)
-    demands = np.zeros(p.shape)
-    lam = np.zeros(p.shape[:-1])
-    exits = np.full(p.shape[:-1], _NO_DEMAND)
-
     wants = (cand > 0).any(axis=-1)
     slack = wants & (_rowdot(p, cand) <= budget)
-    demands[slack] = cand[slack]
-    exits[slack] = _SLACK
+    binding = wants & ~slack
 
-    # budget binds: water-filling on the open rows only, gathered once, each
-    # shrinking its own support and scattered back when it exits. Only the
-    # first step can find lambda <= 0 (a usable link priced past its choke
-    # point), and its demands at lambda = 0 are the slack candidates, which
+    # budget binds: water-filling until no support changes. Only the first
+    # step can find lambda <= 0 (a usable link priced past its choke point),
+    # and its demands at lambda = 0 are the slack candidates, which
     # overspend; so lambda is floored at 1e-15. Every later support still
     # holds the optimal support S*, so it never empties and its unconstrained
-    # spend exceeds R, which makes lambda > 0.
-    flat = np.flatnonzero(wants & ~slack)     # flat (..., I) index of each open row
-    buyer = flat % I
-    # np.take and np.compress move whole rows far faster than fancy indexing
-    p_o = np.take(p.reshape(-1, J), flat, axis=0)
-    del p, cand     # the open rows' copies replace them: no higher peak memory
-    support, S_o = (np.take(x, buyer, axis=0) for x in (positive, S))
-    delta_o, budget_o = delta[buyer], budget[buyer]
-    p_over_q = p_o / q
-    demands_flat, lam_flat, exits_flat = (demands.reshape(-1, J), lam.reshape(-1),
-                                          exits.reshape(-1))
-    while flat.size:
-        lam_k = (delta_o * _support_sums(S_o, support)
-                 / (budget_o + _support_sums(p_over_q, support)) - 1.0)
-        lam_k = np.where(lam_k > 0.0, lam_k, 1e-15)
-        b = delta_o[:, None] * S_o / (p_o * (1.0 + lam_k[:, None])) - inv_q
+    # spend exceeds R, which makes lambda > 0. The support starts empty, so a
+    # call in which no budget binds takes no step.
+    p_over_q = p / q
+    support, keep = np.zeros(p.shape, bool), positive & binding[..., None]
+    lam = b = 0.0
+    while not np.array_equal(keep, support):
+        support = keep
+        lam = (delta * _support_sums(S, support)
+               / (budget + _support_sums(p_over_q, support)) - 1.0)
+        lam = np.where(lam > 0.0, lam, 1e-15)
+        b = dS / (p * (1.0 + lam[..., None])) - inv_q
         keep = support & (b > 0)
-        if np.count_nonzero(keep) == np.count_nonzero(support):   # all rows exit
-            demands_flat[flat] = np.where(support, b, 0.0)
-            lam_flat[flat] = lam_k
-            exits_flat[flat] = _BINDING
-            break
-        done = (keep == support).all(axis=-1)
-        exit_ = flat[done]
-        demands_flat[exit_] = np.compress(done, np.where(support, b, 0.0), axis=0)
-        lam_flat[exit_] = lam_k[done]
-        exits_flat[exit_] = _BINDING
-        go = ~done
-        flat, delta_o, budget_o = flat[go], delta_o[go], budget_o[go]
-        support, S_o, p_o, p_over_q = (np.compress(go, x, axis=0)
-                                       for x in (keep, S_o, p_o, p_over_q))
-    return demands, lam, exits
+    demands = np.where(support, b, np.where(slack[..., None], cand, 0.0))
+    exits = np.where(binding, _BINDING, np.where(slack, _SLACK, _NO_DEMAND))
+    return demands, np.where(binding, lam, 0.0), exits
 
 
 def follower_best_response(instance: GameInstance, uav_index: int,
@@ -583,7 +562,7 @@ def follower_best_response(instance: GameInstance, uav_index: int,
     b = demands[0]
     case = CASE_BUDGET_ACTIVE if exits[0] == _BINDING else CASE_BUDGET_INACTIVE
     return FollowerSolution(b, case, float(lam[0]), frozenset(np.flatnonzero(b > 0).tolist()),
-                            degenerate=not np.any(np.isfinite(m.S) & (m.S > 0.0)))
+                            degenerate=not np.any(m.S > 0.0))
 
 
 def all_followers_respond(instance: GameInstance, prices) -> DemandMatrix:

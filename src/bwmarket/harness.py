@@ -264,7 +264,7 @@ def sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
 # Run records
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     run_id: str
     config_hash: str

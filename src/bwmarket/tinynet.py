@@ -23,7 +23,7 @@ import numpy as np
 CHECKPOINT_VERSION = 2
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseLayer:
     """Fully connected layer without bias: out x in weights.
 

@@ -31,7 +31,8 @@ from bwmarket.game import (
     verify_equilibrium,
 )
 from bwmarket.env import EnvConfig, PricingEnv
-from bwmarket.harness import sample_instance
+from bwmarket.harness import RunRecord, sample_instance
+from bwmarket.tinynet import DenseLayer
 
 from _oracles import (
     grid_follower_utility,
@@ -330,8 +331,13 @@ class TestBatchedFollower:
         # J up to 10, and each stack twice: strided buyer columns (P[:, i], the
         # final demands and the verifier's probes) and contiguous buyer rows
         # (the solver's candidate price rows); BLAS sums the two differently
+        # (the masked water-filling steps every row of a call until the last
+        # one settles, so a row that exits on the first step, keeping all its
+        # usable links, beside a row whose support shrinks is recomputed
+        # after it has settled)
         rng = np.random.default_rng(17)
-        reached = {"slack": False, "binding": False, "no usable link": False}
+        reached = {"slack": False, "binding": False, "no usable link": False,
+                   "first-step and later exits in one call": False}
         for trial in range(120):
             J = 1 + trial % 10
             inst = random_instance(rng, I=3, J=J,
@@ -345,7 +351,13 @@ class TestBatchedFollower:
             for prices in (stack, np.swapaxes(buyer_rows, 1, 2)):
                 exits, _ = self.check_against_reference(inst, prices)
             S = inst.arrays.S
-            unusable = ~(np.isfinite(S) & (S > 0.0)).any(axis=1)
+            usable = np.isfinite(S) & (S > 0.0)
+            unusable = ~usable.any(axis=1)
+            demands = game._batched_follower_demands(stack, inst.arrays)[0]
+            whole = ((demands > 0) == usable).all(axis=-1)   # support never shrank
+            binding = exits == game._BINDING
+            reached["first-step and later exits in one call"] |= bool(
+                np.any(binding & whole) and np.any(binding & ~whole))
             reached["slack"] |= bool(np.any(exits == game._SLACK))
             reached["binding"] |= bool(np.any(exits == game._BINDING))
             reached["no usable link"] |= bool(np.any((exits == game._NO_DEMAND)
@@ -635,21 +647,26 @@ def assert_same_solution(got, want):
 
 # The solved-market digests: one sha256 per (ranges, market size) over every
 # field of solve_equilibrium and of a 20-probe verify_equilibrium report on
-# the understated solution (understate), for 12 seeds; recorded with the
-# gather-plan support sums, which give these J <= 7 markets the same bits as
-# the masked sums.
+# the understated solution (understate). solved_digests.json holds 12 seeds
+# of J <= 7 markets, recorded with the gather-plan support sums, which give
+# them the same bits as the masked sums. wide_solved_digests.json holds 8
+# seeds of J = 8..12 markets, where numpy's pairwise sum makes the masked
+# order the defined one, recorded with the masked sums and the gathered
+# water-filling rows.
 SOLVED_DIGESTS = Path(__file__).with_name("solved_digests.json")
+WIDE_SOLVED_DIGESTS = Path(__file__).with_name("wide_solved_digests.json")
 SOLVED_RANGES = {"default": {}, "half": {"similarity": (0.5, 1.0)},
                  "dense": {"similarity": (0.85, 1.0)}}
 SOLVED_SIZES = ((4, 1), (3, 2), (6, 3), (5, 4), (8, 5), (15, 6), (5, 7))
+WIDE_SOLVED_SIZES = ((3, 8), (9, 9), (5, 10), (12, 11), (6, 12))
 
 
-def solved_digests(seeds=range(12)) -> dict:
+def solved_digests(seeds=range(12), sizes=SOLVED_SIZES) -> dict:
     """sha256 of the arrays (dtype, shape, bytes) and the repr of the other
     fields of each seed's solution and report, one digest per (ranges, I x J)."""
     out = {}
     for name, ranges in SOLVED_RANGES.items():
-        for I, J in SOLVED_SIZES:
+        for I, J in sizes:
             digest = hashlib.sha256()
             for seed in seeds:
                 inst = sample_instance(ranges, I, J, seed)
@@ -720,6 +737,12 @@ class TestEquilibrium:
         """Every bit of 252 solves and verifier reports on J = 1..7 markets
         (12 seeds x 7 sizes x 3 range sets) is what the gather-plan sums gave."""
         assert solved_digests() == json.loads(SOLVED_DIGESTS.read_text())["digests"]
+
+    def test_wide_solves_match_recorded_digests(self):
+        """Every bit of 120 solves and verifier reports on J = 8..12 markets
+        (8 seeds x 5 sizes x 3 range sets) is what the masked sums gave."""
+        recorded = json.loads(WIDE_SOLVED_DIGESTS.read_text())
+        assert solved_digests(range(recorded["seeds"]), WIDE_SOLVED_SIZES) == recorded["digests"]
 
     def test_solve_makes_two_kernel_passes(self, monkeypatch):
         """A solve returns the demands of the candidates it solved: one kernel
@@ -873,6 +896,25 @@ class TestMatrixTypes:
                 DemandMatrix(stack, inst, prices=P)
         with pytest.raises(ValueError, match="expected shape"):
             DemandMatrix(np.zeros((3, 2, 1)), inst)
+
+    def test_array_records_compare_by_identity(self):
+        """The records that hold arrays compare by identity: == on two equal
+        records is False, not numpy's "truth value of an array is ambiguous"."""
+        inst = simple_instance(J=2)
+        env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=1))
+        env.reset(seed=0)
+        run = lambda: RunRecord("r", "h", 0, "solve", np.zeros((0, 2)), np.zeros(0),
+                                1.0, True, 1.0)
+        builds = [lambda: solve_equilibrium(inst),
+                  lambda: solve_equilibrium(inst).prices,
+                  lambda: solve_equilibrium(inst).demands,
+                  lambda: follower_best_response(inst, 0, [2.0, 3.0]),
+                  lambda: env.step([np.array([2.0]), np.array([3.0])]),
+                  run,
+                  lambda: DenseLayer(np.ones((2, 3)))]
+        for build in builds:
+            a, b = build(), build()
+            assert a == a and not (a == b) and a != b, type(a)
 
     def test_nan_price_rejected(self):
         inst = simple_instance(J=2)

@@ -37,7 +37,9 @@ sum over the whole row, _support_sums.
 
 verify_equilibrium hands the kernel its seller probes as contiguous buyer
 rows, so the kernel copies nothing, and scores the buyers' probes many
-buyers at a time.
+buyers at a time, in blocks of up to 4,096 rows: one block per seller for
+200 probes of up to 20 buyers.  Per-call overhead dominates at these sizes,
+so 4,096-row blocks verify in about 0.8x the time of 1,024-row ones.
 """
 
 from __future__ import annotations
@@ -737,9 +739,12 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
 # ---------------------------------------------------------------------------
 
 # Rows per batch in verify_equilibrium, buyer rows of a seller's probes and
-# probe rows of the buyers': the temporaries grow with the batch, and past
-# ~1000 rows a bigger batch barely runs faster.
-_PROBE_BLOCK_ROWS = 1024
+# probe rows of the buyers': the temporaries grow with the batch. Verifying
+# perfbench's ten sweep markets (dense, up to 15 x 6, 200 probes) took 0.90x
+# the time of 1,024-row blocks at 2,048 rows and 0.79-0.80x at 3,072, 4,096
+# and 8,192 (medians of five in-process runs, BENCH_20); 4,096 holds one
+# seller's 200 probes of up to 20 buyers.
+_PROBE_BLOCK_ROWS = 4096
 
 
 def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
@@ -752,12 +757,14 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
     demand rows must not beat its equilibrium utility.
 
     Each seller's probes are drawn at once and solved as one batch, in blocks
-    of at most 1024 buyer rows to bound memory; the buyers' probes are scored
-    as one array per block of whole buyers, at most 1024 probe rows unless one
-    buyer has more. The draws come in the order of a probe-by-probe loop
-    (seller by seller, then buyer by buyer), so a given rng_seed gives the
-    report that loop gives. A probe whose followers return a negative demand
-    or overspend a budget raises ValueError.
+    of at most 4096 buyer rows to bound memory, so 200 probes of up to 20
+    buyers take one kernel call per seller; the buyers' probes are scored as
+    one array per block of whole buyers, at most 4096 probe rows unless one
+    buyer has more. Such blocks verify in about 0.8x the time of 1,024-row
+    ones, and bigger blocks gain nothing more. The draws come in the order of a
+    probe-by-probe loop (seller by seller, then buyer by buyer), so a given
+    rng_seed gives the report that loop gives. A probe whose followers return
+    a negative demand or overspend a budget raises ValueError.
     """
     rng = np.random.default_rng(rng_seed)
     P = solution.prices.prices

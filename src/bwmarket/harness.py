@@ -4,7 +4,8 @@ One master seed fans out into named, order-independent substreams (instance,
 warmup, per-agent policy) so results are reproducible and adding an algorithm
 never perturbs instance sampling.  A sampled instance is its market arrays,
 built straight from one row of draws per seller and per buyer; its profile
-objects are built only if something reads them.
+objects are built only if something reads them.  A sweep draws each seed's
+rows once, at its largest market, and builds every cell from a prefix of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-import yaml
 
 from .agents import GreedyAgent, PpoAgent, PpoConfig, RandomAgent, TinyMadrlAgent
 from .env import EnvConfig, PricingEnv, theoretical_baseline
@@ -183,6 +183,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml  # only here, so importing the package does not load it
+
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh)
@@ -227,35 +229,58 @@ def sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
     The market's arrays are built straight from the draws, and its profiles
     only when something reads ``uavs`` or ``rsus``.
     """
-    full = dict(DEFAULT_RANGES)
-    full.update(ranges)
+    full = _checked_ranges(ranges)
+    return _market(full, *_unit_draws(seed, num_uavs, num_rsus))
+
+
+def _checked_ranges(ranges: dict) -> dict:
+    """The default ranges updated with ranges, each checked."""
+    full = {**DEFAULT_RANGES, **ranges}
     if full["bandwidth_cost"][1] > full["price_cap"][0]:
         raise ConfigError("bandwidth_cost range may exceed price_cap range")
     for key in DEFAULT_RANGES:
         _check_range(key, *full[key])
+    return full
+
+
+def _unit_draws(seed: int | np.random.Generator, num_uavs: int, num_rsus: int):
+    """The unit draws in [0, 1) of every seller's and every buyer's row, in
+    the columns _RSU_DRAWS and _UAV_DRAWS name, each row from its own entity's
+    substream.
+
+    One substream per entity index, so seller j (and buyer i) keeps the same
+    draws whatever the market size, and a buyer's row for fewer sellers is a
+    prefix of its row for more: a market is a prefix of any bigger market's
+    draws, which run_sweep shares across its cells."""
     rng = (seed if isinstance(seed, np.random.Generator)
            else np.random.default_rng(seed))
-    # One substream per entity index, so seller j (and buyer i) keeps the same
-    # parameters whatever the market size; sweeps over I or J stay paired.
     rsu_parent, uav_parent = rng.spawn(2)
 
-    def draws(parent, keys, count):
-        """One row of draws per entity, each from its own substream: gen.random
-        scaled into the ranges of keys, which gives what gen.uniform gives, bit
-        for bit, at the same stream position."""
-        lo, hi = np.array([full[key] for key in keys], dtype=float).T
-        gens = parent.spawn(count)
-        u = np.empty((len(gens), len(keys)))
-        for gen, row in zip(gens, u):
+    def rows(parent, count, width):
+        u = np.empty((count, width))
+        for gen, row in zip(parent.spawn(count), u):
             gen.random(out=row)
-        return lo + (hi - lo) * u
+        return u
+
+    return (rows(rsu_parent, num_rsus, len(_RSU_DRAWS)),
+            rows(uav_parent, num_uavs, len(_UAV_DRAWS) + 3 * num_rsus))
+
+
+def _market(full: dict, rsu_units: np.ndarray, uav_units: np.ndarray) -> GameInstance:
+    """The market of the unit draws scaled into the checked ranges full, as
+    gen.uniform would draw them, bit for bit: one seller per row of
+    rsu_units, one buyer per row of uav_units, whose columns past those
+    sellers are ignored."""
+    def scaled(keys, u):
+        lo, hi = np.array([full[key] for key in keys], dtype=float).T
+        return lo + (hi - lo) * u[:, :len(keys)]
 
     # The draws outside a parameter's domain (a negative budget, say) raise
     # ValueError; the ranges came from the config, so report a ConfigError.
     try:
         return GameInstance._from_draws(
-            draws(rsu_parent, _RSU_DRAWS, num_rsus),
-            draws(uav_parent, _UAV_DRAWS + ("similarity",) * (3 * num_rsus), num_uavs))
+            scaled(_RSU_DRAWS, rsu_units),
+            scaled(_UAV_DRAWS + ("similarity",) * (3 * len(rsu_units)), uav_units))
     except ValueError as exc:
         raise ConfigError(f"sampled instance rejected: {exc}") from None
 
@@ -460,7 +485,12 @@ def run_solve(cfg: ExperimentConfig, seed: int) -> RunRecord:
     """Solve and verify the analytic equilibrium for one sampled instance; the
     record's consistent flag is False when either step fails."""
     start = time.perf_counter()
-    instance = _sample(cfg, seed)
+    return _solve_record(cfg, seed, _sample(cfg, seed), start)
+
+
+def _solve_record(cfg: ExperimentConfig, seed: int, instance: GameInstance,
+                  start: float) -> RunRecord:
+    """run_solve's record for its sampled instance, timed from start."""
     sol = solve_equilibrium(instance)
     consistent = sol.consistent
     if consistent and cfg.verify_probes > 0:
@@ -510,15 +540,34 @@ def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):
     """Analytic runs over a parameter grid.
 
     Returns (records, aggregate) where aggregate maps grid value to the
-    mean/sd of the equilibrium average reward across seeds.
+    mean/sd of the equilibrium average reward across seeds. Each record equals
+    the cell's own run_solve record, apart from wall_ms.
+
+    Each seed's unit draws are made once, at the grid's largest market, and
+    every cell builds its market from a prefix of them in its own ranges,
+    which is the market its own sample_instance draws, bit for bit. A
+    record's wall_ms is its cell's own time plus an equal share of its seed's
+    draw time.
     """
+    subs = [_apply_sweep_value(cfg, spec.parameter, value) for value in spec.grid]
+    if not subs:
+        return [], {}
+    I = max(sub.num_uavs for sub in subs)
+    J = max(sub.num_rsus for sub in subs)
+    draws = []
+    for seed in spec.seeds:
+        start = time.perf_counter()
+        units = _unit_draws(named_rng(seed, "instance"), I, J)
+        draws.append((units, (time.perf_counter() - start) / len(subs)))
     records = []
     aggregate = {}
-    for value in spec.grid:
-        sub = _apply_sweep_value(cfg, spec.parameter, value)
+    for value, sub in zip(spec.grid, subs):
+        full = _checked_ranges(sub.ranges)
         cell = []
-        for seed in spec.seeds:
-            rec = run_solve(sub, seed)
+        for seed, ((rsu_units, uav_units), share) in zip(spec.seeds, draws):
+            start = time.perf_counter() - share
+            instance = _market(full, rsu_units[:sub.num_rsus], uav_units[:sub.num_uavs])
+            rec = _solve_record(sub, seed, instance, start)
             records.append(rec)
             cell.append(rec.theoretical)
         aggregate[value] = (float(np.mean(cell)), float(np.std(cell)))

@@ -31,7 +31,7 @@ from bwmarket.game import (
     verify_equilibrium,
 )
 from bwmarket.env import EnvConfig, PricingEnv
-from bwmarket.harness import RunRecord, sample_instance
+from bwmarket.harness import ExperimentConfig, RunRecord, sample_instance
 from bwmarket.tinynet import DenseLayer
 
 from _oracles import (
@@ -378,16 +378,18 @@ class TestBatchedFollower:
         assert first_lam[0, 0] < 0.0
 
     def test_matches_scalar_solver_on_a_probe_block(self):
-        # one verifier block on a dense 15 x 6 market: 68 probes of seller 2's
-        # row, 1,020 buyer rows laid out as the verifier lays them out
+        # one verifier block on a dense 15 x 6 market: a run's 200 probes of
+        # seller 2's row, 3,000 buyer rows in one block, laid out as the
+        # verifier lays them out
         inst = sample_instance({"similarity": (0.85, 1.0)}, 15, 6, 1)
         P = solve_equilibrium(inst).prices.prices
         m = inst.arrays
-        n = game._PROBE_BLOCK_ROWS // 15
+        n = ExperimentConfig().verify_probes
+        assert n * 15 <= game._PROBE_BLOCK_ROWS
         rows = np.repeat(P.T[None], n, axis=0)
         rows[:, :, 2] = np.random.default_rng(5).uniform(m.c[2], m.cap[2], size=(n, 15))
         exits, _ = self.check_against_reference(inst, np.swapaxes(rows, 1, 2))
-        assert exits.shape == (68, 15)
+        assert exits.shape == (200, 15)
         assert np.mean(exits == game._BINDING) > 0.9
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -621,9 +623,11 @@ VERIFY_CASES = [
     for I, J, seed, low in [(15, 2, 0, False), (15, 6, 1, False), (15, 6, 2, True),
                             (3, 3, 3, True), (15, 3, 4, False), (9, 3, 5, True)]
 ] + [
-    # a sweep's own setting, 200 probes: seller blocks of 68, 68 and 64 probes
-    # and buyer blocks of 5 buyers (at I = 12: 85, 85, 30 and 5, 5, 2);
-    # understated, so that every seller and buyer reports its worst probe
+    # a sweep's own setting, 200 probes: one block per seller and one of all
+    # buyers at the default block size; with 1,024-row blocks, seller blocks
+    # of 68, 68 and 64 probes and buyer blocks of 5 buyers (at I = 12: 85,
+    # 85, 30 and 5, 5, 2); understated, so that every seller and buyer
+    # reports its worst probe
     ("sweep-I15-J6-200-probes-understated", lambda: trends_market(15, 6, 7, True),
      200, 7, 1e-6),
     ("sweep-I12-J3-200-probes-understated", lambda: trends_market(12, 3, 8, True),
@@ -836,8 +840,9 @@ class TestEquilibrium:
         _, build, num_probes, rng_seed, rel_tol = case
         inst, sol = build()
         want = reference_verify_equilibrium(inst, sol, num_probes, rng_seed, rel_tol)
-        # the default batch, then blocks of one to a few probes
-        for block_rows in (game._PROBE_BLOCK_ROWS, 16):
+        # the default batch, blocks of several buyers with a short last one,
+        # then blocks of one to a few probes
+        for block_rows in (game._PROBE_BLOCK_ROWS, 1024, 16):
             monkeypatch.setattr(game, "_PROBE_BLOCK_ROWS", block_rows)
             got = verify_equilibrium(inst, sol, num_probes, rng_seed, rel_tol)
             assert got.num_probes == want.num_probes

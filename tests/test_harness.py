@@ -4,7 +4,9 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bwmarket import tinynet
+from bwmarket import harness, tinynet
 from bwmarket.cli import main as cli_main
 from bwmarket.env import WARMUP_UNIFORM, WARMUP_ZEROS, PricingEnv
 from bwmarket.game import solve_equilibrium, verify_equilibrium
@@ -248,6 +250,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_import_leaves_yaml_unloaded(self, tmp_path):
+        """Importing the package loads no YAML parser; load_config loads it
+        and reports invalid YAML in one line, as the parser words it."""
+        path = tmp_path / "bad.yaml"
+        path.write_text("instance: [1, 2\n  bad: :\n")
+        with open(path) as fh, pytest.raises(yaml.YAMLError) as parsed:
+            yaml.safe_load(fh)
+        want = f"{path}: invalid YAML: {' '.join(str(parsed.value).split())}"
+        script = ("import sys, bwmarket\n"
+                  "print('yaml' in sys.modules)\n"
+                  "try:\n"
+                  "    bwmarket.harness.load_config(sys.argv[1])\n"
+                  "except bwmarket.harness.ConfigError as exc:\n"
+                  "    print(exc)\n")
+        src = str(Path(__file__).parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", script, str(path)],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.splitlines() == ["False", want]
+
     def test_int_and_float_spellings_hash_alike(self):
         """A float option written as an int loads as that float, so both
         spellings give one config and one run_id: the float spelling's."""
@@ -352,6 +374,90 @@ class TestRuns:
             sample_instance(ranges, 2, 2, 0)
 
 
+class TestSweepDraws:
+    """run_sweep draws each seed's entity rows once, at the grid's largest
+    market, and builds every cell from a prefix of them: each cell is still
+    the market, and each record the run_solve record, that the cell gives on
+    its own."""
+
+    SWEEPS = [("I", [1, 3, 6]), ("J", [1, 2, 4]), ("c", [1.0, 2.5, 4.0]),
+              ("p_bar", [5.0, 20.0, 35.0])]
+    RANGES = {"default": {}, "dense": {"similarity": (0.85, 1.0)}}
+
+    @staticmethod
+    def config(ranges):
+        cfg = ExperimentConfig(num_uavs=4, num_rsus=3, seeds=[0, 3])
+        cfg.ranges.update(ranges)
+        return cfg.validate()
+
+    @pytest.mark.parametrize("ranges", RANGES.values(), ids=list(RANGES))
+    @pytest.mark.parametrize("param,grid", SWEEPS, ids=[p for p, _ in SWEEPS])
+    def test_cells_equal_their_solo_runs(self, monkeypatch, param, grid, ranges):
+        cfg = self.config(ranges)
+        cells = []
+        solve_record = harness._solve_record
+
+        def spy(sub, seed, instance, start):
+            cells.append((sub, seed, instance))
+            return solve_record(sub, seed, instance, start)
+
+        monkeypatch.setattr(harness, "_solve_record", spy)
+        records, _ = run_sweep(cfg, SweepSpec(param, grid, cfg.seeds))
+        monkeypatch.undo()
+        assert len(cells) == len(records) == len(grid) * len(cfg.seeds)
+        for (sub, seed, got), rec in zip(cells, records):
+            want = sample_instance(sub.ranges, sub.num_uavs, sub.num_rsus,
+                                   named_rng(seed, "instance"))
+            for a, b in zip(got.arrays, want.arrays):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (param, sub, seed)
+            assert repr(got) == repr(want)
+            solo = run_solve(sub, seed)
+            for name in ("run_id", "config_hash", "seed", "algorithm", "consistent"):
+                assert getattr(rec, name) == getattr(solo, name)
+            assert repr(rec.theoretical) == repr(solo.theoretical)
+            for name in ("episode_rewards", "sparsity"):
+                a, b = getattr(rec, name), getattr(solo, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("param,grid,ranges", [
+        ("c", [1.0, 6.0], {}),
+        ("p_bar", [0.5, 5.0], {}),
+        ("J", [1, 2], {"similarity": (1.5, 2.0)}),
+        ("I", [1, 2], {"budget": (-2.0, -1.0)}),
+        ("I", [2, 3], {"delta": (5.0, 2.0)}),
+    ], ids=["cost above cap", "cap below cost", "similarity", "budget", "empty range"])
+    def test_out_of_domain_cell_raises_the_solo_error(self, param, grid, ranges):
+        cfg = ExperimentConfig(num_uavs=2, num_rsus=2, seeds=[0, 3])
+        cfg.ranges.update(ranges)
+        want = None
+        for value in grid:
+            sub = harness._apply_sweep_value(cfg, param, value)
+            for seed in cfg.seeds:
+                try:
+                    run_solve(sub, seed)
+                except ConfigError as exc:
+                    want = want or str(exc)
+        assert want is not None
+        with pytest.raises(ConfigError) as got:
+            run_sweep(cfg, SweepSpec(param, grid, cfg.seeds))
+        assert str(got.value) == want
+
+    @pytest.mark.parametrize("param,grid", SWEEPS, ids=[p for p, _ in SWEEPS])
+    def test_wall_ms_positive_within_elapsed(self, param, grid):
+        cfg = self.config(self.RANGES["dense"])
+        start = time.perf_counter()
+        records, _ = run_sweep(cfg, SweepSpec(param, grid, cfg.seeds))
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        assert all(rec.wall_ms > 0.0 for rec in records)
+        assert sum(rec.wall_ms for rec in records) <= elapsed_ms
+
+    @pytest.mark.parametrize("param", [p for p, _ in SWEEPS])
+    def test_empty_grid_gives_no_records(self, param):
+        cfg = self.config({})
+        assert run_sweep(cfg, SweepSpec(param, [], cfg.seeds)) == ([], {})
+
+
 class TestTrainingGroup:
     @staticmethod
     def group_config(warmup):
@@ -400,7 +506,6 @@ class TestTrainingGroup:
     def test_aborting_seller_leaves_the_others_alone(self, monkeypatch):
         """A seller whose updates abort restores and skips only itself: the
         other run of its stack trains and records as if it were not there."""
-        from bwmarket import harness
         from bwmarket.agents import PpoAgent
         cfg = self.group_config(WARMUP_UNIFORM)
         build, stack = harness._build_agents, PpoAgent.stack
@@ -657,7 +762,6 @@ class TestCli:
         """--strict writes every output, then exits 1 with one line naming the
         runs whose equilibrium failed: a verification failure of a solve, or an
         inconsistent reference solve of a training run."""
-        from bwmarket import harness
         from bwmarket.game import VerificationReport
         monkeypatch.setattr(harness, "verify_equilibrium",
                             lambda *args, **kwargs: VerificationReport(1, [(0, 1.0)], [], 1.0))

@@ -3,9 +3,9 @@
 Sellers (RSUs) lead by posting per-buyer bandwidth prices inside a regulated
 box [c, p_bar]; buyers (UAVs) follow with a budget-constrained concave demand
 problem solved in closed form through KKT water-filling.  The leader subgames
-decouple per buyer; each is solved by iterating the sellers' best-response
-map, which is a standard function (positive, monotone, scalable), so its fixed
-point is unique.  solve_equilibrium runs all buyers' subgames at once.
+decouple per buyer; a binding buyer's is the unique fixed point of a standard
+function, the sellers' best-response map, found as one certified scalar root
+(_leader_roots).  solve_equilibrium runs all buyers' subgames at once.
 
 Every solver reads the market's dense arrays, GameInstance.arrays, built once
 per instance by one builder, _market_arrays.  A hand-built instance,
@@ -28,12 +28,12 @@ Terms that do not depend on the prices are built once and then only read.
 The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
 the I x J market, and water-fills every row of the call in place, each
 masked by its own support (empty where the budget does not bind), until no
-support changes.  _leader_terms builds the leader map's terms
-(the mask of the positive links, their rival sums, q*c*S and the fallback
-prices) once per solve for all binding buyers, and
-leader_best_response_map builds them for its one row.  Every sum over a
-buyer's support, in the water-filling and in the leader map, is one masked
-sum over the whole row, _support_sums.
+support changes.  _leader_terms builds the leader map's terms (the mask of
+the positive links, their rival sums and the fallback prices) once per solve
+for all binding buyers, whose roots _leader_roots finds together, and
+leader_best_response_map builds them for its one row.
+Every sum over a buyer's support, in the water-filling, the leader map and
+the root's equation, is one masked sum over the whole row, _support_sums.
 
 verify_equilibrium hands the kernel its seller probes as contiguous buyer
 rows, so the kernel copies nothing, and scores the buyers' probes many
@@ -50,9 +50,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-
-FIXED_POINT_TOL = 1e-9
-FIXED_POINT_MAX_ITER = 10_000
 
 CASE_BUDGET_INACTIVE = "budget_inactive"
 CASE_BUDGET_ACTIVE = "budget_active"
@@ -361,8 +358,8 @@ class EquilibriumSolution:
     rsu_utilities: np.ndarray
     uav_utilities: np.ndarray
     per_uav_case: list[str]
-    iterations: int
-    residual: float
+    iterations: int         # the most Newton steps of a binding buyer's root
+    residual: float         # the widest relative bracket of a root kept
     consistent: bool
     diagnostics: list[str] = field(default_factory=list)
 
@@ -590,16 +587,14 @@ def _slack_prices(m: _MarketArrays) -> np.ndarray:
 
 class _LeaderTerms(NamedTuple):
     """The price-independent terms of the leader map on n buyer rows (n x J
-    unless noted): q (J,), the positive links (boolean), the budget column R
-    (n x 1), q*c*S, the rival sums sum_S - S, where the formula applies
-    (positive link and positive rival sum), and the fallback there (the slack
-    price on a positive link without rivals, else c). Each sum over the
-    positive links is _support_sums over the whole row."""
+    unless noted): the positive links (boolean), the budget column R (n x 1),
+    the rival sums sum_S - S, where the formula applies (positive link and
+    positive rival sum), and the fallback there (the slack price on a
+    positive link without rivals, else c). Each sum over the positive links
+    is _support_sums over the whole row."""
 
-    q: np.ndarray
     positive: np.ndarray
     budget: np.ndarray
-    qcS: np.ndarray
     denom: np.ndarray
     formula: np.ndarray
     fallback: np.ndarray
@@ -609,27 +604,8 @@ def _leader_terms(m: _MarketArrays, slack: np.ndarray) -> _LeaderTerms:
     """The leader map's terms on the buyer rows of m; slack is _slack_prices(m)."""
     positive = m.S > 0.0
     denom = _support_sums(m.S, positive)[:, None] - m.S
-    return _LeaderTerms(m.q, positive, m.budget[:, None], m.q * m.c * m.S, denom,
-                        positive & (denom > 0.0), np.where(positive, slack, m.c))
-
-
-def _leader_map(p: np.ndarray, t: _LeaderTerms) -> np.ndarray:
-    """Sellers' unclamped best-response map on every buyer row of p (n x J).
-
-    Row r, coordinate j maps to
-    sqrt(q_j c_j S_rj (R_r + sum_{k!=j} p_rk/q_k) / sum_{k!=j} S_rk), the sums
-    over the links with positive log-quality; a coordinate without such a
-    competitor maps to its slack price, a link without positive log-quality to
-    c_j. t is _leader_terms of the n buyer rows. Each entry is evaluated in
-    the order written here, each sum over the positive links as
-    _support_sums, so it equals the seller-by-seller formula in that order
-    bit for bit.
-    """
-    p_over_q = p / t.q
-    other = _support_sums(p_over_q, t.positive)[:, None] - p_over_q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sqrt(t.qcS * (t.budget + other) / t.denom)
-    return np.where(t.formula, out, t.fallback)
+    return _LeaderTerms(positive, m.budget[:, None], denom, positive & (denom > 0.0),
+                        np.where(positive, slack, m.c))
 
 
 def leader_best_response_map(instance: GameInstance, uav_index: int,
@@ -638,57 +614,85 @@ def leader_best_response_map(instance: GameInstance, uav_index: int,
 
     Coordinate j maps to sqrt(q_j c_j S_j (R + sum_{k!=j} p_k/q_k) / sum_{k!=j} S_k),
     restricted to sellers with positive log-quality; a coordinate without
-    positive-quality competitors falls back to the slack-budget price.
+    positive-quality competitors falls back to the slack-budget price, a link
+    without positive log-quality to c_j. Each entry is evaluated in the order
+    written here, each sum over the positive links as _support_sums, so it
+    equals the seller-by-seller formula in that order bit for bit.
     """
-    p = np.asarray(price_vector, dtype=float)
     m = instance.arrays.buyers([uav_index])
-    out = _leader_map(p[None], _leader_terms(m, _slack_prices(m)))[0]
+    t = _leader_terms(m, _slack_prices(m))
+    p_over_q = np.asarray(price_vector, dtype=float)[None] / m.q
+    other = _support_sums(p_over_q, t.positive)[:, None] - p_over_q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sqrt(m.q * m.c * m.S * (t.budget + other) / t.denom)
+    out = np.where(t.formula, out, t.fallback)[0]
     return np.clip(out, m.c, m.cap) if clamp else out
 
 
-def _leader_fixed_points(p: np.ndarray, m: _MarketArrays, slack: np.ndarray,
-                         tolerance: float, max_iterations: int):
-    """Iterate the clamped leader map from every buyer row of p (n x J).
+# _leader_roots' budget of steps; no root of sampled 3x2 to 100x10 markets took over 6
+_ROOT_STEPS = 64
+_ROOT_RTOL = 1e-12       # the relative bracket width that certifies a root
 
-    A row is frozen once it moves by less than tolerance; the others go on,
-    up to max_iterations. Rows are independent subgames, so each stops where
-    its own one-buyer iteration stops; the fixed point of a standard function
-    is unique and reached from any start (Yates 1995). Every row is mapped on
-    each iteration, from the map's terms built once, and a frozen row keeps
-    its prices. Returns the prices, the iterations and the last residual of
-    every row (inf for a row never iterated).
+
+def _leader_roots(m: _MarketArrays, slack: np.ndarray):
+    """The clamped leader map's fixed point on every buyer row of m, as one
+    scalar root each; slack is _slack_prices(m).
+
+    In x_j = p_j/q_j and X = sum_j x_j over the positive links, a formula
+    link's condition x_j^2 = a_j (R + X - x_j), a_j = c_j S_j / (q_j D_j),
+    has the rising root x_j(X) = (-a_j + sqrt(a_j^2 + 4 a_j (R + X)))/2 (here
+    without the cancellation), clipped to [c_j, cap_j]/q_j; the other links
+    keep their clipped fallback price. So g(X) = sum_j p_j(X)/q_j - X has
+    g(0) > 0 >= g(hi) at hi = sum_j cap_j/q_j and one root (Yates 1995).
+    Safeguarded Newton from hi: each step goes a quarter of the target width
+    past the Newton point, so that the steps straddle the root, or bisects if
+    that leaves the bracket [lo, hi] (g(lo) > 0 >= g(hi)). A row stops, unchanged
+    from then on, once hi - lo <= _ROOT_RTOL * hi, so it equals its solve
+    alone bit for bit. Returns each row's prices at the bracket's midpoint,
+    steps, relative width (hi - lo)/hi and whether it stopped (certified).
     """
-    terms = _leader_terms(m, slack)
-    iterations = np.zeros(len(p), dtype=int)
-    residual = np.full(len(p), np.inf)
-    open_ = np.ones(len(p), dtype=bool)
-    for k in range(1, max_iterations + 1):
+    t = _leader_terms(m, slack)
+    q, c, cap = m.q, m.c, m.cap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(t.formula, c * m.S / (q * t.denom), 1.0)
+    fixed = np.clip(t.fallback, c, cap)
+
+    def prices(X):
+        s = t.budget + X[:, None]
+        r = np.sqrt(a * a + 4.0 * a * s)
+        return np.where(t.formula, np.clip(q * (2.0 * a * s / (a + r)), c, cap), fixed), r
+
+    X = hi = _support_sums(cap / q, t.positive)
+    lo, steps, open_ = np.zeros(len(a)), np.zeros(len(a), dtype=int), np.ones(len(a), bool)
+    for _ in range(_ROOT_STEPS):
         if not open_.any():
             break
-        p_next = np.clip(_leader_map(p, terms), m.c, m.cap)
-        res = np.max(np.abs(p_next - p), axis=1)
-        p = np.where(open_[:, None], p_next, p)
-        residual[open_], iterations[open_] = res[open_], k
-        open_ &= ~(res < tolerance)
-    return p, iterations, residual
+        p, r = prices(X)
+        g = _support_sums(p / q, t.positive) - X
+        dg = _support_sums(a / r, t.formula & (p > c) & (p < cap)) - 1.0
+        lo, hi = np.where(open_ & (g > 0.0), X, lo), np.where(open_ & (g <= 0.0), X, hi)
+        steps += open_
+        open_ &= hi - lo > _ROOT_RTOL * hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = X - g / dg + np.where(g > 0.0, 0.25, -0.25) * _ROOT_RTOL * hi
+        inside = (dg < 0.0) & (newton > lo) & (newton < hi)
+        X = np.where(inside, newton, 0.5 * (lo + hi))
+    return prices(0.5 * (lo + hi))[0], steps, (hi - lo) / hi, ~open_
 
 
-def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL,
-                      max_iterations: int = FIXED_POINT_MAX_ITER) -> EquilibriumSolution:
+def solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
     """Exact Stackelberg equilibrium: per-buyer price columns + true follower demands.
 
     The buyers' leader subgames are independent and are solved together on the
     market's arrays. Each buyer's column is its slack-budget price when the
     buyer's budget does not bind there; otherwise it is the fixed point of the
-    clamped leader map, iterated for all binding buyers at once, each frozen as
-    it converges. If the budget case contradicts both candidates, the more
+    clamped leader map, a certified root of _leader_roots. If the budget case
+    contradicts both candidates, or the root does not certify, the more
     profitable one is kept with a diagnostic and the solve is inconsistent.
     A solve makes two kernel passes, one per candidate, and each buyer keeps
-    the prices and the demands of the candidate it takes. Every buyer's result
-    equals a buyer-by-buyer solve bit for bit.
+    the prices and the demands of the candidate it takes. Every buyer's
+    result equals a buyer-by-buyer solve bit for bit.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     m = instance.arrays
 
     # slack-budget candidates, one price row per buyer
@@ -699,14 +703,13 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
     # binding-budget candidates: fixed points of the clamped best-response map
     binding = np.flatnonzero(exits == _BINDING)
     mb = m.buyers(binding)
-    p_hat, iters, res = _leader_fixed_points(prices[binding], mb, slack[binding],
-                                             tolerance, max_iterations)
+    p_hat, steps, width, certified = _leader_roots(mb, slack[binding])
     d_hat, _, exits_hat = _batched_follower_demands(p_hat.T, mb)
     hat_active = exits_hat == _BINDING
-    ok = hat_active & (res < tolerance)
+    ok = hat_active & certified
 
-    # case assumptions contradicted on both candidates: keep the more
-    # profitable one, with a diagnostic
+    # case assumptions contradicted on both candidates, or a root not
+    # certified: keep the more profitable candidate, with a diagnostic
     mixed = np.flatnonzero(~ok)
     rows = binding[mixed]
     v_tilde = np.sum((prices[rows] - m.c) * demands[rows], axis=1)
@@ -729,8 +732,8 @@ def solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL
     cases = [CASE_BUDGET_ACTIVE if a else CASE_BUDGET_INACTIVE for a in active]
     return EquilibriumSolution(prices, demands, _margins(P, D, m.c).sum(axis=1),
                                _buyer_utilities(m, D, P.T), cases,
-                               int(np.max(iters, initial=0)),
-                               float(np.max(np.where(take_hat, res, 0.0), initial=0.0)),
+                               int(np.max(steps, initial=0)),
+                               float(np.max(np.where(take_hat, width, 0.0), initial=0.0)),
                                bool(ok.all()), diagnostics)
 
 

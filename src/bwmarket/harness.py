@@ -87,14 +87,10 @@ class ExperimentConfig:
     verify_probes: int = 200
 
     def validate(self):
-        for key, (lo, hi) in self.ranges.items():
+        for key in self.ranges:
             if key not in DEFAULT_RANGES:
                 raise ConfigError(f"unknown parameter range {key!r}")
-            _check_range(key, lo, hi)
-        if self.ranges["bandwidth_cost"][1] > self.ranges["price_cap"][0]:
-            raise ConfigError(
-                "bandwidth_cost range upper bound exceeds price_cap lower bound; "
-                "sampled boxes could be empty")
+        _checked_ranges(self.ranges)
         if self.num_uavs < 1 or self.num_rsus < 1:
             raise ConfigError("need at least one UAV and one RSU")
         if self.episodes < 1:
@@ -234,12 +230,13 @@ def sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
 
 
 def _checked_ranges(ranges: dict) -> dict:
-    """The default ranges updated with ranges, each checked."""
+    """The default ranges updated with ranges, each checked, then cost against cap."""
     full = {**DEFAULT_RANGES, **ranges}
-    if full["bandwidth_cost"][1] > full["price_cap"][0]:
-        raise ConfigError("bandwidth_cost range may exceed price_cap range")
     for key in DEFAULT_RANGES:
         _check_range(key, *full[key])
+    if full["bandwidth_cost"][1] > full["price_cap"][0]:
+        raise ConfigError("bandwidth_cost range upper bound exceeds price_cap lower bound; "
+                          "sampled boxes could be empty")
     return full
 
 
@@ -484,12 +481,12 @@ def run_training(cfg: ExperimentConfig, algorithm: str, seed: int) -> RunRecord:
 def run_solve(cfg: ExperimentConfig, seed: int) -> RunRecord:
     """Solve and verify the analytic equilibrium for one sampled instance; the
     record's consistent flag is False when either step fails."""
-    start = time.perf_counter()
-    return _solve_record(cfg, seed, _sample(cfg, seed), start)
+    cfg_hash, start = config_hash(cfg), time.perf_counter()
+    return _solve_record(cfg, seed, _sample(cfg, seed), start, cfg_hash)
 
 
 def _solve_record(cfg: ExperimentConfig, seed: int, instance: GameInstance,
-                  start: float) -> RunRecord:
+                  start: float, cfg_hash: str) -> RunRecord:
     """run_solve's record for its sampled instance, timed from start."""
     sol = solve_equilibrium(instance)
     consistent = sol.consistent
@@ -498,7 +495,6 @@ def _solve_record(cfg: ExperimentConfig, seed: int, instance: GameInstance,
                                         rng_seed=seed).passed
     wall_ms = (time.perf_counter() - start) * 1000.0
     theoretical = float(np.mean(sol.rsu_utilities))
-    cfg_hash = config_hash(cfg)
     return RunRecord(f"solve-{cfg_hash}-{seed}", cfg_hash, seed, "solve",
                      np.zeros((0, 0)), np.array([]), theoretical, consistent, wall_ms)
 
@@ -547,7 +543,7 @@ def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):
     every cell builds its market from a prefix of them in its own ranges,
     which is the market its own sample_instance draws, bit for bit. A
     record's wall_ms is its cell's own time plus an equal share of its seed's
-    draw time.
+    draw time. Each cell's config is hashed once, for all its seeds.
     """
     subs = [_apply_sweep_value(cfg, spec.parameter, value) for value in spec.grid]
     if not subs:
@@ -563,11 +559,12 @@ def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):
     aggregate = {}
     for value, sub in zip(spec.grid, subs):
         full = _checked_ranges(sub.ranges)
+        cfg_hash = config_hash(sub)
         cell = []
         for seed, ((rsu_units, uav_units), share) in zip(spec.seeds, draws):
             start = time.perf_counter() - share
             instance = _market(full, rsu_units[:sub.num_rsus], uav_units[:sub.num_uavs])
-            rec = _solve_record(sub, seed, instance, start)
+            rec = _solve_record(sub, seed, instance, start, cfg_hash)
             records.append(rec)
             cell.append(rec.theoretical)
         aggregate[value] = (float(np.mean(cell)), float(np.std(cell)))

@@ -10,8 +10,6 @@ from bwmarket.env import WARMUP_ZEROS
 from bwmarket.game import (
     CASE_BUDGET_ACTIVE,
     CASE_BUDGET_INACTIVE,
-    FIXED_POINT_MAX_ITER,
-    FIXED_POINT_TOL,
     ChannelLink,
     DemandMatrix,
     EquilibriumSolution,
@@ -26,6 +24,14 @@ from bwmarket.game import (
     uav_utility,
 )
 from bwmarket.harness import DEFAULT_RANGES
+
+# The iterated oracle's own stopping rule: a step below FIXED_POINT_TOL in
+# every price, at most FIXED_POINT_MAX_ITER map steps. A tight step, since
+# the iterate's distance to the fixed point is about the step times
+# k / (1 - k) for a contraction factor k, which nears 1 when a buyer's budget
+# is small against its spend.
+FIXED_POINT_TOL = 1e-13
+FIXED_POINT_MAX_ITER = 10_000
 
 
 def link_with_efficiency(q: float) -> ChannelLink:
@@ -235,10 +241,11 @@ def reference_leader_map(instance: GameInstance, uav_index: int,
                          price_vector) -> np.ndarray:
     """Clamped sellers' best-response map for one buyer, coordinate by coordinate.
 
-    The reference for game.leader_best_response_map and the batched map of
-    solve_equilibrium: the same formulas in the same order, one seller at a
-    time. The sums over the positive links are np.sum over the whole J-wide
-    row, 0.0 off those links: the batched map's summation order.
+    The reference for game.leader_best_response_map: the same formulas in the
+    same order, one seller at a time, and the map that the iterated oracle
+    solve (reference_solve_equilibrium) iterates. The sums over the positive
+    links are np.sum over the whole J-wide row, 0.0 off those links: the
+    game's summation order.
     """
     p = np.asarray(price_vector, dtype=float)
     q = instance.arrays.q
@@ -266,8 +273,37 @@ def reference_leader_map(instance: GameInstance, uav_index: int,
     return np.clip(out, cs, caps)
 
 
-def _reference_uav_prices(instance: GameInstance, uav_index: int,
-                          tolerance: float, max_iterations: int):
+def reference_leader_gap(instance: GameInstance, uav_index: int, X: float) -> float:
+    """g(X) = sum_j p_j(X)/q_j - X for one buyer's binding leader subgame,
+    seller by seller, X being sum_j p_j/q_j over the positive links.
+
+    A link with positive log-quality and positive rival sum D_j prices at
+    q_j x_j clamped to [c_j, cap_j], where x_j = (-a_j + sqrt(a_j^2 +
+    4 a_j (R + X)))/2 solves x_j^2 = a_j (R + X - x_j) with
+    a_j = c_j S_j / (q_j D_j): reference_leader_map's fixed-point condition
+    in x_j = p_j/q_j. A lone positive link prices at its clamped slack price.
+    g is positive below the subgame's fixed point and negative above it.
+    """
+    q = instance.arrays.q
+    cs = instance.costs()
+    caps = instance.price_caps()
+    S = instance.arrays.S[uav_index]
+    uav = instance.uavs[uav_index]
+    positive = np.isfinite(S) & (S > 0.0)
+    sum_S = float(np.sum(np.where(positive, S, 0.0)))
+    total = 0.0
+    for j in np.flatnonzero(positive).tolist():
+        denom = sum_S - S[j]
+        if denom <= 0.0:
+            p = math.sqrt(uav.delta * S[j] * q[j] * cs[j])
+        else:
+            a = cs[j] * S[j] / (q[j] * denom)
+            p = q[j] * (-a + math.sqrt(a * a + 4.0 * a * (uav.budget + X))) / 2.0
+        total += min(max(p, cs[j]), caps[j]) / q[j]
+    return total - X
+
+
+def _reference_uav_prices(instance: GameInstance, uav_index: int):
     """One buyer's equilibrium price column:
     (prices, case, iterations, residual, consistent, diagnostic)."""
     q = instance.arrays.q
@@ -292,14 +328,14 @@ def _reference_uav_prices(instance: GameInstance, uav_index: int,
     p = p_tilde.copy()
     residual = np.inf
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         p_next = reference_leader_map(instance, uav_index, p)
         residual = float(np.max(np.abs(p_next - p)))
         p = p_next
-        if residual < tolerance:
+        if residual < FIXED_POINT_TOL:
             break
     fr_hat = reference_follower_best_response(instance, uav_index, p)
-    if fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < tolerance:
+    if fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < FIXED_POINT_TOL:
         return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
 
     # case assumptions contradicted: keep the self-consistent candidate, else
@@ -308,7 +344,7 @@ def _reference_uav_prices(instance: GameInstance, uav_index: int,
         return float(np.sum((prices - cs) * demands))
 
     inactive_ok = fr_tilde.case_label == CASE_BUDGET_INACTIVE
-    active_ok = fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < tolerance
+    active_ok = fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < FIXED_POINT_TOL
     if active_ok and not inactive_ok:
         return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
     if inactive_ok and not active_ok:
@@ -322,18 +358,15 @@ def _reference_uav_prices(instance: GameInstance, uav_index: int,
     return p_tilde, fr_tilde.case_label, iterations, 0.0, False, diag
 
 
-def reference_solve_equilibrium(instance: GameInstance, tolerance: float = FIXED_POINT_TOL,
-                                max_iterations: int = FIXED_POINT_MAX_ITER
-                                ) -> EquilibriumSolution:
+def reference_solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
     """Buyer-by-buyer equilibrium solve through the scalar solvers.
 
     The reference for solve_equilibrium: each buyer's leader subgame solved
-    on its own with reference_leader_map and reference_follower_best_response,
-    then reference_all_followers_respond and the per-seller and per-buyer
-    utilities.
+    on its own by iterating reference_leader_map to a step below
+    FIXED_POINT_TOL, with reference_follower_best_response, then
+    reference_all_followers_respond and the per-seller and per-buyer
+    utilities. Its iterations and residual are the map's steps and last step.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     I, J = instance.num_uavs, instance.num_rsus
     P = np.zeros((J, I))
     cases, diagnostics = [], []
@@ -341,8 +374,7 @@ def reference_solve_equilibrium(instance: GameInstance, tolerance: float = FIXED
     residual = 0.0
     consistent = True
     for i in range(I):
-        p_i, case, iters, res, ok, diag = _reference_uav_prices(
-            instance, i, tolerance, max_iterations)
+        p_i, case, iters, res, ok, diag = _reference_uav_prices(instance, i)
         P[:, i] = p_i
         cases.append(case)
         iterations = max(iterations, iters)

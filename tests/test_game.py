@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from _oracles import (
     link_with_efficiency,
     random_instance,
     reference_follower_best_response,
+    reference_leader_gap,
     reference_leader_map,
     reference_solve_equilibrium,
     reference_verify_equilibrium,
@@ -547,30 +549,71 @@ class TestLeaderResponses:
                     np.testing.assert_array_equal(leader_best_response_map(inst, i, p),
                                                   reference_leader_map(inst, i, p))
 
-    def test_fixed_points_of_a_stack_match_each_row_alone(self):
-        # rows converge after different numbers of iterations; a converged
-        # row stays in the stack, frozen, while the others go on
+    def test_fixed_points_of_a_stack_match_each_row_alone(self, monkeypatch):
+        # rows certify their roots after different numbers of steps; a
+        # certified row stays in the stack, unchanged, while the others go
+        # on; a budget of 2 steps leaves some rows uncertified
         rng = np.random.default_rng(31)
-        spread = False
-        for trial in range(40):
-            J = 1 + trial % 10
-            inst = random_instance(rng, I=6, J=J,
-                                   min_component=0.85 if trial % 4 < 2 else 0.0)
-            m = inst.arrays
-            slack = game._slack_prices(m)
-            start = rng.uniform(m.c, m.cap, (6, J))
-            for max_iterations in (4, game.FIXED_POINT_MAX_ITER):
-                p, iterations, residual = game._leader_fixed_points(
-                    start, m, slack, game.FIXED_POINT_TOL, max_iterations)
-                for i in range(6):
-                    p_i, iterations_i, residual_i = game._leader_fixed_points(
-                        start[[i]], m.buyers([i]), slack[[i]], game.FIXED_POINT_TOL,
-                        max_iterations)
-                    np.testing.assert_array_equal(p[i], p_i[0], strict=True)
-                    assert iterations[i] == iterations_i[0]
-                    assert residual[i] == residual_i[0]
-                spread |= len(set(iterations.tolist())) > 1
-        assert spread
+        spread = uncertified = False
+        for budget in (2, game._ROOT_STEPS):
+            monkeypatch.setattr(game, "_ROOT_STEPS", budget)
+            for trial in range(40):
+                J = 1 + trial % 10
+                inst = random_instance(rng, I=6, J=J,
+                                       min_component=0.85 if trial % 4 < 2 else 0.0)
+                m = inst.arrays.buyers(np.flatnonzero((inst.arrays.S > 0.0).any(axis=1)))
+                slack = game._slack_prices(m)
+                stack = game._leader_roots(m, slack)
+                for i in range(len(m.S)):
+                    alone = game._leader_roots(m.buyers([i]), slack[[i]])
+                    for a, b in zip(stack, alone):
+                        np.testing.assert_array_equal(a[i], b[0], strict=True)
+                spread |= len(set(stack[1].tolist())) > 1
+                uncertified |= not stack[3].all()
+        assert spread and uncertified
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_roots_match_iterated_oracle_on_drawn_markets(self, data):
+        # up to 12 sellers with caps 4-40 and budgets 0.1-20, so that some
+        # fixed points sit at a cap; links are usable, have S <= 0 or are
+        # unusable (SSIM 0), and a buyer may have one usable link only, whose
+        # price is its clamped slack price
+        J = data.draw(st.integers(1, 12), label="J")
+        I = data.draw(st.integers(1, 4), label="I")
+        rsus = []
+        for _ in range(J):
+            c = data.draw(st.floats(0.5, 4.0))
+            rsus.append(RsuProfile(c, data.draw(st.floats(4.0, 40.0)),
+                                   link_with_efficiency(data.draw(st.floats(1.0, 40.0)))))
+        uavs = []
+        for _ in range(I):
+            lone = data.draw(st.one_of(st.none(), st.none(), st.integers(0, J - 1)),
+                             label="lone usable link")
+            kinds = ["unusable", "S <= 0"] + ["usable"] * (4 if lone is None else 0)
+            triples = []
+            for j in range(J):
+                link = "usable" if j == lone else data.draw(st.sampled_from(kinds))
+                s = {"unusable": 0.0, "S <= 0": data.draw(st.floats(0.01, 0.5)),
+                     "usable": data.draw(st.floats(0.5, 1.0, exclude_min=True))}[link]
+                triples.append(SsimTriple(s, 1.0, 1.0))
+            delta, budget = data.draw(st.floats(1.0, 20.0)), data.draw(st.floats(0.1, 20.0))
+            uavs.append(UavProfile(delta, budget, 0.5, triples))
+        inst = GameInstance(uavs, rsus)
+        assert_solution_close(solve_equilibrium(inst), reference_solve_equilibrium(inst))
+
+        # every binding buyer's root certifies, and the oracle's g changes
+        # sign across SOLVE_RTOL around the X its prices spend
+        m = inst.arrays
+        slack = game._slack_prices(m)
+        exits = game._batched_follower_demands(np.clip(slack, m.c, m.cap).T, m)[2]
+        binding = np.flatnonzero(exits == game._BINDING)
+        p, steps, width, certified = game._leader_roots(m.buyers(binding), slack[binding])
+        assert certified.all() and (width <= game._ROOT_RTOL).all()
+        for i, row in zip(binding.tolist(), p):
+            X = float(np.sum(np.where(m.S[i] > 0.0, row / m.q, 0.0)))
+            assert reference_leader_gap(inst, i, X * (1.0 - SOLVE_RTOL)) > 0.0
+            assert reference_leader_gap(inst, i, X * (1.0 + SOLVE_RTOL)) < 0.0
 
 
 # =====================================================================
@@ -652,11 +695,11 @@ def assert_same_solution(got, want):
 # The solved-market digests: one sha256 per (ranges, market size) over every
 # field of solve_equilibrium and of a 20-probe verify_equilibrium report on
 # the understated solution (understate). solved_digests.json holds 12 seeds
-# of J <= 7 markets, recorded with the gather-plan support sums, which give
-# them the same bits as the masked sums. wide_solved_digests.json holds 8
-# seeds of J = 8..12 markets, where numpy's pairwise sum makes the masked
-# order the defined one, recorded with the masked sums and the gathered
-# water-filling rows.
+# of J <= 7 markets and wide_solved_digests.json 8 seeds of J = 8..12
+# markets, where numpy's pairwise sum makes the masked order the defined one.
+# Both were recorded with the binding buyers' prices from one certified
+# scalar root each (game._leader_roots), which moved them by at most 5.5e-11
+# relative from the iterated leader map's.
 SOLVED_DIGESTS = Path(__file__).with_name("solved_digests.json")
 WIDE_SOLVED_DIGESTS = Path(__file__).with_name("wide_solved_digests.json")
 SOLVED_RANGES = {"default": {}, "half": {"similarity": (0.5, 1.0)},
@@ -689,14 +732,54 @@ def solved_digests(seeds=range(12), sizes=SOLVED_SIZES) -> dict:
     return out
 
 
+# solve_equilibrium against the oracle iterated to its tight step
+# (_oracles.FIXED_POINT_TOL): prices, demands and utilities within SOLVE_RTOL
+# of the oracle's, relative to each entry; a demand's error also scales with
+# its buyer's largest demand, since b = delta*S/(p*(1 + lambda)) - 1/q loses
+# digits where b is small.
+SOLVE_RTOL = 1e-10
+
+
+def mixed_cases(sol) -> dict:
+    """(slack-margin, binding-margin) of each buyer with a mixed-case
+    diagnostic, as printed."""
+    return {int(d.split()[1][:-1]): tuple(map(float, re.findall(r"margin (\S+?)[,)]", d)))
+            for d in sol.diagnostics}
+
+
+def assert_solution_close(got, want):
+    """Two EquilibriumSolutions alike: arrays within SOLVE_RTOL, the same
+    cases and consistency, and a mixed-case diagnostic for the same buyers
+    with margins equal to their six printed digits."""
+    np.testing.assert_allclose(got.prices.prices, want.prices.prices, rtol=SOLVE_RTOL,
+                               atol=0.0, err_msg="prices")
+    D = want.demands.demands
+    np.testing.assert_array_less(
+        np.abs(got.demands.demands - D),
+        SOLVE_RTOL * np.maximum(np.abs(D), D.max(axis=1, keepdims=True)) + 1e-300)
+    for name in ("rsu_utilities", "uav_utilities"):
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_allclose(a, b, rtol=SOLVE_RTOL, atol=SOLVE_RTOL * np.max(np.abs(b)),
+                                   err_msg=name)
+    assert got.per_uav_case == want.per_uav_case
+    assert got.consistent == want.consistent
+    a, b = mixed_cases(got), mixed_cases(want)
+    assert a.keys() == b.keys() and len(got.diagnostics) == len(a)
+    for i in b:
+        assert a[i] == pytest.approx(b[i], rel=1e-5), (i, a[i], b[i])
+
+
 ORACLE_FLOORS = (0.0, 0.5, 0.85)
-ORACLE_ITERATIONS = (0, 1, 3, game.FIXED_POINT_MAX_ITER)
+# Newton step budgets of the binding buyers' roots (game._ROOT_STEPS): 0 and 1
+# leave every root uncertified (the first step only evaluates g at the top of
+# the bracket), 3 some, 10,000 none
+ROOT_STEP_BUDGETS = (0, 1, 3, 10_000)
 
 
-def oracle_grid(floor_index, iterations_index):
-    """One market per I in 1..15 at one similarity floor and iteration cap,
-    J running through 1..10 across the floors and caps."""
-    offset = 4 * floor_index + iterations_index
+def oracle_grid(floor_index, budget_index):
+    """One market per I in 1..15 at one similarity floor and step budget,
+    J running through 1..10 across the floors and budgets."""
+    offset = 4 * floor_index + budget_index
     return [sample_instance({"similarity": (ORACLE_FLOORS[floor_index], 1.0)},
                             I, 1 + (3 * I + offset) % 10, 100 * offset + I)
             for I in range(1, 16)]
@@ -705,14 +788,40 @@ def oracle_grid(floor_index, iterations_index):
 class TestEquilibrium:
     @pytest.mark.parametrize("floor_index", range(len(ORACLE_FLOORS)),
                              ids=[f"floor{f}" for f in ORACLE_FLOORS])
-    @pytest.mark.parametrize("iterations_index", range(len(ORACLE_ITERATIONS)),
-                             ids=[f"iters{n}" for n in ORACLE_ITERATIONS])
-    def test_solve_matches_reference_loop(self, floor_index, iterations_index):
-        max_iterations = ORACLE_ITERATIONS[iterations_index]
-        for inst in oracle_grid(floor_index, iterations_index):
-            assert_same_solution(solve_equilibrium(inst, max_iterations=max_iterations),
-                                 reference_solve_equilibrium(inst,
-                                                             max_iterations=max_iterations))
+    @pytest.mark.parametrize("budget_index", range(len(ROOT_STEP_BUDGETS)),
+                             ids=[f"iters{n}" for n in ROOT_STEP_BUDGETS])
+    def test_solve_matches_reference_loop(self, floor_index, budget_index, monkeypatch):
+        # the solve agrees with the iterated oracle; with a step budget, a
+        # buyer whose root certified within it keeps its column bit for bit,
+        # and one whose root did not is resolved as a mixed case: the column
+        # of the more profitable candidate, a diagnostic, an inconsistent
+        # solve. 10,000 steps is more than any root takes.
+        budget = ROOT_STEP_BUDGETS[budget_index]
+        mixed_by_budget = 0
+        for inst in oracle_grid(floor_index, budget_index):
+            full = solve_equilibrium(inst)
+            assert_solution_close(full, reference_solve_equilibrium(inst))
+            monkeypatch.setattr(game, "_ROOT_STEPS", budget)
+            capped = solve_equilibrium(inst)
+            monkeypatch.undo()
+            assert capped.iterations <= budget
+            if budget >= full.iterations:
+                assert_same_solution(capped, full)
+                continue
+            mixed, mixed_full = mixed_cases(capped), mixed_cases(full)
+            assert not capped.consistent and set(mixed_full) <= set(mixed)
+            P, D = capped.prices.prices, capped.demands.demands
+            for i in range(inst.num_uavs):
+                if i not in mixed:
+                    np.testing.assert_array_equal(P[:, i], full.prices.prices[:, i])
+                    np.testing.assert_array_equal(D[i], full.demands.demands[i])
+                    assert capped.per_uav_case[i] == full.per_uav_case[i]
+                    continue
+                mixed_by_budget += i not in mixed_full
+                margin = float(np.sum((P[:, i] - inst.arrays.c) * D[i]))
+                assert margin == pytest.approx(max(mixed[i]), rel=1e-5, abs=1e-12)
+        # no root certifies within 0 or 1 steps, and every grid has binding buyers
+        assert mixed_by_budget > 0 or budget > 1
 
     @pytest.mark.parametrize("build, mixed", [
         (lambda: simple_instance(J=2, budget=2.0), {}),
@@ -727,24 +836,24 @@ class TestEquilibrium:
             "mixed-case-100x10"])
     def test_solve_matches_reference_special(self, build, mixed):
         inst = build()
-        for max_iterations in ORACLE_ITERATIONS:
-            want = reference_solve_equilibrium(inst, max_iterations=max_iterations)
-            assert_same_solution(solve_equilibrium(inst, max_iterations=max_iterations),
-                                 want)
-        # the default solve resolves these buyers' mixed cases as labelled
+        want = reference_solve_equilibrium(inst)
+        got = solve_equilibrium(inst)
+        assert_solution_close(got, want)
+        # the solve resolves these buyers' mixed cases as labelled
         for i, case in mixed.items():
-            assert any(d.startswith(f"uav {i}: mixed-case") for d in want.diagnostics)
-            assert want.per_uav_case[i] == case
-        assert want.consistent == (not mixed)
+            for sol in (want, got):
+                assert any(d.startswith(f"uav {i}: mixed-case") for d in sol.diagnostics)
+                assert sol.per_uav_case[i] == case
+        assert want.consistent == got.consistent == (not mixed)
 
     def test_solves_match_recorded_digests(self):
         """Every bit of 252 solves and verifier reports on J = 1..7 markets
-        (12 seeds x 7 sizes x 3 range sets) is what the gather-plan sums gave."""
+        (12 seeds x 7 sizes x 3 range sets) is what the scalar roots gave."""
         assert solved_digests() == json.loads(SOLVED_DIGESTS.read_text())["digests"]
 
     def test_wide_solves_match_recorded_digests(self):
         """Every bit of 120 solves and verifier reports on J = 8..12 markets
-        (8 seeds x 5 sizes x 3 range sets) is what the masked sums gave."""
+        (8 seeds x 5 sizes x 3 range sets) is what the scalar roots gave."""
         recorded = json.loads(WIDE_SOLVED_DIGESTS.read_text())
         assert solved_digests(range(recorded["seeds"]), WIDE_SOLVED_SIZES) == recorded["digests"]
 

@@ -201,6 +201,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("ranges, error", [
+        ({"similarity": (0.85, 1.0)}, None),
+        ({"bandwidth_cost": (1.0, 6.0)}, "bandwidth_cost range upper bound exceeds"),
+        ({"delta": (5.0, 2.0)}, "empty range for 'delta'"),
+    ], ids=["similarity only", "cost above cap", "empty range"])
+    def test_partial_ranges_checked_as_sampling_checks_them(self, ranges, error):
+        # a ranges dict without every key validates against the defaults of
+        # the others, as sample_instance does, and fails with its message
+        cfg = ExperimentConfig(ranges=ranges)
+        if error is None:
+            assert cfg.validate() is cfg
+            sample_instance(ranges, 2, 2, 0)
+            return
+        for call in (cfg.validate, lambda: sample_instance(ranges, 2, 2, 0)):
+            with pytest.raises(ConfigError, match=error):
+                call()
+
     def test_from_dict_round_trip(self):
         doc = {"instance": {"I": 2, "J": 3,
                             "ranges": {"delta": [12.0, 14.0]}},
@@ -397,9 +414,9 @@ class TestSweepDraws:
         cells = []
         solve_record = harness._solve_record
 
-        def spy(sub, seed, instance, start):
+        def spy(sub, seed, instance, *rest):
             cells.append((sub, seed, instance))
-            return solve_record(sub, seed, instance, start)
+            return solve_record(sub, seed, instance, *rest)
 
         monkeypatch.setattr(harness, "_solve_record", spy)
         records, _ = run_sweep(cfg, SweepSpec(param, grid, cfg.seeds))
@@ -419,6 +436,19 @@ class TestSweepDraws:
             for name in ("episode_rewards", "sparsity"):
                 a, b = getattr(rec, name), getattr(solo, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_one_config_hash_per_cell(self, monkeypatch):
+        cfg = self.config({})
+        hashed = []
+
+        def spy(sub):
+            hashed.append(sub)
+            return config_hash(sub)
+
+        monkeypatch.setattr(harness, "config_hash", spy)
+        records, _ = run_sweep(cfg, SweepSpec("c", [1.0, 2.5, 4.0], cfg.seeds))
+        assert [sub.ranges["bandwidth_cost"][0] for sub in hashed] == [1.0, 2.5, 4.0]
+        assert len(records) == 6
 
     @pytest.mark.parametrize("param,grid,ranges", [
         ("c", [1.0, 6.0], {}),

@@ -522,6 +522,8 @@ class SweepSpec:
                               f"positive values, got {list(self.grid)}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
+        if not self.seeds:
+            raise ConfigError("sweep seeds list is empty")
 
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value):

@@ -32,7 +32,8 @@ from bwmarket.game import (
     verify_equilibrium,
 )
 from bwmarket.env import EnvConfig, PricingEnv
-from bwmarket.harness import ExperimentConfig, RunRecord, sample_instance
+from bwmarket.harness import (ExperimentConfig, RunRecord, SweepSpec, run_sweep,
+                              sample_instance)
 from bwmarket.tinynet import DenseLayer
 
 from _oracles import (
@@ -479,6 +480,47 @@ class TestSupportSums:
             if J <= 7:   # a row of fewer than 8 entries: the gathered sum's bits
                 gathered = np.add.reduce(values[row][support[row]])
                 assert got[row].tobytes() == gathered.tobytes(), row
+
+
+class TestRowSums:
+    SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         np.inf, -np.inf, np.nan, -np.nan])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_bytes_equal_the_reduce(self, data):
+        # row counts on both sides of the column path's gate, spread over
+        # leading batch axes; floats of mixed sign, magnitudes spanning
+        # 1e-300 to 1e300 or a few decades (where any other order shows in the
+        # last bits), the special values and whole rows of -0.0; or bools,
+        # counted as the kernel counts its positive candidates
+        J = data.draw(st.integers(1, 12), label="J")
+        gate = game._COLUMN_SUM_ROWS
+        rows = data.draw(st.sampled_from([0, 1, gate - 1, gate, 3000]), label="rows")
+        lead = data.draw(st.sampled_from([d for d in (1, 2, 3, 5) if rows % d == 0]),
+                         label="lead")
+        batches = [(rows,), (lead, rows // lead), (lead, 1, rows // lead)]
+        batch = data.draw(st.sampled_from(batches + [()] * (rows == 1)), label="batch")
+        shape = batch + (J,)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        wide = batch + (2 * J,)
+        if data.draw(st.booleans(), label="bool"):
+            raw = rng.random(wide) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        else:
+            decades = data.draw(st.sampled_from([8, 300]), label="decades")
+            raw = (rng.choice([-1.0, 1.0], wide)
+                   * 10.0 ** rng.uniform(-decades, decades, wide))
+            share = data.draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]), label="specials")
+            raw = np.where(rng.random(wide) < share, rng.choice(self.SPECIALS, wide), raw)
+            raw[rng.random(batch) < 0.1] = -0.0
+        layout = data.draw(st.sampled_from(["contiguous", "strided", "transposed"]),
+                           label="layout")
+        x = {"contiguous": np.ascontiguousarray(raw[..., :J]), "strided": raw[..., ::2],
+             "transposed": np.asfortranarray(raw[..., :J])}[layout]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = game._row_sums(x), np.add.reduce(x, axis=-1)
+        assert got.dtype == want.dtype and np.shape(got) == np.shape(want) == shape[:-1]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # =====================================================================
@@ -974,6 +1016,47 @@ class TestEquilibrium:
         inst = simple_instance(J=2, budget=2.0)
         with pytest.raises(ValueError, match=message):
             verify_equilibrium(inst, solve_equilibrium(inst), num_probes=5)
+
+
+class TestRowSumPaths:
+    """Every sum through _row_sums gives the same bits on the column path and
+    on the reduce: everything taken one way (gate 1) equals everything taken
+    the other (a gate above any call)."""
+
+    GATES = (1, 10**9)
+
+    def test_sweep_records(self, monkeypatch):
+        # perfbench's two sweep grids, dense markets, 200 probes per solve
+        def market(I, J):
+            cfg = ExperimentConfig(num_uavs=I, num_rsus=J, episodes=1, seeds=[0, 1, 2])
+            cfg.ranges["similarity"] = (0.85, 1.0)
+            return cfg.validate()
+        runs = []
+        for gate in self.GATES:
+            monkeypatch.setattr(game, "_COLUMN_SUM_ROWS", gate)
+            out = []
+            for cfg, spec in ((market(15, 2), ("J", [2, 3, 4, 5, 6])),
+                              (market(3, 3), ("I", [3, 6, 9, 12, 15]))):
+                records, aggregate = run_sweep(cfg, SweepSpec(*spec, cfg.seeds))
+                out.append(repr(aggregate))
+                out += [(r.run_id, r.config_hash, r.seed, r.algorithm, r.consistent,
+                         float(r.theoretical).hex(), r.episode_rewards.tobytes(),
+                         r.sparsity.tobytes()) for r in records]
+            runs.append(out)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("case", VERIFY_CASES, ids=[c[0] for c in VERIFY_CASES])
+    def test_verify_reports(self, case, monkeypatch):
+        _, build, num_probes, rng_seed, rel_tol = case
+        inst, sol = build()
+        reports = []
+        for gate in self.GATES:
+            monkeypatch.setattr(game, "_COLUMN_SUM_ROWS", gate)
+            got = verify_equilibrium(inst, sol, num_probes, rng_seed, rel_tol)
+            reports.append((got.num_probes, got.max_violation.hex(),
+                            [(j, v.hex()) for j, v in got.rsu_violations],
+                            [(i, v.hex()) for i, v in got.uav_violations]))
+        assert reports[0] == reports[1]
 
 
 # =====================================================================

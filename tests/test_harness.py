@@ -359,6 +359,11 @@ class TestRuns:
         assert cfg.ranges == ranges
         assert config_hash(cfg) == digest
 
+    def test_sweep_without_seeds_is_config_error(self):
+        # without seeds every cell's mean and sd would be over no records
+        with pytest.raises(ConfigError, match="sweep seeds list is empty"):
+            SweepSpec("J", [2, 3], [])
+
     def test_sweep_grid_must_increase(self):
         with pytest.raises(ConfigError):
             SweepSpec("c", [2.0, 1.0], [0])

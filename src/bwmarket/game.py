@@ -34,8 +34,11 @@ for all binding buyers, whose roots _leader_roots finds together, and
 leader_best_response_map builds them for its one row.
 Every sum over a buyer's support, in the water-filling, the leader map and
 the root's equation, is one masked sum over the whole row, _support_sums.
-It and the verifier's other sums over a buyer's links are _row_sums:
-np.add.reduce's bits, one vector add per column on many rows of J < 8.
+It, every spend (the sum of the products p_j b_j, in the kernel's budget
+case, the demand check and the verifier's buyer probes) and the verifier's
+other sums over a buyer's links are _row_sums: np.add.reduce's bits, one
+vector add per column on many rows of J < 8, so no result depends on a BLAS
+kernel's summation order.
 
 verify_equilibrium hands the kernel its seller probes as contiguous buyer
 rows, so the kernel copies nothing, and scores the buyers' probes many
@@ -330,7 +333,8 @@ class DemandMatrix:
 def _check_demands(demands: np.ndarray, prices: np.ndarray | None,
                    budget: np.ndarray) -> None:
     """Reject negative demands and, given J x I prices, any spend over the
-    buyers' budgets (I,); a NaN demand or spend is rejected too.
+    buyers' budgets (I,) by more than 1e-9 of the budget (1e-9 absolute for a
+    budget under 1); a NaN demand or spend is rejected too.
 
     Takes I x J demands with any leading batch shape (prices alike, ... x J x I).
     """
@@ -338,7 +342,7 @@ def _check_demands(demands: np.ndarray, prices: np.ndarray | None,
         raise ValueError("negative demand entry")
     if prices is not None:
         spend = _row_sums(demands * np.swapaxes(prices, -1, -2))
-        if not (spend <= budget + 1e-9).all():
+        if not (spend <= budget + 1e-9 * np.maximum(budget, 1.0)).all():
             raise ValueError("per-UAV spend exceeds budget")
 
 
@@ -467,16 +471,6 @@ def rsu_utility(instance: GameInstance, rsu_index: int,
 _NO_DEMAND, _SLACK, _BINDING = range(3)
 
 
-def _rowdot(x, y) -> np.ndarray:
-    """x[..., k, :] @ y[..., k, :] for every k, bit for bit as the 1-D product.
-
-    Stacked row @ column products go to the same BLAS dot as a 1-D ``@``, with
-    each operand's own stride. BLAS sums unit and non-unit strides in
-    different orders, so the result depends on the operands' layout.
-    """
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 # _row_sums adds a short row's columns from this many rows on. On 2 cores the
 # reduce wins at 32 rows (2.1 us against 2.5-6.5 us, J = 2..7) and the columns
 # from 256 at every J <= 7 (J = 2: 4.9 -> 1.9 us, J = 6: 5.7 -> 4.2 us, J = 7:
@@ -520,18 +514,17 @@ def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
     (..., I), one of _NO_DEMAND, _SLACK and _BINDING.
 
     The unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are kept when
-    their spend p @ b fits the budget. Otherwise the budget binds and the row
-    water-fills over its own shrinking support (Palomar & Fonollosa, IEEE
-    TSP 2005): lambda = delta*sum S / (R + sum p/q) - 1, then
+    their spend sum_j p_j b_j fits the budget. Otherwise the budget binds and
+    the row water-fills over its own shrinking support (Palomar & Fonollosa,
+    IEEE TSP 2005): lambda = delta*sum S / (R + sum p/q) - 1, then
     b = delta*S/(p*(1 + lambda)) - 1/q, dropping the links whose demand is
     nonpositive until the support is self-consistent. Every row steps at
     once, each masked by its own support (empty on the rows that do not
     bind), until no support changes; a settled row gets the same lambda and
     demands again on each later step. Each price column is copied to a
-    contiguous buyer row, its spend is one dot product over that row and
-    each support sum is _support_sums over the whole row, so a buyer's
-    answer depends only on its price values and equals a buyer-by-buyer
-    solve in the same order bit for bit.
+    contiguous buyer row, and the spend and each support sum are _row_sums
+    over the whole row, so a buyer's answer depends only on its price values
+    and equals a buyer-by-buyer solve in the same order bit for bit.
     """
     p = np.ascontiguousarray(np.swapaxes(prices, -1, -2))   # buyer rows
     q, S, delta, budget = m.q, m.S, m.delta, m.budget
@@ -544,7 +537,7 @@ def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
     cand = np.where(positive & (p < dqS), dS / p - inv_q, 0.0)
     cand = np.maximum(cand, 0.0)
     wants = _row_sums(cand > 0) > 0
-    slack = wants & (_rowdot(p, cand) <= budget)
+    slack = wants & (_row_sums(p * cand) <= budget)
     binding = wants & ~slack
 
     # budget binds: water-filling until no support changes. Only the first
@@ -819,8 +812,6 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
             rsu_violations.append((j, worst))
         max_violation = max(max_violation, worst)
 
-    # buyer i's probe rows score against its price column, a strided operand
-    # as in a one-buyer check
     worst_uav = np.empty(I)
     step = max(1, _PROBE_BLOCK_ROWS // max(1, num_probes))
     for lo in range(0, I, step):
@@ -829,7 +820,7 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
         draws = rng.random((len(mb.S), num_probes, J + 1))   # direction, then spend share
         spend = draws[:, :, J] * mb.budget[:, None]
         direction = draws[:, :, :J]
-        b = direction * (spend / np.maximum(_rowdot(direction, p_cols), 1e-12))[:, :, None]
+        b = direction * (spend / np.maximum(_row_sums(direction * p_cols), 1e-12))[:, :, None]
         utilities = _buyer_utilities(mb._replace(S=mb.S[:, None], delta=mb.delta[:, None]),
                                      b, p_cols)   # buyer rows, each with a probe axis
         base = solution.uav_utilities[lo:lo + step, None]

@@ -608,12 +608,12 @@ def record_rows(record: RunRecord) -> list[dict]:
 
 def emit_results(records: list[RunRecord], out_dir, fmt: str = "csv") -> Path:
     """Write records as CSV or JSONL; re-emission is byte-identical."""
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [row for rec in sorted(records, key=lambda r: (r.run_id, r.seed))
             for row in record_rows(rec)]
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {fmt!r}")
     path = out_dir / f"results.{fmt}"
     try:
         with open(path, "w", newline="" if fmt == "csv" else None) as fh:

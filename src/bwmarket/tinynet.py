@@ -230,27 +230,23 @@ def update_masks(net: PrunableMlp, schedule: PruneSchedule, epoch: int,
     """
     w = sparsity_at(schedule, epoch)
     scores = neuron_importance(net)
-    pooled = [(scores[k][n], k, n)
-              for k in range(net.num_hidden_layers)
-              for n in range(len(scores[k]))]
-    pooled.sort()
+    pooled = np.concatenate(scores)
+    # a stable sort of the pooled scores breaks ties in (layer, index) order
+    order = np.argsort(pooled, kind="stable")
     total = len(pooled)
     k_mask = int(round(w * total))
 
-    masks = [np.ones(len(s)) for s in scores]
-    for score, layer, idx in pooled[:k_mask]:
-        masks[layer][idx] = 0.0
-    threshold = pooled[k_mask][0] if k_mask < total else float("inf")
+    flat = np.ones(total)
+    flat[order[:k_mask]] = 0.0
+    masks = np.split(flat, np.cumsum([len(s) for s in scores])[:-1])
+    threshold = pooled[order[k_mask]] if k_mask < total else float("inf")
     if k_mask == 0:
         threshold = 0.0
 
     # per-layer floor: reactivate top scorers of collapsed layers
     for k, m in enumerate(masks):
-        active = int(m.sum())
-        if active < floor_neurons:
-            order = np.lexsort((np.arange(len(m)), -scores[k]))
-            for idx in order[:floor_neurons]:
-                m[idx] = 1.0
+        if int(m.sum()) < floor_neurons:
+            m[np.argsort(-scores[k], kind="stable")[:floor_neurons]] = 1.0
     for old, new in zip(net.masks, masks):
         old[...] = new
     return threshold

@@ -24,6 +24,7 @@ from bwmarket.game import (
     uav_utility,
 )
 from bwmarket.harness import DEFAULT_RANGES
+from bwmarket.tinynet import PrunableMlp, PruneSchedule, neuron_importance, sparsity_at
 
 # The iterated oracle's own stopping rule: a step below FIXED_POINT_TOL in
 # every price, at most FIXED_POINT_MAX_ITER map steps. A tight step, since
@@ -120,15 +121,13 @@ def reference_follower_best_response(instance: GameInstance, uav_index: int,
 
     The reference for game._batched_follower_demands and everything built on
     it. Unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are accepted when
-    the total spend fits the budget; otherwise a support-set water-filling
-    computes the binding-budget multiplier, dropping sellers whose demand goes
-    nonpositive and recomputing until the support is self-consistent. Each
-    sum over the support is np.sum over the whole J-wide row, 0.0 off the
-    support: the kernel's summation order.
+    their spend np.sum(p * cand) fits the budget; otherwise a support-set
+    water-filling computes the binding-budget multiplier, dropping sellers
+    whose demand goes nonpositive and recomputing until the support is
+    self-consistent. The spend and each sum over the support are np.sum over
+    the whole J-wide row (0.0 off the support): the kernel's summation order.
     """
-    # a contiguous row: BLAS sums a strided vector in another order, and a
-    # buyer's answer depends only on its price values
-    p = np.ascontiguousarray(price_row, dtype=float)
+    p = np.asarray(price_row, dtype=float)
     q = instance.arrays.q
     S = instance.arrays.S[uav_index]
     uav = instance.uavs[uav_index]
@@ -147,7 +146,7 @@ def reference_follower_best_response(instance: GameInstance, uav_index: int,
         return FollowerSolution(zeros, CASE_BUDGET_INACTIVE, 0.0, frozenset(),
                                 degenerate=not np.any(positive))
 
-    if float(p @ cand) <= R:
+    if float(np.sum(p * cand)) <= R:
         support = frozenset(np.flatnonzero(cand > 0).tolist())
         return FollowerSolution(cand, CASE_BUDGET_INACTIVE, 0.0, support)
 
@@ -161,7 +160,7 @@ def reference_follower_best_response(instance: GameInstance, uav_index: int,
             # reduced support fits the budget after all: fall back to candidates
             b = zeros.copy()
             b[support] = np.maximum(delta * S[support] / p[support] - 1.0 / q[support], 0.0)
-            if float(p @ b) <= R:
+            if float(np.sum(p * b)) <= R:
                 sup = frozenset(np.flatnonzero(b > 0).tolist())
                 return FollowerSolution(b, CASE_BUDGET_INACTIVE, 0.0, sup)
             lam = max(lam, 1e-15)
@@ -227,7 +226,7 @@ def reference_verify_equilibrium(instance: GameInstance, solution: EquilibriumSo
         uscale = max(1.0, abs(base))
         for _ in range(num_probes):
             b = rng.uniform(0.0, 1.0, size=J)
-            b *= rng.uniform(0.0, budgets[i]) / max(float(p_i @ b), 1e-12)
+            b *= rng.uniform(0.0, budgets[i]) / max(float(np.sum(p_i * b)), 1e-12)
             u = uav_utility(instance, i, b, p_i)
             worst = max(worst, (u - base) / uscale)
         if worst > rel_tol:
@@ -503,3 +502,40 @@ def reference_sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
                               draw(gen, "similarity")) for _ in range(num_rsus)]
         uavs.append(UavProfile(delta, budget, threshold, triples))
     return GameInstance(uavs, rsus)
+
+
+def reference_update_masks(net: PrunableMlp, schedule: PruneSchedule, epoch: int,
+                           floor_neurons: int = 4) -> float:
+    """Re-mask hidden neurons from a sorted list of (score, layer, index) tuples.
+
+    The reference for tinynet.update_masks: the k = round(w(t) * N) lowest
+    tuples are masked, so ties break by (layer, index); a layer left with
+    fewer than floor_neurons active gets its top scorers back, ties by index.
+    Returns the smallest surviving score, inf when all are masked, 0 when
+    none is.
+    """
+    w = sparsity_at(schedule, epoch)
+    scores = neuron_importance(net)
+    pooled = [(scores[k][n], k, n)
+              for k in range(net.num_hidden_layers)
+              for n in range(len(scores[k]))]
+    pooled.sort()
+    total = len(pooled)
+    k_mask = int(round(w * total))
+
+    masks = [np.ones(len(s)) for s in scores]
+    for score, layer, idx in pooled[:k_mask]:
+        masks[layer][idx] = 0.0
+    threshold = pooled[k_mask][0] if k_mask < total else float("inf")
+    if k_mask == 0:
+        threshold = 0.0
+
+    for k, m in enumerate(masks):
+        active = int(m.sum())
+        if active < floor_neurons:
+            order = np.lexsort((np.arange(len(m)), -scores[k]))
+            for idx in order[:floor_neurons]:
+                m[idx] = 1.0
+    for old, new in zip(net.masks, masks):
+        old[...] = new
+    return threshold

@@ -333,7 +333,7 @@ class TestBatchedFollower:
     def test_matches_scalar_solver_exactly(self):
         # J up to 10, and each stack twice: strided buyer columns (P[:, i], the
         # final demands and the verifier's probes) and contiguous buyer rows
-        # (the solver's candidate price rows); BLAS sums the two differently
+        # (the solver's candidate price rows), which must give the same bits
         # (the masked water-filling steps every row of a call until the last
         # one settles, so a row that exits on the first step, keeping all its
         # usable links, beside a row whose support shrinks is recomputed
@@ -402,8 +402,8 @@ class TestBatchedFollower:
         # exit that the kernel dropped: equal outputs show neither one fires.
         # Links are unusable (SSIM 0), have S <= 0, or are usable; prices sit
         # at cost, at cap, inside the box or past the choke price delta*q*S;
-        # budgets sit near each buyer's unconstrained spend, a tie on that
-        # spend summed over a strided or over a contiguous price column.
+        # budgets sit near each buyer's unconstrained spend, the kernel's own
+        # sum, so that a scale of 1.0 is an exact tie.
         J = data.draw(st.integers(1, 6), label="J")
         I = data.draw(st.integers(1, 4), label="I")
         rsus = []
@@ -435,11 +435,10 @@ class TestBatchedFollower:
             cand = np.where(usable & (P[:, i] < delta * q * np.where(usable, S, 0.0)),
                             delta * np.where(usable, S, 0.0) / P[:, i] - 1.0 / q, 0.0)
             cand = np.maximum(cand, 0.0)
-            spends = {"strided": float(P[:, i] @ cand),
-                      "contiguous": float(np.ascontiguousarray(P[:, i]) @ cand)}
-            if spends["strided"] > 0:
+            spend = float(np.sum(P[:, i] * cand))
+            if spend > 0:
                 scale = data.draw(st.sampled_from([0.3, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5]))
-                budget = spends[data.draw(st.sampled_from(list(spends)))] * scale
+                budget = spend * scale
             else:
                 budget = data.draw(st.floats(0.1, 20.0))
             uavs.append(UavProfile(delta, budget, threshold, triples))
@@ -741,7 +740,9 @@ def assert_same_solution(got, want):
 # markets, where numpy's pairwise sum makes the masked order the defined one.
 # Both were recorded with the binding buyers' prices from one certified
 # scalar root each (game._leader_roots), which moved them by at most 5.5e-11
-# relative from the iterated leader map's.
+# relative from the iterated leader map's, and with every spend summed by
+# _row_sums of the products (the buyer probes' scaling of 15 groups' verifier
+# parts moved in the last bits; no solve part moved).
 SOLVED_DIGESTS = Path(__file__).with_name("solved_digests.json")
 WIDE_SOLVED_DIGESTS = Path(__file__).with_name("wide_solved_digests.json")
 SOLVED_RANGES = {"default": {}, "half": {"similarity": (0.5, 1.0)},
@@ -1062,6 +1063,12 @@ class TestRowSumPaths:
 # =====================================================================
 # Type invariants
 # =====================================================================
+def scaled_ranges(k: float) -> dict:
+    """Dense markets with delta in [10k, 20k] and budgets in [k, 10k]."""
+    return {"similarity": (0.85, 1.0), "delta": (10.0 * k, 20.0 * k),
+            "budget": (k, 10.0 * k)}
+
+
 class TestMatrixTypes:
     def test_price_matrix_box_enforced(self):
         inst = simple_instance(J=2)
@@ -1080,6 +1087,28 @@ class TestMatrixTypes:
         P = np.full((2, 1), 2.0)
         with pytest.raises(ValueError):
             DemandMatrix(np.array([[1.0, 1.0]]), inst, prices=P)
+
+    def test_demand_matrix_budget_slack_scales_with_the_budget(self):
+        # 1e-9 of the budget over it passes, 2e-9 does not; under a budget of
+        # 1 the slack stays 1e-9 absolute
+        P = np.full((2, 1), 2.0)
+        for budget, fits, over in ((1e8, 1e8 * (1 + 5e-10), 1e8 * (1 + 2e-9)),
+                                   (0.5, 0.5 + 9e-10, 0.5 + 2e-9)):
+            inst = simple_instance(J=2, budget=budget)
+            DemandMatrix(np.full((1, 2), fits / 4.0), inst, prices=P)
+            with pytest.raises(ValueError, match="spend exceeds budget"):
+                DemandMatrix(np.full((1, 2), over / 4.0), inst, prices=P)
+
+    @pytest.mark.parametrize("k", [1e7, 1e10])
+    def test_scaled_budgets_solve_and_verify(self, k):
+        """Markets whose budgets run to 10k (k up to 1e10) solve and verify:
+        their exact demands' spend can round above the budget by more than an
+        absolute 1e-9, so the spend check's slack scales with the budget."""
+        for seed in range(5):
+            inst = sample_instance(scaled_ranges(k), 8, 4, seed)
+            sol = solve_equilibrium(inst)
+            assert sol.consistent, sol.diagnostics
+            assert verify_equilibrium(inst, sol, num_probes=50, rng_seed=seed).passed
 
     def test_demand_matrix_checks_every_stacked_market(self):
         inst = simple_instance(J=2, budget=2.0)

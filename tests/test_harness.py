@@ -613,6 +613,12 @@ class TestPersistence:
         path = emit_results([], tmp_path, fmt="csv")
         assert path.read_text().strip() == ",".join(CSV_COLUMNS)
 
+    def test_unknown_format_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit_results([], out, fmt="xml")
+        assert not out.exists()
+
     def test_jsonl_matches_csv_rows(self, tmp_path):
         cfg = tiny_config()
         records = [run_training(cfg, "random", 0)]
@@ -669,6 +675,19 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "results.csv").exists()
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_solve_command_on_scaled_budgets(self, tmp_path):
+        # budgets of 1e10 to 1e11, where the exact demands' spend can round
+        # above the budget by more than 1e-9 absolute
+        doc = {"instance": {"I": 8, "J": 4,
+                            "ranges": {"similarity": [0.85, 1.0], "delta": [1e11, 2e11],
+                                       "budget": [1e10, 1e11]}},
+               "seeds": [0, 1, 2], "verify_probes": 50}
+        path = tmp_path / "scaled.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code = cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--strict"])
+        assert code == 0
 
     def test_train_command(self, tmp_path):
         code = cli_main(["train", "--algo", "random",

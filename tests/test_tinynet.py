@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import reference_update_masks
 from bwmarket.tinynet import (
     DenseLayer,
     PrunableMlp,
@@ -287,6 +290,32 @@ class TestUpdateMasks:
             w = sparsity_at(sched, t)
             achieved = 1.0 - sum(m.sum() for m in net.masks) / 64.0
             assert abs(achieved - w) <= 1.0 / 64.0 + 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_sorted_tuple_reference(self, data):
+        # weights from a few integers, so that scores tie within and across
+        # layers, and whole zero neurons
+        sizes = [data.draw(st.integers(1, 6), label="inputs")]
+        sizes += data.draw(st.lists(st.integers(1, 19), min_size=1, max_size=3),
+                           label="hidden")
+        sizes.append(data.draw(st.integers(1, 4), label="outputs"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        pool = data.draw(st.sampled_from([[0.0], [0.0, 1.0], [-1.0, 0.0, 2.0], None]),
+                         label="weights")
+        layers = [rng.standard_normal((o, i)) if pool is None
+                  else rng.choice(pool, size=(o, i))
+                  for i, o in zip(sizes, sizes[1:])]
+        target = data.draw(st.floats(0.0, 0.99), label="target")
+        sched = PruneSchedule(0.0, target, start_epoch=0, total_steps=4, frequency=1)
+        epoch = data.draw(st.integers(0, 4), label="epoch")
+        floor = data.draw(st.integers(1, 7), label="floor")
+        got, want = (PrunableMlp([DenseLayer(w.copy()) for w in layers]) for _ in range(2))
+        threshold = update_masks(got, sched, epoch, floor_neurons=floor)
+        expected = reference_update_masks(want, sched, epoch, floor_neurons=floor)
+        assert type(threshold) is type(expected) and threshold == expected
+        for a, b in zip(got.masks, want.masks):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # =====================================================================

@@ -5,7 +5,9 @@ box [c, p_bar]; buyers (UAVs) follow with a budget-constrained concave demand
 problem solved in closed form through KKT water-filling.  The leader subgames
 decouple per buyer; a binding buyer's is the unique fixed point of a standard
 function, the sellers' best-response map, found as one certified scalar root
-(_leader_roots).  solve_equilibrium runs all buyers' subgames at once.
+(_leader_roots), and a buyer whose budget binds at its slack prices but not
+at that root is priced on its budget kink.  solve_equilibrium runs all
+buyers' subgames at once.
 
 Every solver reads the market's dense arrays, GameInstance.arrays, built once
 per instance by one builder, _market_arrays.  A hand-built instance,
@@ -18,8 +20,8 @@ no solver reads them.
 One water-filling kernel, _batched_follower_demands, solves every buyer best
 response: follower_best_response is its one-row call, and
 all_followers_respond, solve_equilibrium and verify_equilibrium call it on
-whole price matrices.  A solve makes two kernel passes, one per candidate,
-and returns the chosen candidates' own demands.  A buyer's answer depends
+whole price matrices.  A solve makes two kernel passes, three with kink
+buyers, and returns its columns' own demands.  A buyer's answer depends
 only on the values of the prices it is posted, not on how the caller lays
 them out in memory.  The buyer utility and the seller margin are written once
 each, in _buyer_utilities and _margins.
@@ -35,16 +37,14 @@ leader_best_response_map builds them for its one row.
 Every sum over a buyer's support, in the water-filling, the leader map and
 the root's equation, is one masked sum over the whole row, _support_sums.
 It, every spend (the sum of the products p_j b_j, in the kernel's budget
-case, the demand check and the verifier's buyer probes) and the verifier's
-other sums over a buyer's links are _row_sums: np.add.reduce's bits, one
-vector add per column on many rows of J < 8, so no result depends on a BLAS
-kernel's summation order.
+case and the demand check) and the verifier's other sums over a buyer's
+links are _row_sums: np.add.reduce's bits, one vector add per column on many
+rows of J < 8, so no result depends on a BLAS kernel's summation order.
 
 verify_equilibrium hands the kernel its seller probes as contiguous buyer
-rows, so the kernel copies nothing, and scores the buyers' probes many
-buyers at a time, in blocks of up to 4,096 rows: one block per seller for
-200 probes of up to 20 buyers.  Per-call overhead dominates at these sizes,
-so 4,096-row blocks verify in about 0.8x the time of 1,024-row ones.
+rows, so the kernel copies nothing, in blocks of up to 4,096 rows: one block
+per seller for 200 probes of up to 20 buyers.  Its buyer half is one kernel
+call on the solution's prices.
 """
 
 from __future__ import annotations
@@ -365,7 +365,7 @@ class EquilibriumSolution:
     uav_utilities: np.ndarray
     per_uav_case: list[str]
     iterations: int         # the most Newton steps of a binding buyer's root
-    residual: float         # the widest relative bracket of a root kept
+    residual: float         # the widest relative bracket of a binding buyer's root
     consistent: bool
     diagnostics: list[str] = field(default_factory=list)
 
@@ -665,7 +665,9 @@ def _leader_roots(m: _MarketArrays, slack: np.ndarray):
     that leaves the bracket [lo, hi] (g(lo) > 0 >= g(hi)). A row stops, unchanged
     from then on, once hi - lo <= _ROOT_RTOL * hi, so it equals its solve
     alone bit for bit. Returns each row's prices at the bracket's midpoint,
-    steps, relative width (hi - lo)/hi and whether it stopped (certified).
+    steps, relative width (hi - lo)/hi and whether it stopped (certified),
+    and the price function X -> p(X) itself, one X per row, which
+    solve_equilibrium reads at a buyer's budget kink.
     """
     t = _leader_terms(m, slack)
     q, c, cap = m.q, m.c, m.cap
@@ -693,21 +695,36 @@ def _leader_roots(m: _MarketArrays, slack: np.ndarray):
             newton = X - g / dg + np.where(g > 0.0, 0.25, -0.25) * _ROOT_RTOL * hi
         inside = (dg < 0.0) & (newton > lo) & (newton < hi)
         X = np.where(inside, newton, 0.5 * (lo + hi))
-    return prices(0.5 * (lo + hi))[0], steps, (hi - lo) / hi, ~open_
+    return (prices(0.5 * (lo + hi))[0], steps, (hi - lo) / hi, ~open_,
+            lambda X: prices(X)[0])
 
 
 def solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
     """Exact Stackelberg equilibrium: per-buyer price columns + true follower demands.
 
-    The buyers' leader subgames are independent and are solved together on the
-    market's arrays. Each buyer's column is its slack-budget price when the
-    buyer's budget does not bind there; otherwise it is the fixed point of the
-    clamped leader map, a certified root of _leader_roots. If the budget case
-    contradicts both candidates, or the root does not certify, the more
-    profitable one is kept with a diagnostic and the solve is inconsistent.
-    A solve makes two kernel passes, one per candidate, and each buyer keeps
-    the prices and the demands of the candidate it takes. Every buyer's
-    result equals a buyer-by-buyer solve bit for bit.
+    The buyers' leader subgames are independent and are solved together on
+    the market's arrays. A buyer's column is its clipped slack price p^S when
+    its budget does not bind there; else the fixed point of the clamped
+    leader map, a certified root of _leader_roots, when the budget binds
+    there; else its budget kink, sum_j x_j = X_k = delta*sum S - R over the
+    positive links (x = p/q), where it spends its whole budget at lambda = 0.
+
+    Each seller's margin is concave in its own price on both sides of the
+    kink, and its slope drops there (binding demand is less price-elastic),
+    so the kink equilibria of a column are the box x^S_j <= x_j <= x^B_j(X_k),
+    x^B being _leader_roots' price function, cut by sum_j x_j = X_k: a set
+    once two sellers can move. The solve takes the point with every seller
+    the same fraction theta = (X_k - sum x^S)/(sum x^B - sum x^S), clipped to
+    [0, 1], of the way from p^S_j to p^B_j(X_k); it is continuous with the
+    slack column at theta = 0 and with the root at theta = 1.
+
+    A root that does not certify is kept with a diagnostic, and the solve is
+    inconsistent. Two kernel passes, on the slack columns and on the roots,
+    and a third on the kink columns alone when there are any, give each
+    buyer the demands of its own column. A buyer's case is budget_active when
+    its budget binds at its slack column: it spends it all on a root and on
+    the kink alike. Every buyer's result equals a buyer-by-buyer solve bit
+    for bit.
     """
     m = instance.arrays
 
@@ -719,50 +736,46 @@ def solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
     # binding-budget candidates: fixed points of the clamped best-response map
     binding = np.flatnonzero(exits == _BINDING)
     mb = m.buyers(binding)
-    p_hat, steps, width, certified = _leader_roots(mb, slack[binding])
+    p_hat, steps, width, certified, price_at = _leader_roots(mb, slack[binding])
     d_hat, _, exits_hat = _batched_follower_demands(p_hat.T, mb)
-    hat_active = exits_hat == _BINDING
-    ok = hat_active & certified
 
-    # case assumptions contradicted on both candidates, or a root not
-    # certified: keep the more profitable candidate, with a diagnostic
-    mixed = np.flatnonzero(~ok)
-    rows = binding[mixed]
-    v_tilde = np.sum((prices[rows] - m.c) * demands[rows], axis=1)
-    v_hat = np.sum((p_hat[mixed] - m.c) * d_hat[mixed], axis=1)
-    take_hat = ok.copy()
-    take_hat[mixed] = v_hat >= v_tilde
-    diagnostics = [f"uav {i}: mixed-case resolution "
-                   f"(slack-margin {a:.6g}, binding-margin {b:.6g})"
-                   for i, a, b in zip(rows.tolist(), v_tilde.tolist(), v_hat.tolist())]
-
-    active = exits == _BINDING
-    active[binding[take_hat & ~hat_active]] = False
-    chosen = binding[take_hat]
-    prices[chosen], demands[chosen] = p_hat[take_hat], d_hat[take_hat]
+    # a certified root that leaves the budget slack: the kink column instead
+    kink = certified & (exits_hat != _BINDING)
+    if kink.any():
+        mk = mb.buyers(kink)
+        X = mb.delta * _support_sums(mb.S, mb.S > 0.0) - mb.budget
+        p_s, p_b, X = prices[binding[kink]], price_at(X)[kink], X[kink]
+        x_s, x_b = (_support_sums(p / m.q, mk.S > 0.0) for p in (p_s, p_b))
+        theta = np.clip(np.divide(X - x_s, x_b - x_s, out=np.ones_like(X), where=x_b > x_s),
+                        0.0, 1.0)
+        p_hat[kink] = np.clip(p_s + theta[:, None] * (p_b - p_s), m.c, m.cap)
+        d_hat[kink] = _batched_follower_demands(p_hat[kink].T, mk)[0]
+    diagnostics = [f"uav {i}: root not certified (relative bracket {w:.3g})"
+                   for i, w in zip(binding[~certified].tolist(), width[~certified].tolist())]
+    prices[binding], demands[binding] = p_hat, d_hat
 
     prices = PriceMatrix(np.ascontiguousarray(prices.T), instance)
     P = prices.prices
     demands = DemandMatrix(demands, instance, prices=P)
     D = demands.demands
-    cases = [CASE_BUDGET_ACTIVE if a else CASE_BUDGET_INACTIVE for a in active]
+    cases = [CASE_BUDGET_ACTIVE if e == _BINDING else CASE_BUDGET_INACTIVE
+             for e in exits.tolist()]
     return EquilibriumSolution(prices, demands, _margins(P, D, m.c).sum(axis=1),
                                _buyer_utilities(m, D, P.T), cases,
                                int(np.max(steps, initial=0)),
-                               float(np.max(np.where(take_hat, width, 0.0), initial=0.0)),
-                               bool(ok.all()), diagnostics)
+                               float(np.max(width, initial=0.0)),
+                               bool(certified.all()), diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # Equilibrium verification
 # ---------------------------------------------------------------------------
 
-# Rows per batch in verify_equilibrium, buyer rows of a seller's probes and
-# probe rows of the buyers': the temporaries grow with the batch. Verifying
-# perfbench's ten sweep markets (dense, up to 15 x 6, 200 probes) took 0.90x
-# the time of 1,024-row blocks at 2,048 rows and 0.79-0.80x at 3,072, 4,096
-# and 8,192 (medians of five in-process runs, BENCH_20); 4,096 holds one
-# seller's 200 probes of up to 20 buyers.
+# Buyer rows per batch of a seller's probes in verify_equilibrium: the
+# temporaries grow with the batch. Verifying perfbench's ten sweep markets
+# (dense, up to 15 x 6, 200 probes) took 0.90x the time of 1,024-row blocks at
+# 2,048 rows and 0.79-0.80x at 3,072 to 8,192 (medians of five in-process
+# runs, BENCH_20); 4,096 holds one seller's 200 probes of up to 20 buyers.
 _PROBE_BLOCK_ROWS = 4096
 
 
@@ -772,18 +785,17 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
     """Numerical no-profitable-deviation check of the equilibrium definition.
 
     For each seller, random unilateral price-row perturbations (with followers
-    re-solved) must not improve its margin; for each buyer, random feasible
-    demand rows must not beat its equilibrium utility.
+    re-solved) must not improve its margin; each buyer's exact best response
+    to the solution's prices must not beat its equilibrium utility, relative
+    to max(1, |utility|). A solve's own buyers pass with a violation of
+    exactly 0: their demands come from the same kernel on the same prices.
 
     Each seller's probes are drawn at once and solved as one batch, in blocks
     of at most 4096 buyer rows to bound memory, so 200 probes of up to 20
-    buyers take one kernel call per seller; the buyers' probes are scored as
-    one array per block of whole buyers, at most 4096 probe rows unless one
-    buyer has more. Such blocks verify in about 0.8x the time of 1,024-row
-    ones, and bigger blocks gain nothing more. The draws come in the order of a
-    probe-by-probe loop (seller by seller, then buyer by buyer), so a given
-    rng_seed gives the report that loop gives. A probe whose followers return
-    a negative demand or overspend a budget raises ValueError.
+    buyers take one kernel call per seller. The draws come in the order of a
+    probe-by-probe loop, seller by seller, so a given rng_seed gives the
+    report that loop gives. A probe whose followers return a negative demand
+    or overspend a budget raises ValueError.
     """
     rng = np.random.default_rng(rng_seed)
     P = solution.prices.prices
@@ -812,24 +824,10 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
             rsu_violations.append((j, worst))
         max_violation = max(max_violation, worst)
 
-    worst_uav = np.empty(I)
-    step = max(1, _PROBE_BLOCK_ROWS // max(1, num_probes))
-    for lo in range(0, I, step):
-        mb = m.buyers(slice(lo, lo + step))
-        p_cols = P.T[lo:lo + step, None, :]
-        draws = rng.random((len(mb.S), num_probes, J + 1))   # direction, then spend share
-        spend = draws[:, :, J] * mb.budget[:, None]
-        direction = draws[:, :, :J]
-        b = direction * (spend / np.maximum(_row_sums(direction * p_cols), 1e-12))[:, :, None]
-        utilities = _buyer_utilities(mb._replace(S=mb.S[:, None], delta=mb.delta[:, None]),
-                                     b, p_cols)   # buyer rows, each with a probe axis
-        base = solution.uav_utilities[lo:lo + step, None]
-        worst_uav[lo:lo + step] = np.max((utilities - base) / np.maximum(1.0, np.abs(base)),
-                                         axis=1, initial=0.0)
-    uav_violations: list[tuple[int, float]] = []
-    for i, worst in enumerate(worst_uav.tolist()):
-        if worst > rel_tol:
-            uav_violations.append((i, worst))
-        max_violation = max(max_violation, worst)
+    best = _buyer_utilities(m, _batched_follower_demands(P, m)[0], P.T)
+    base = solution.uav_utilities
+    worst_uav = np.maximum((best - base) / np.maximum(1.0, np.abs(base)), 0.0)
+    uav_violations = [(i, w) for i, w in enumerate(worst_uav.tolist()) if w > rel_tol]
+    max_violation = max([max_violation, *worst_uav.tolist()])
 
     return VerificationReport(num_probes, rsu_violations, uav_violations, max_violation)

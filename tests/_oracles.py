@@ -191,16 +191,16 @@ def reference_verify_equilibrium(instance: GameInstance, solution: EquilibriumSo
                                  rel_tol: float = 1e-6) -> VerificationReport:
     """Probe-by-probe no-profitable-deviation check, one scalar solve per buyer.
 
-    The reference for verify_equilibrium: the same probes in the same order,
-    each seller probe re-solved through reference_all_followers_respond and
-    each buyer probe scored through uav_utility.
+    The reference for verify_equilibrium: the same seller probes in the same
+    order, each re-solved through reference_all_followers_respond, and each
+    buyer's exact best response (reference_follower_best_response) scored
+    through uav_utility against its equilibrium utility.
     """
     rng = np.random.default_rng(rng_seed)
     P = solution.prices.prices
     I, J = instance.num_uavs, instance.num_rsus
     cs = instance.costs()
     caps = instance.price_caps()
-    budgets = np.array([u.budget for u in instance.uavs])
 
     rsu_violations: list[tuple[int, float]] = []
     max_violation = 0.0
@@ -221,14 +221,9 @@ def reference_verify_equilibrium(instance: GameInstance, solution: EquilibriumSo
     uav_violations: list[tuple[int, float]] = []
     for i in range(I):
         base = solution.uav_utilities[i]
-        p_i = P[:, i]
-        worst = 0.0
-        uscale = max(1.0, abs(base))
-        for _ in range(num_probes):
-            b = rng.uniform(0.0, 1.0, size=J)
-            b *= rng.uniform(0.0, budgets[i]) / max(float(np.sum(p_i * b)), 1e-12)
-            u = uav_utility(instance, i, b, p_i)
-            worst = max(worst, (u - base) / uscale)
+        best = reference_follower_best_response(instance, i, P[:, i]).demands
+        u = uav_utility(instance, i, best, P[:, i])
+        worst = max(0.0, (u - base) / max(1.0, abs(base)))
         if worst > rel_tol:
             uav_violations.append((i, worst))
         max_violation = max(max_violation, worst)
@@ -272,16 +267,17 @@ def reference_leader_map(instance: GameInstance, uav_index: int,
     return np.clip(out, cs, caps)
 
 
-def reference_leader_gap(instance: GameInstance, uav_index: int, X: float) -> float:
-    """g(X) = sum_j p_j(X)/q_j - X for one buyer's binding leader subgame,
-    seller by seller, X being sum_j p_j/q_j over the positive links.
+def reference_binding_prices(instance: GameInstance, uav_index: int,
+                             X: float) -> np.ndarray:
+    """One buyer's binding-budget prices p_j(X), seller by seller, X being
+    sum_j p_j/q_j over the positive links.
 
     A link with positive log-quality and positive rival sum D_j prices at
     q_j x_j clamped to [c_j, cap_j], where x_j = (-a_j + sqrt(a_j^2 +
     4 a_j (R + X)))/2 solves x_j^2 = a_j (R + X - x_j) with
     a_j = c_j S_j / (q_j D_j): reference_leader_map's fixed-point condition
-    in x_j = p_j/q_j. A lone positive link prices at its clamped slack price.
-    g is positive below the subgame's fixed point and negative above it.
+    in x_j = p_j/q_j. A lone positive link prices at its clamped slack price,
+    any other link at c_j.
     """
     q = instance.arrays.q
     cs = instance.costs()
@@ -290,7 +286,7 @@ def reference_leader_gap(instance: GameInstance, uav_index: int, X: float) -> fl
     uav = instance.uavs[uav_index]
     positive = np.isfinite(S) & (S > 0.0)
     sum_S = float(np.sum(np.where(positive, S, 0.0)))
-    total = 0.0
+    out = cs.astype(float).copy()
     for j in np.flatnonzero(positive).tolist():
         denom = sum_S - S[j]
         if denom <= 0.0:
@@ -298,13 +294,51 @@ def reference_leader_gap(instance: GameInstance, uav_index: int, X: float) -> fl
         else:
             a = cs[j] * S[j] / (q[j] * denom)
             p = q[j] * (-a + math.sqrt(a * a + 4.0 * a * (uav.budget + X))) / 2.0
-        total += min(max(p, cs[j]), caps[j]) / q[j]
-    return total - X
+        out[j] = min(max(p, cs[j]), caps[j])
+    return out
+
+
+def reference_leader_gap(instance: GameInstance, uav_index: int, X: float) -> float:
+    """g(X) = sum_j p_j(X)/q_j - X for one buyer's binding leader subgame,
+    with reference_binding_prices' p_j(X), over the positive links. g is
+    positive below the subgame's fixed point and negative above it."""
+    S = instance.arrays.S[uav_index]
+    p = reference_binding_prices(instance, uav_index, X)
+    positive = np.isfinite(S) & (S > 0.0)
+    return float(np.sum(p[positive] / instance.arrays.q[positive])) - X
+
+
+def reference_kink_prices(instance: GameInstance, uav_index: int,
+                          p_slack: np.ndarray) -> np.ndarray:
+    """One buyer's price column on its budget kink X_k = delta*sum S - R over
+    the positive links, from its clipped slack prices p_slack: every seller
+    the same fraction theta of the way to its binding price p_j(X_k) (in
+    [0, 1], 1 when the two columns spend alike), so that the column spends
+    sum_j p_j/q_j = X_k."""
+    q = instance.arrays.q
+    S = instance.arrays.S[uav_index]
+    uav = instance.uavs[uav_index]
+    positive = np.isfinite(S) & (S > 0.0)
+    X_k = uav.delta * float(np.sum(S[positive])) - uav.budget
+    p_bind = reference_binding_prices(instance, uav_index, X_k)
+    x_slack = float(np.sum(p_slack[positive] / q[positive]))
+    x_bind = float(np.sum(p_bind[positive] / q[positive]))
+    theta = 1.0
+    if x_bind > x_slack:
+        theta = min(max((X_k - x_slack) / (x_bind - x_slack), 0.0), 1.0)
+    return np.clip(p_slack + theta * (p_bind - p_slack), instance.costs(),
+                   instance.price_caps())
 
 
 def _reference_uav_prices(instance: GameInstance, uav_index: int):
     """One buyer's equilibrium price column:
-    (prices, case, iterations, residual, consistent, diagnostic)."""
+    (prices, case, iterations, residual, consistent, diagnostic).
+
+    The clamped slack column when the budget does not bind there; else the
+    iterated leader map's fixed point when the budget binds there; else the
+    kink column (reference_kink_prices). A map that does not settle within
+    FIXED_POINT_MAX_ITER steps keeps its last iterate, with a diagnostic.
+    The case is budget_active whenever the budget binds at the slack column."""
     q = instance.arrays.q
     cs = instance.costs()
     caps = instance.price_caps()
@@ -333,28 +367,17 @@ def _reference_uav_prices(instance: GameInstance, uav_index: int):
         p = p_next
         if residual < FIXED_POINT_TOL:
             break
+    if residual >= FIXED_POINT_TOL:
+        return (p, CASE_BUDGET_ACTIVE, iterations, residual, False,
+                f"uav {uav_index}: root not certified (last step {residual:.3g})")
     fr_hat = reference_follower_best_response(instance, uav_index, p)
-    if fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < FIXED_POINT_TOL:
+    if fr_hat.case_label == CASE_BUDGET_ACTIVE:
         return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
 
-    # case assumptions contradicted: keep the self-consistent candidate, else
-    # the more profitable one with a diagnostic
-    def total_margin(prices, demands):
-        return float(np.sum((prices - cs) * demands))
-
-    inactive_ok = fr_tilde.case_label == CASE_BUDGET_INACTIVE
-    active_ok = fr_hat.case_label == CASE_BUDGET_ACTIVE and residual < FIXED_POINT_TOL
-    if active_ok and not inactive_ok:
-        return p, CASE_BUDGET_ACTIVE, iterations, residual, True, None
-    if inactive_ok and not active_ok:
-        return p_tilde, CASE_BUDGET_INACTIVE, iterations, 0.0, True, None
-    v_tilde = total_margin(p_tilde, fr_tilde.demands)
-    v_hat = total_margin(p, fr_hat.demands)
-    diag = (f"uav {uav_index}: mixed-case resolution "
-            f"(slack-margin {v_tilde:.6g}, binding-margin {v_hat:.6g})")
-    if v_hat >= v_tilde:
-        return p, fr_hat.case_label, iterations, residual, False, diag
-    return p_tilde, fr_tilde.case_label, iterations, 0.0, False, diag
+    # the budget is slack at the fixed point: the kink, where the buyer
+    # spends its whole budget
+    return (reference_kink_prices(instance, uav_index, p_tilde), CASE_BUDGET_ACTIVE,
+            iterations, residual, True, None)
 
 
 def reference_solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwmarket import game
+from bwmarket import game, harness
 from bwmarket.game import (
     CASE_BUDGET_ACTIVE,
     CASE_BUDGET_INACTIVE,
@@ -40,6 +41,7 @@ from _oracles import (
     grid_follower_utility,
     link_with_efficiency,
     random_instance,
+    reference_binding_prices,
     reference_follower_best_response,
     reference_leader_gap,
     reference_leader_map,
@@ -607,7 +609,7 @@ class TestLeaderResponses:
                 stack = game._leader_roots(m, slack)
                 for i in range(len(m.S)):
                     alone = game._leader_roots(m.buyers([i]), slack[[i]])
-                    for a, b in zip(stack, alone):
+                    for a, b in zip(stack[:4], alone[:4]):   # then the price function
                         np.testing.assert_array_equal(a[i], b[0], strict=True)
                 spread |= len(set(stack[1].tolist())) > 1
                 uncertified |= not stack[3].all()
@@ -649,7 +651,7 @@ class TestLeaderResponses:
         slack = game._slack_prices(m)
         exits = game._batched_follower_demands(np.clip(slack, m.c, m.cap).T, m)[2]
         binding = np.flatnonzero(exits == game._BINDING)
-        p, steps, width, certified = game._leader_roots(m.buyers(binding), slack[binding])
+        p, steps, width, certified, _ = game._leader_roots(m.buyers(binding), slack[binding])
         assert certified.all() and (width <= game._ROOT_RTOL).all()
         for i, row in zip(binding.tolist(), p):
             X = float(np.sum(np.where(m.S[i] > 0.0, row / m.q, 0.0)))
@@ -679,8 +681,9 @@ def solved(inst):
 
 
 def understate(sol):
-    """Lower a solution's recorded utilities, so that probes beat them and a
-    verifier report carries the probes' own margins and utilities."""
+    """Lower a solution's recorded utilities, so that probes and best
+    responses beat them and a verifier report carries their own margins and
+    utilities."""
     sol.rsu_utilities = 0.9 * sol.rsu_utilities
     sol.uav_utilities = sol.uav_utilities - 0.5 * np.abs(sol.uav_utilities)
 
@@ -707,11 +710,10 @@ VERIFY_CASES = [
     for I, J, seed, low in [(15, 2, 0, False), (15, 6, 1, False), (15, 6, 2, True),
                             (3, 3, 3, True), (15, 3, 4, False), (9, 3, 5, True)]
 ] + [
-    # a sweep's own setting, 200 probes: one block per seller and one of all
-    # buyers at the default block size; with 1,024-row blocks, seller blocks
-    # of 68, 68 and 64 probes and buyer blocks of 5 buyers (at I = 12: 85,
-    # 85, 30 and 5, 5, 2); understated, so that every seller and buyer
-    # reports its worst probe
+    # a sweep's own setting, 200 probes: one block per seller at the default
+    # block size; with 1,024-row blocks, seller blocks of 68, 68 and 64
+    # probes (at I = 12: 85, 85 and 30); understated, so that every seller
+    # reports its worst probe and every buyer its best response's gain
     ("sweep-I15-J6-200-probes-understated", lambda: trends_market(15, 6, 7, True),
      200, 7, 1e-6),
     ("sweep-I12-J3-200-probes-understated", lambda: trends_market(12, 3, 8, True),
@@ -739,10 +741,11 @@ def assert_same_solution(got, want):
 # of J <= 7 markets and wide_solved_digests.json 8 seeds of J = 8..12
 # markets, where numpy's pairwise sum makes the masked order the defined one.
 # Both were recorded with the binding buyers' prices from one certified
-# scalar root each (game._leader_roots), which moved them by at most 5.5e-11
-# relative from the iterated leader map's, and with every spend summed by
-# _row_sums of the products (the buyer probes' scaling of 15 groups' verifier
-# parts moved in the last bits; no solve part moved).
+# scalar root each (game._leader_roots), every spend summed by _row_sums of
+# the products, the kink buyers priced on their budget kink (of the 36
+# groups, only "dense 3x2" had a mixed-case solve before, and only its solve
+# part and its seller violations moved) and the verifier's buyer half scoring
+# each buyer's exact best response (the buyer violations of every group moved).
 SOLVED_DIGESTS = Path(__file__).with_name("solved_digests.json")
 WIDE_SOLVED_DIGESTS = Path(__file__).with_name("wide_solved_digests.json")
 SOLVED_RANGES = {"default": {}, "half": {"similarity": (0.5, 1.0)},
@@ -783,17 +786,19 @@ def solved_digests(seeds=range(12), sizes=SOLVED_SIZES) -> dict:
 SOLVE_RTOL = 1e-10
 
 
-def mixed_cases(sol) -> dict:
-    """(slack-margin, binding-margin) of each buyer with a mixed-case
-    diagnostic, as printed."""
-    return {int(d.split()[1][:-1]): tuple(map(float, re.findall(r"margin (\S+?)[,)]", d)))
-            for d in sol.diagnostics}
+def uncertified_buyers(sol) -> set:
+    """The buyers with a "root not certified" diagnostic; there is no other
+    kind."""
+    flagged = {int(m.group(1)) for d in sol.diagnostics
+               if (m := re.match(r"uav (\d+): root not certified", d))}
+    assert len(flagged) == len(sol.diagnostics), sol.diagnostics
+    return flagged
 
 
 def assert_solution_close(got, want):
     """Two EquilibriumSolutions alike: arrays within SOLVE_RTOL, the same
-    cases and consistency, and a mixed-case diagnostic for the same buyers
-    with margins equal to their six printed digits."""
+    cases and consistency, and a "root not certified" diagnostic for the same
+    buyers."""
     np.testing.assert_allclose(got.prices.prices, want.prices.prices, rtol=SOLVE_RTOL,
                                atol=0.0, err_msg="prices")
     D = want.demands.demands
@@ -806,10 +811,7 @@ def assert_solution_close(got, want):
                                    err_msg=name)
     assert got.per_uav_case == want.per_uav_case
     assert got.consistent == want.consistent
-    a, b = mixed_cases(got), mixed_cases(want)
-    assert a.keys() == b.keys() and len(got.diagnostics) == len(a)
-    for i in b:
-        assert a[i] == pytest.approx(b[i], rel=1e-5), (i, a[i], b[i])
+    assert uncertified_buyers(got) == uncertified_buyers(want)
 
 
 ORACLE_FLOORS = (0.0, 0.5, 0.85)
@@ -836,14 +838,15 @@ class TestEquilibrium:
     def test_solve_matches_reference_loop(self, floor_index, budget_index, monkeypatch):
         # the solve agrees with the iterated oracle; with a step budget, a
         # buyer whose root certified within it keeps its column bit for bit,
-        # and one whose root did not is resolved as a mixed case: the column
-        # of the more profitable candidate, a diagnostic, an inconsistent
-        # solve. 10,000 steps is more than any root takes.
+        # slack, binding or kink, and one whose root did not keeps the
+        # bracket's midpoint with a "root not certified" diagnostic, in an
+        # inconsistent solve. 10,000 steps is more than any root takes.
         budget = ROOT_STEP_BUDGETS[budget_index]
-        mixed_by_budget = 0
+        flagged_by_budget = 0
         for inst in oracle_grid(floor_index, budget_index):
             full = solve_equilibrium(inst)
             assert_solution_close(full, reference_solve_equilibrium(inst))
+            assert full.consistent and not full.diagnostics
             monkeypatch.setattr(game, "_ROOT_STEPS", budget)
             capped = solve_equilibrium(inst)
             monkeypatch.undo()
@@ -851,43 +854,40 @@ class TestEquilibrium:
             if budget >= full.iterations:
                 assert_same_solution(capped, full)
                 continue
-            mixed, mixed_full = mixed_cases(capped), mixed_cases(full)
-            assert not capped.consistent and set(mixed_full) <= set(mixed)
+            flagged = uncertified_buyers(capped)
+            assert flagged and not capped.consistent
             P, D = capped.prices.prices, capped.demands.demands
             for i in range(inst.num_uavs):
-                if i not in mixed:
-                    np.testing.assert_array_equal(P[:, i], full.prices.prices[:, i])
-                    np.testing.assert_array_equal(D[i], full.demands.demands[i])
-                    assert capped.per_uav_case[i] == full.per_uav_case[i]
+                if i in flagged:
+                    assert capped.per_uav_case[i] == CASE_BUDGET_ACTIVE
                     continue
-                mixed_by_budget += i not in mixed_full
-                margin = float(np.sum((P[:, i] - inst.arrays.c) * D[i]))
-                assert margin == pytest.approx(max(mixed[i]), rel=1e-5, abs=1e-12)
+                np.testing.assert_array_equal(P[:, i], full.prices.prices[:, i])
+                np.testing.assert_array_equal(D[i], full.demands.demands[i])
+                assert capped.per_uav_case[i] == full.per_uav_case[i]
+            flagged_by_budget += len(flagged)
         # no root certifies within 0 or 1 steps, and every grid has binding buyers
-        assert mixed_by_budget > 0 or budget > 1
+        assert flagged_by_budget > 0 or budget > 1
 
-    @pytest.mark.parametrize("build, mixed", [
-        (lambda: simple_instance(J=2, budget=2.0), {}),
-        (lambda: simple_instance(J=2, ssim=0.4, threshold=0.5), {}),
-        (lambda: simple_instance(J=1, budget=1e9), {}),
-        # the slack candidate kept (its case is budget_active) ...
-        (lambda: sample_instance({}, 5, 3, seed=192), {2: CASE_BUDGET_ACTIVE}),
-        # ... and the binding candidate kept with a slack budget
-        (lambda: sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 3),
-         {19: CASE_BUDGET_INACTIVE, 73: CASE_BUDGET_INACTIVE}),
-    ], ids=["anchor", "zero-surplus", "huge-budget", "mixed-case-seed192",
-            "mixed-case-100x10"])
-    def test_solve_matches_reference_special(self, build, mixed):
+    @pytest.mark.parametrize("build, kinks", [
+        (lambda: simple_instance(J=2, budget=2.0), []),
+        (lambda: simple_instance(J=2, ssim=0.4, threshold=0.5), []),
+        (lambda: simple_instance(J=1, budget=1e9), []),
+        # one kink buyer with one seller at its cost (S < 0) ...
+        (lambda: sample_instance({}, 5, 3, seed=192), [2]),
+        # ... and two among 100 buyers
+        (lambda: sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 3), [19, 73]),
+    ], ids=["anchor", "zero-surplus", "huge-budget", "kink-seed192", "kink-100x10"])
+    def test_solve_matches_reference_special(self, build, kinks):
         inst = build()
         want = reference_solve_equilibrium(inst)
         got = solve_equilibrium(inst)
         assert_solution_close(got, want)
-        # the solve resolves these buyers' mixed cases as labelled
-        for i, case in mixed.items():
-            for sol in (want, got):
-                assert any(d.startswith(f"uav {i}: mixed-case") for d in sol.diagnostics)
-                assert sol.per_uav_case[i] == case
-        assert want.consistent == got.consistent == (not mixed)
+        assert want.consistent and got.consistent and not got.diagnostics
+        # the kink buyers, and only they, spend their whole budget at the
+        # kink X_k = delta*sum S - R with a root that leaves it slack
+        assert kink_buyers(inst) == kinks
+        for i in kinks:
+            assert got.per_uav_case[i] == CASE_BUDGET_ACTIVE
 
     def test_solves_match_recorded_digests(self):
         """Every bit of 252 solves and verifier reports on J = 1..7 markets
@@ -900,10 +900,10 @@ class TestEquilibrium:
         recorded = json.loads(WIDE_SOLVED_DIGESTS.read_text())
         assert solved_digests(range(recorded["seeds"]), WIDE_SOLVED_SIZES) == recorded["digests"]
 
-    def test_solve_makes_two_kernel_passes(self, monkeypatch):
-        """A solve returns the demands of the candidates it solved: one kernel
-        pass on every buyer's slack candidate, one on the binding buyers'
-        fixed points, and no follower pass on the answer."""
+    @staticmethod
+    def kernel_calls(monkeypatch, inst):
+        """The price shapes of a solve's kernel calls; the solve may call no
+        other follower pass on its answer."""
         kernel = game._batched_follower_demands
         shapes = []
 
@@ -916,12 +916,26 @@ class TestEquilibrium:
 
         monkeypatch.setattr(game, "_batched_follower_demands", counted)
         monkeypatch.setattr(game, "all_followers_respond", refused)
-        inst = sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 3)
-        sol = solve_equilibrium(inst)
-        assert sol.diagnostics   # binding, slack and mixed-case buyers alike
+        solve_equilibrium(inst)
+        return shapes
+
+    def test_solve_makes_two_kernel_passes(self, monkeypatch):
+        """A solve without kink buyers returns the demands of the columns it
+        solved: one kernel pass on every buyer's slack column, one on the
+        binding buyers' roots, and no follower pass on the answer."""
+        inst = sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 0)
+        assert kink_buyers(inst) == []
+        shapes = self.kernel_calls(monkeypatch, inst)
         assert len(shapes) == 2
         assert shapes[0] == (10, 100)
         assert shapes[1][0] == 10 and 0 < shapes[1][1] < 100
+
+    def test_kink_buyers_take_a_third_kernel_pass_alone(self, monkeypatch):
+        inst = sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 3)
+        shapes = self.kernel_calls(monkeypatch, inst)
+        assert len(shapes) == 3
+        assert shapes[0] == (10, 100) and shapes[2] == (10, len(kink_buyers(inst))) == (10, 2)
+        assert shapes[1][0] == 10 and 2 < shapes[1][1] < 100
 
     def test_symmetric_anchor(self):
         inst = simple_instance(J=2, budget=2.0)
@@ -992,8 +1006,8 @@ class TestEquilibrium:
         _, build, num_probes, rng_seed, rel_tol = case
         inst, sol = build()
         want = reference_verify_equilibrium(inst, sol, num_probes, rng_seed, rel_tol)
-        # the default batch, blocks of several buyers with a short last one,
-        # then blocks of one to a few probes
+        # the default batch, seller blocks of several probes with a short
+        # last one, then blocks of one to a few probes
         for block_rows in (game._PROBE_BLOCK_ROWS, 1024, 16):
             monkeypatch.setattr(game, "_PROBE_BLOCK_ROWS", block_rows)
             got = verify_equilibrium(inst, sol, num_probes, rng_seed, rel_tol)
@@ -1017,6 +1031,141 @@ class TestEquilibrium:
         inst = simple_instance(J=2, budget=2.0)
         with pytest.raises(ValueError, match=message):
             verify_equilibrium(inst, solve_equilibrium(inst), num_probes=5)
+
+
+def kink_buyers(inst) -> list:
+    """The buyers whose budget binds at their slack column and whose certified
+    root leaves it slack in the kernel: solve_equilibrium's kink rows."""
+    m = inst.arrays
+    slack = game._slack_prices(m)
+    exits = game._batched_follower_demands(np.clip(slack, m.c, m.cap).T, m)[2]
+    binding = np.flatnonzero(exits == game._BINDING)
+    mb = m.buyers(binding)
+    p, _, _, certified, _ = game._leader_roots(mb, slack[binding])
+    exits_root = game._batched_follower_demands(p.T, mb)[2]
+    return binding[certified & (exits_root != game._BINDING)].tolist()
+
+
+def best_deviation(inst, sol, j, i) -> float:
+    """Seller j's best margin on buyer i over its price p_ji in [c_j, cap_j],
+    every other price as solved: a 20,001-point scan through the kernel, then
+    a golden-section refinement through the reference follower across the
+    best point's two grid steps, to a bracket of 1e-12 relative."""
+    c = inst.arrays.c[j]
+    column = sol.prices.prices[:, i]
+    grid = np.linspace(c, inst.arrays.cap[j], 20_001)
+    P = np.repeat(column[None, :, None], len(grid), axis=0)
+    P[:, j, 0] = grid
+    scan = (grid - c) * game._batched_follower_demands(P, inst.arrays.buyers([i]))[0][:, 0, j]
+
+    def margin(x):
+        p = column.copy()
+        p[j] = x
+        return (x - c) * reference_follower_best_response(inst, i, p).demands[j]
+
+    k = int(np.argmax(scan))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+    fa, fb = margin(a), margin(b)
+    while hi - lo > 1e-12 * hi:
+        if fa >= fb:
+            hi, b, fb = b, a, fa
+            a = hi - r * (hi - lo)
+            fa = margin(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + r * (hi - lo)
+            fb = margin(b)
+    return max(float(scan[k]), fa, fb)
+
+
+def deviation_gains(inst, sol) -> dict:
+    """Each seller's best gain on each buyer it sells to (best_deviation),
+    relative to its solved margin on that buyer, by (seller, buyer)."""
+    out = {}
+    for i, j in zip(*np.nonzero(inst.arrays.S > 0.0)):
+        base = (sol.prices.prices[j, i] - inst.arrays.c[j]) * sol.demands.demands[i, j]
+        out[int(j), int(i)] = (best_deviation(inst, sol, j, i) - base) / max(base, 1e-300)
+    return out
+
+
+def compare_market(seed):
+    """perfbench's compare market (3 x 2, similarity 0.85-1), sampled as
+    training samples it."""
+    cfg = ExperimentConfig(num_uavs=3, num_rsus=2, episodes=1)
+    cfg.ranges["similarity"] = (0.85, 1.0)
+    return harness._sample(cfg.validate(), seed)
+
+
+KINK_MARKETS = {"seed192": lambda: sample_instance({}, 5, 3, seed=192),
+                **{f"compare{s}": lambda s=s: compare_market(s) for s in (72, 134, 167)}}
+
+
+class TestKink:
+    """A buyer whose budget binds at its slack column, and whose certified
+    root leaves it slack, is priced on its budget kink."""
+
+    @pytest.mark.parametrize("name", KINK_MARKETS)
+    def test_kink_markets_are_equilibria(self, name):
+        # consistent, no diagnostics, and no seller gains on any buyer by
+        # moving its own price alone
+        inst = KINK_MARKETS[name]()
+        sol = solve_equilibrium(inst)
+        assert kink_buyers(inst)
+        assert sol.consistent and not sol.diagnostics
+        gains = deviation_gains(inst, sol)
+        assert gains and max(gains.values()) <= 1e-9, gains
+        assert verify_equilibrium(inst, sol, num_probes=300, rng_seed=0).max_violation == 0.0
+
+    def test_kink_columns_spend_the_kink(self):
+        # sum_j p_j/q_j = X_k = delta*sum S - R over the positive links, and
+        # every seller the same fraction theta in [0, 1] of the way from its
+        # clipped slack price to its binding price at X_k (the reference's)
+        markets = [build() for build in KINK_MARKETS.values()]
+        markets += [sample_instance({"similarity": (0.5, 1.0)}, 100, 10, s) for s in range(4)]
+        seen = 0
+        for inst in markets:
+            sol = solve_equilibrium(inst)
+            m = inst.arrays
+            for i in kink_buyers(inst):
+                positive = m.S[i] > 0.0
+                X = m.delta[i] * np.sum(m.S[i][positive]) - m.budget[i]
+                p = sol.prices.prices[:, i]
+                assert np.sum(p[positive] / m.q[positive]) == pytest.approx(X, rel=1e-12)
+                p_s = np.where(positive, np.sqrt(m.delta[i] * np.where(positive, m.S[i], 0.0)
+                                                 * m.q * m.c), m.c)
+                p_s = np.clip(p_s, m.c, m.cap)
+                p_b = reference_binding_prices(inst, i, X)
+                x_s, x_b = (np.sum(v[positive] / m.q[positive]) for v in (p_s, p_b))
+                theta = (X - x_s) / (x_b - x_s)
+                assert 0.0 <= theta <= 1.0
+                np.testing.assert_allclose(p, p_s + theta * (p_b - p_s), rtol=1e-10)
+                assert sol.per_uav_case[i] == CASE_BUDGET_ACTIVE
+                seen += 1
+        assert seen >= 6
+
+    def test_kink_prices_move_continuously_with_the_budget(self):
+        # buyer 2 of seed 192 alone, its budget from 0.5R to 2R: slack,
+        # kink and binding columns in turn, without a jump between them
+        inst = sample_instance({}, 5, 3, seed=192)
+        uav = inst.uavs[2]
+        budgets = np.linspace(0.5 * uav.budget, 2.0 * uav.budget, 3001)
+        market = GameInstance([replace(uav, budget=float(b)) for b in budgets], inst.rsus)
+        sol = solve_equilibrium(market)
+        assert sol.consistent
+        assert 0 < len(kink_buyers(market)) < len(budgets)
+        assert np.max(np.abs(np.diff(sol.prices.prices, axis=1))) <= 1.0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a positive link without a positive rival keeps its slack price under a "
+        "binding budget (game._leader_terms' fallback); its best response is "
+        "min(q(delta*S - R), cap)"))
+    def test_lone_positive_link_under_a_binding_budget(self):
+        # seed 9: seller 1 gains 2.1% on buyer 1 by moving from 13.17 to its cap
+        inst = sample_instance({}, 3, 2, 9)
+        sol = solve_equilibrium(inst)
+        assert max(deviation_gains(inst, sol).values()) <= 1e-9
 
 
 class TestRowSumPaths:

@@ -20,17 +20,20 @@ no solver reads them.
 One water-filling kernel, _batched_follower_demands, solves every buyer best
 response: follower_best_response is its one-row call, and
 all_followers_respond, solve_equilibrium and verify_equilibrium call it on
-whole price matrices.  A solve makes two kernel passes, three with kink
-buyers, and returns its columns' own demands.  A buyer's answer depends
-only on the values of the prices it is posted, not on how the caller lays
-them out in memory.  The buyer utility and the seller margin are written once
-each, in _buyer_utilities and _margins.
+whole price matrices.  The kernel's first stage, _budget_split, gives each
+buyer's unconstrained candidates and whether its budget binds; a solve runs
+it alone on the slack columns, then one kernel pass on the binding buyers'
+roots, and a second on the kink columns when there are any, and returns its
+columns' own demands.  A buyer's answer depends only on the values of the
+prices it is posted, not on how the caller lays them out in memory.  The
+buyer utility and the seller margin are written once each, in
+_buyer_utilities and _margins.
 
 Terms that do not depend on the prices are built once and then only read.
 The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
 the I x J market, and water-fills every row of the call in place, each
 masked by its own support (empty where the budget does not bind), until no
-support changes.  _leader_terms builds the leader map's terms (the mask of
+step drops a link.  _leader_terms builds the leader map's terms (the mask of
 the positive links, their rival sums and the fallback prices) once per solve
 for all binding buyers, whose roots _leader_roots finds together, and
 leader_best_response_map builds them for its one row.
@@ -506,29 +509,19 @@ def _support_sums(values: np.ndarray, support: np.ndarray) -> np.ndarray:
     return _row_sums(np.where(support, values, 0.0))
 
 
-def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
-    """Every buyer's exact best response to a stack of J x I price matrices.
+def _budget_split(p: np.ndarray, m: _MarketArrays):
+    """The water-filling kernel's first stage: every buyer's unconstrained
+    candidates and whether its budget binds, on contiguous buyer price rows p
+    (..., I, J) for the market's I buyer rows m.
 
-    prices is (..., J, I) and m holds the market's I buyer rows. Returns the
-    demands (..., I, J), the budget multiplier (..., I) and the exit taken
-    (..., I), one of _NO_DEMAND, _SLACK and _BINDING.
-
-    The unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are kept when
-    their spend sum_j p_j b_j fits the budget. Otherwise the budget binds and
-    the row water-fills over its own shrinking support (Palomar & Fonollosa,
-    IEEE TSP 2005): lambda = delta*sum S / (R + sum p/q) - 1, then
-    b = delta*S/(p*(1 + lambda)) - 1/q, dropping the links whose demand is
-    nonpositive until the support is self-consistent. Every row steps at
-    once, each masked by its own support (empty on the rows that do not
-    bind), until no support changes; a settled row gets the same lambda and
-    demands again on each later step. Each price column is copied to a
-    contiguous buyer row, and the spend and each support sum are _row_sums
-    over the whole row, so a buyer's answer depends only on its price values
-    and equals a buyer-by-buyer solve in the same order bit for bit.
+    Returns the positive links (I x J), S masked to 0.0 off them, delta*S and
+    1/q (the price-independent terms, once per call), the candidates
+    b_j = delta*S_j/p_j - 1/q_j floored at 0 (0 off the positive links and
+    from the choke price delta*q*S on), and the slack and binding rows
+    (..., I): a row with a positive candidate is slack when their spend
+    sum_j p_j b_j fits the budget, else binding.
     """
-    p = np.ascontiguousarray(np.swapaxes(prices, -1, -2))   # buyer rows
-    q, S, delta, budget = m.q, m.S, m.delta, m.budget
-    # price-independent terms, once per call on the I x J market
+    q, S, delta = m.q, m.S, m.delta
     positive = S > 0.0
     S = np.where(positive, S, 0.0)
     d = delta[:, None]
@@ -537,26 +530,54 @@ def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
     cand = np.where(positive & (p < dqS), dS / p - inv_q, 0.0)
     cand = np.maximum(cand, 0.0)
     wants = _row_sums(cand > 0) > 0
-    slack = wants & (_row_sums(p * cand) <= budget)
-    binding = wants & ~slack
+    slack = wants & (_row_sums(p * cand) <= m.budget)
+    return positive, S, dS, inv_q, cand, slack, wants & ~slack
 
-    # budget binds: water-filling until no support changes. Only the first
-    # step can find lambda <= 0 (a usable link priced past its choke point),
-    # and its demands at lambda = 0 are the slack candidates, which
-    # overspend; so lambda is floored at 1e-15. Every later support still
-    # holds the optimal support S*, so it never empties and its unconstrained
-    # spend exceeds R, which makes lambda > 0. The support starts empty, so a
-    # call in which no budget binds takes no step.
-    p_over_q = p / q
-    support, keep = np.zeros(p.shape, bool), positive & binding[..., None]
+
+def _batched_follower_demands(prices: np.ndarray, m: _MarketArrays):
+    """Every buyer's exact best response to a stack of J x I price matrices.
+
+    prices is (..., J, I) and m holds the market's I buyer rows. Returns the
+    demands (..., I, J), the budget multiplier (..., I) and the exit taken
+    (..., I), one of _NO_DEMAND, _SLACK and _BINDING.
+
+    The unconstrained candidates b_j = delta*S_j/p_j - 1/q_j are kept when
+    their spend sum_j p_j b_j fits the budget (_budget_split). Otherwise the
+    budget binds and the row water-fills over its own shrinking support
+    (Palomar & Fonollosa, IEEE TSP 2005): lambda = delta*sum S / (R + sum p/q)
+    - 1, then b = delta*S/(p*(1 + lambda)) - 1/q, dropping the links whose
+    demand is nonpositive until the support is self-consistent. Every row
+    steps at once, each masked by its own support (empty on the rows that do
+    not bind), until no step drops a link; a settled row gets the same lambda
+    and demands again on each later step. Each price column is copied to a
+    contiguous buyer row, and the spend and each support sum are _row_sums
+    over the whole row, so a buyer's answer depends only on its price values
+    and equals a buyer-by-buyer solve in the same order bit for bit.
+    """
+    p = np.ascontiguousarray(np.swapaxes(prices, -1, -2))   # buyer rows
+    positive, S, dS, inv_q, cand, slack, binding = _budget_split(p, m)
+    delta, budget = m.delta, m.budget
+
+    # budget binds: water-filling until no link drops. Only the first step
+    # can find lambda <= 0 (a usable link priced past its choke point), and
+    # its demands at lambda = 0 are the slack candidates, which overspend; so
+    # lambda is floored at 1e-15. Every later support still holds the optimal
+    # support S*, so it never empties and its unconstrained spend exceeds R,
+    # which makes lambda > 0. The support starts as the binding rows' positive
+    # links, so a call in which no budget binds takes no step.
+    p_over_q = p / m.q
+    support = positive & binding[..., None]
     lam = b = 0.0
-    while not np.array_equal(keep, support):
-        support = keep
+    dropped = support.any()
+    while dropped:
         lam = (delta * _support_sums(S, support)
                / (budget + _support_sums(p_over_q, support)) - 1.0)
         lam = np.where(lam > 0.0, lam, 1e-15)
         b = dS / (p * (1.0 + lam[..., None])) - inv_q
-        keep = support & (b > 0)
+        kept = b > 0
+        dropped = (support > kept).any()     # a support link with b <= 0 or NaN
+        if dropped:
+            support &= kept
     demands = np.where(support, b, np.where(slack[..., None], cand, 0.0))
     exits = np.where(binding, _BINDING, np.where(slack, _SLACK, _NO_DEMAND))
     return demands, np.where(binding, lam, 0.0), exits
@@ -674,11 +695,15 @@ def _leader_roots(m: _MarketArrays, slack: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(t.formula, c * m.S / (q * t.denom), 1.0)
     fixed = np.clip(t.fallback, c, cap)
+    a2, a4, aa = 2.0 * a, 4.0 * a, a * a     # so a step computes only what moves with X
 
     def prices(X):
         s = t.budget + X[:, None]
-        r = np.sqrt(a * a + 4.0 * a * s)
-        return np.where(t.formula, np.clip(q * (2.0 * a * s / (a + r)), c, cap), fixed), r
+        r = np.sqrt(aa + a4 * s)
+        p = q * (a2 * s / (a + r))
+        np.maximum(p, c, out=p)
+        np.minimum(p, cap, out=p)
+        return np.where(t.formula, p, fixed), r
 
     X = hi = _support_sums(cap / q, t.positive)
     lo, steps, open_ = np.zeros(len(a)), np.zeros(len(a), dtype=int), np.ones(len(a), bool)
@@ -690,9 +715,10 @@ def _leader_roots(m: _MarketArrays, slack: np.ndarray):
         dg = _support_sums(a / r, t.formula & (p > c) & (p < cap)) - 1.0
         lo, hi = np.where(open_ & (g > 0.0), X, lo), np.where(open_ & (g <= 0.0), X, hi)
         steps += open_
-        open_ &= hi - lo > _ROOT_RTOL * hi
+        tol = _ROOT_RTOL * hi
+        open_ &= hi - lo > tol
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = X - g / dg + np.where(g > 0.0, 0.25, -0.25) * _ROOT_RTOL * hi
+            newton = X - g / dg + np.where(g > 0.0, 0.25, -0.25) * tol
         inside = (dg < 0.0) & (newton > lo) & (newton < hi)
         X = np.where(inside, newton, 0.5 * (lo + hi))
     return (prices(0.5 * (lo + hi))[0], steps, (hi - lo) / hi, ~open_,
@@ -719,22 +745,25 @@ def solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
     slack column at theta = 0 and with the root at theta = 1.
 
     A root that does not certify is kept with a diagnostic, and the solve is
-    inconsistent. Two kernel passes, on the slack columns and on the roots,
-    and a third on the kink columns alone when there are any, give each
-    buyer the demands of its own column. A buyer's case is budget_active when
-    its budget binds at its slack column: it spends it all on a root and on
-    the kink alike. Every buyer's result equals a buyer-by-buyer solve bit
-    for bit.
+    inconsistent. The kernel's slack test (_budget_split) on the slack
+    columns sorts the buyers: a slack buyer keeps its candidates, the
+    kernel's demands there. One kernel pass on the roots, and a second on
+    the kink columns alone when there are any, give every other buyer the
+    demands of its own column. A buyer's case is budget_active when its
+    budget binds at its slack column: it spends it all on a root and on the
+    kink alike. Every buyer's result equals a buyer-by-buyer solve bit for
+    bit.
     """
     m = instance.arrays
 
-    # slack-budget candidates, one price row per buyer
+    # slack columns, one price row per buyer: a slack buyer keeps its candidates
     slack = _slack_prices(m)
     prices = np.clip(slack, m.c, m.cap)
-    demands, _, exits = _batched_follower_demands(prices.T, m)
+    *_, cand, is_slack, is_binding = _budget_split(prices, m)
+    demands = np.where(is_slack[:, None], cand, 0.0)
 
-    # binding-budget candidates: fixed points of the clamped best-response map
-    binding = np.flatnonzero(exits == _BINDING)
+    # binding buyers: fixed points of the clamped best-response map
+    binding = np.flatnonzero(is_binding)
     mb = m.buyers(binding)
     p_hat, steps, width, certified, price_at = _leader_roots(mb, slack[binding])
     d_hat, _, exits_hat = _batched_follower_demands(p_hat.T, mb)
@@ -758,8 +787,7 @@ def solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
     P = prices.prices
     demands = DemandMatrix(demands, instance, prices=P)
     D = demands.demands
-    cases = [CASE_BUDGET_ACTIVE if e == _BINDING else CASE_BUDGET_INACTIVE
-             for e in exits.tolist()]
+    cases = [CASE_BUDGET_ACTIVE if b else CASE_BUDGET_INACTIVE for b in is_binding.tolist()]
     return EquilibriumSolution(prices, demands, _margins(P, D, m.c).sum(axis=1),
                                _buyer_utilities(m, D, P.T), cases,
                                int(np.max(steps, initial=0)),

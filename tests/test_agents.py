@@ -146,6 +146,32 @@ class TestPpoUpdate:
         diag = agent.ppo_update()
         assert diag["mean_ratio"][0] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_first_epoch_actor_loss_is_the_mean_advantage(self, normalize):
+        # at ratio 1 the surrogate is the advantage itself: the normalised
+        # G - V has mean 0, and with normalize_advantages=False the update
+        # ascends the raw G - V
+        agent = make_agent(rollout_size=8, update_epochs=1, normalize_advantages=normalize)
+        fill_on_policy(agent, np.random.default_rng(2), 8)
+        raw, _ = compute_advantages(agent.buffer, agent.config.discount)
+        assert abs(np.mean(raw)) > 0.1
+        diag = agent.ppo_update()
+        want = 0.0 if normalize else np.mean(raw)
+        assert diag["actor_loss"][0] == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_recorded_rewards(self, normalize):
+        # normalize_rewards divides each reward by the running max of |reward|
+        # so far; without it the buffer holds the raw rewards
+        agent = make_agent(normalize_rewards=normalize)
+        rng = np.random.default_rng(7)
+        for reward in (0.5, 4.0, -8.0, 2.0):
+            _, u, logp, value = agent.act(np.zeros(4), rng)
+            agent.record(np.zeros(4), u, logp, reward, value, False)
+        stored = agent.buffer.rollout()[3]
+        want = [0.5, 1.0, -1.0, 0.25] if normalize else [0.5, 4.0, -8.0, 2.0]
+        np.testing.assert_array_equal(stored, want)
+
     def test_buffer_cleared_after_update(self):
         agent = make_agent(rollout_size=8, update_epochs=1)
         fill_on_policy(agent, np.random.default_rng(3), 8)

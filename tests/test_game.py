@@ -452,6 +452,45 @@ class TestBatchedFollower:
             w = reference_follower_best_response(inst, i, P[:, i])
             assert not w.degenerate or not np.any(inst.arrays.S[i] > 0.0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_budget_split_is_the_kernels_first_stage(self, data):
+        # _budget_split's slack and binding rows are the kernel's _SLACK and
+        # _BINDING exits, and a slack row's candidates are the kernel's
+        # demands bit for bit, on price stacks with 0-2 leading axes (up to
+        # 512 rows, so short rows take _row_sums' column path) and J up to 9
+        # (the reduce path). Links are unusable (-inf), have S <= 0 or are
+        # usable; prices sit inside [c/2, cap], at the choke price
+        # delta*q*S or past it; some budgets are the exact slack spend at
+        # the stack's first price matrix, where the split must say slack.
+        lead = tuple(data.draw(st.lists(st.integers(1, 8), max_size=2), label="lead"))
+        I = data.draw(st.integers(1, 8), label="I")
+        J = data.draw(st.integers(1, 9), label="J")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        c = rng.uniform(1.0, 4.0, J)
+        sim = np.where(rng.random((I, J)) < 0.15, 0.0, rng.uniform(0.3, 1.0, (I, J)))
+        m = game._market_arrays(rng.uniform(0.5, 40.0, J), c, rng.uniform(c, 35.0),
+                                sim, np.full(I, 0.5), rng.uniform(1.0, 20.0, I),
+                                rng.uniform(0.1, 20.0, I))
+        choke = m.delta[:, None] * m.q * np.where(m.S > 0.0, m.S, 0.0)
+        p = rng.uniform(0.5 * c, m.cap, lead + (I, J))
+        at = rng.integers(0, 3, p.shape)    # 0: inside, 1: at the choke, 2: past it
+        p = np.where((at == 1) & (choke > 0.0), choke, p)
+        p = np.where((at == 2) & (choke > 0.0), choke * rng.uniform(1.0, 2.0, p.shape), p)
+
+        *_, cand, _, _ = game._budget_split(p, m)
+        first = (p * cand).reshape(-1, I, J)[0]
+        spend = game._row_sums(first)
+        tie = (spend > 0.0) & (rng.random(I) < 0.5)
+        m = m._replace(budget=np.where(tie, spend, m.budget))
+
+        *_, cand, slack, binding = game._budget_split(p, m)
+        demands, _, exits = game._batched_follower_demands(np.swapaxes(p, -1, -2), m)
+        np.testing.assert_array_equal(slack, exits == game._SLACK, strict=True)
+        np.testing.assert_array_equal(binding, exits == game._BINDING, strict=True)
+        assert cand[slack].tobytes() == demands[slack].tobytes()
+        assert slack.reshape(-1, I)[0][tie].all()
+
 
 class TestSupportSums:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -901,41 +940,75 @@ class TestEquilibrium:
         assert solved_digests(range(recorded["seeds"]), WIDE_SOLVED_SIZES) == recorded["digests"]
 
     @staticmethod
-    def kernel_calls(monkeypatch, inst):
-        """The price shapes of a solve's kernel calls; the solve may call no
+    def solve_passes(monkeypatch, inst):
+        """A solve's calls to the budget split and to the kernel, in order, as
+        ("split", buyer rows' shape) and ("kernel", prices' shape); the split
+        the kernel runs inside itself is not listed. The solve may call no
         other follower pass on its answer."""
-        kernel = game._batched_follower_demands
-        shapes = []
+        kernel, split = game._batched_follower_demands, game._budget_split
+        calls, in_kernel = [], []
 
-        def counted(prices, m):
-            shapes.append(prices.shape)
-            return kernel(prices, m)
+        def counted_kernel(prices, m):
+            calls.append(("kernel", prices.shape))
+            in_kernel.append(True)
+            try:
+                return kernel(prices, m)
+            finally:
+                in_kernel.pop()
+
+        def counted_split(p, m):
+            if not in_kernel:
+                calls.append(("split", p.shape))
+            return split(p, m)
 
         def refused(*args):
             raise AssertionError("all_followers_respond called by the solve")
 
-        monkeypatch.setattr(game, "_batched_follower_demands", counted)
+        monkeypatch.setattr(game, "_batched_follower_demands", counted_kernel)
+        monkeypatch.setattr(game, "_budget_split", counted_split)
         monkeypatch.setattr(game, "all_followers_respond", refused)
         solve_equilibrium(inst)
-        return shapes
+        return calls
 
-    def test_solve_makes_two_kernel_passes(self, monkeypatch):
+    def test_solve_splits_once_and_water_fills_the_roots(self, monkeypatch):
         """A solve without kink buyers returns the demands of the columns it
-        solved: one kernel pass on every buyer's slack column, one on the
-        binding buyers' roots, and no follower pass on the answer."""
+        solved: one budget split over every buyer's slack column (a slack
+        buyer keeps its candidates), one kernel pass on the binding buyers'
+        roots, and no follower pass on the answer."""
         inst = sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 0)
         assert kink_buyers(inst) == []
-        shapes = self.kernel_calls(monkeypatch, inst)
-        assert len(shapes) == 2
-        assert shapes[0] == (10, 100)
-        assert shapes[1][0] == 10 and 0 < shapes[1][1] < 100
+        binding = solve_equilibrium(inst).per_uav_case.count(CASE_BUDGET_ACTIVE)
+        assert 0 < binding < 100
+        assert self.solve_passes(monkeypatch, inst) == [("split", (100, 10)),
+                                                        ("kernel", (10, binding))]
 
-    def test_kink_buyers_take_a_third_kernel_pass_alone(self, monkeypatch):
+    def test_kink_buyers_take_a_second_kernel_pass_alone(self, monkeypatch):
         inst = sample_instance({"similarity": (0.5, 1.0)}, 100, 10, 3)
-        shapes = self.kernel_calls(monkeypatch, inst)
-        assert len(shapes) == 3
-        assert shapes[0] == (10, 100) and shapes[2] == (10, len(kink_buyers(inst))) == (10, 2)
-        assert shapes[1][0] == 10 and 2 < shapes[1][1] < 100
+        binding = solve_equilibrium(inst).per_uav_case.count(CASE_BUDGET_ACTIVE)
+        assert len(kink_buyers(inst)) == 2 < binding < 100
+        assert self.solve_passes(monkeypatch, inst) == [("split", (100, 10)),
+                                                        ("kernel", (10, binding)),
+                                                        ("kernel", (10, 2))]
+
+    def test_a_third_seller_can_raise_the_mean_seller_reward(self):
+        # perfbench's sweep cells at I = 15 (similarity 0.85-1) for unit seed
+        # 1873717704, which fails that benchmark's "reward does not fall with
+        # J" check: both solves are equilibria, and the mean seller reward
+        # rises with the third seller, whose cost is low and cap high
+        rewards = []
+        for J in (2, 3):
+            cfg = ExperimentConfig(num_uavs=15, num_rsus=J, episodes=1)
+            cfg.ranges["similarity"] = (0.85, 1.0)
+            cfg = cfg.validate()
+            record = harness.run_solve(cfg, 1873717704)
+            assert record.consistent
+            inst = harness._sample(cfg, 1873717704)
+            sol = solve_equilibrium(inst)
+            assert max(deviation_gains(inst, sol).values()) <= 1e-9
+            rewards.append(record.theoretical)
+        assert rewards == [pytest.approx(12.3218, abs=1e-4), pytest.approx(12.3761, abs=1e-4)]
+        assert (inst.arrays.c[2], inst.arrays.cap[2]) == (pytest.approx(1.5367, abs=1e-4),
+                                                          pytest.approx(18.0702, abs=1e-4))
 
     def test_symmetric_anchor(self):
         inst = simple_instance(J=2, budget=2.0)

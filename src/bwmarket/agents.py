@@ -37,14 +37,14 @@ class PpoConfig:
     final_policy_std: float = 0.02
     action_headroom: float = 1.0   # squashed range overshoot past the price cap
     hidden_sizes: tuple[int, ...] = (64, 64)
-    normalize_advantages: bool = True
-    normalize_rewards: bool = True  # divide by a running max inside the agent
 
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
         if not 0.0 < self.clip < 1.0:
             raise ValueError("clip must lie in (0, 1)")
+        if not (0.0 < self.actor_lr < math.inf and 0.0 < self.critic_lr < math.inf):
+            raise ValueError("learning rates must be finite and positive")
         if self.policy_std <= 0 or self.final_policy_std <= 0:
             raise ValueError("exploration std must be positive")
         if self.action_headroom < 0.0:
@@ -103,11 +103,13 @@ class RolloutBuffer:
         self.size = 0
 
 
-def compute_advantages(buffer: RolloutBuffer, discount: float,
-                       normalize: bool = False):
-    """Monte-Carlo returns truncated at episode boundaries; advantage = G - V.
+def compute_advantages(buffer: RolloutBuffer, discount: float):
+    """Monte-Carlo returns truncated at episode boundaries; advantage = G - V,
+    standardised to mean 0 and std 1 over the rollout when it has more than
+    one row and a spread above 1e-8.
 
-    A stacked buffer gives (K, n) advantages and returns, one row per seller.
+    A stacked buffer gives (K, n) advantages and returns, one row per seller,
+    each row standardised on its own.
     """
     n = len(buffer)
     _, _, _, rewards, values, dones = buffer.rollout()
@@ -117,7 +119,7 @@ def compute_advantages(buffer: RolloutBuffer, discount: float,
         running = rewards[..., t] + discount * np.where(dones[..., t], 0.0, running)
         returns[..., t] = running
     advantages = returns - values
-    if normalize and n > 1:
+    if n > 1:
         std = advantages.std(axis=-1, keepdims=True)
         spread = std > 1e-8
         centred = advantages - advantages.mean(axis=-1, keepdims=True)
@@ -229,9 +231,9 @@ class PpoAgent:
         return prices, u, log_prob, np.take(value_out, 0, axis=-1)
 
     def record(self, obs, action, log_prob, reward, value, done):
-        if self.config.normalize_rewards:
-            # fmax, like max(), keeps the scale when the reward is NaN
-            self._reward_scale = np.fmax(self._reward_scale, np.abs(reward))
+        """Store the step with its reward divided by the running max |reward|."""
+        # fmax, like max(), keeps the scale when the reward is NaN
+        self._reward_scale = np.fmax(self._reward_scale, np.abs(reward))
         self.buffer.add(obs, action, log_prob, reward / self._reward_scale, value,
                         done)
 
@@ -257,8 +259,7 @@ class PpoAgent:
             return None
         cfg = self.config
         X, U, logp_old, _, _, _ = self.buffer.rollout()
-        advantages, returns = compute_advantages(
-            self.buffer, cfg.discount, normalize=cfg.normalize_advantages)
+        advantages, returns = compute_advantages(self.buffer, cfg.discount)
         self.buffer.clear()
         n = advantages.shape[-1]
         snap = self._snapshot()

@@ -33,10 +33,10 @@ Terms that do not depend on the prices are built once and then only read.
 The kernel builds the masked S, delta*S, delta*q*S and 1/q once per call on
 the I x J market, and water-fills every row of the call in place, each
 masked by its own support (empty where the budget does not bind), until no
-step drops a link.  _leader_terms builds the leader map's terms (the mask of
-the positive links, their rival sums and the fallback prices) once per solve
-for all binding buyers, whose roots _leader_roots finds together, and
-leader_best_response_map builds them for its one row.
+step drops a link.  _rivals builds the leader map's terms (the positive
+links, their rival sums and where the formula applies) once per solve for all
+binding buyers, whose roots _leader_roots finds together from their clipped
+slack columns, and leader_best_response_map builds them for its one row.
 Every sum over a buyer's support, in the water-filling, the leader map and
 the root's equation, is one masked sum over the whole row, _support_sums.
 It, every spend (the sum of the products p_j b_j, in the kernel's budget
@@ -622,27 +622,14 @@ def _slack_prices(m: _MarketArrays) -> np.ndarray:
     return np.where(m.S > 0.0, slack, m.c)
 
 
-class _LeaderTerms(NamedTuple):
-    """The price-independent terms of the leader map on n buyer rows (n x J
-    unless noted): the positive links (boolean), the budget column R (n x 1),
-    the rival sums sum_S - S, where the formula applies (positive link and
-    positive rival sum), and the fallback there (the slack price on a
-    positive link without rivals, else c). Each sum over the positive links
-    is _support_sums over the whole row."""
-
-    positive: np.ndarray
-    budget: np.ndarray
-    denom: np.ndarray
-    formula: np.ndarray
-    fallback: np.ndarray
-
-
-def _leader_terms(m: _MarketArrays, slack: np.ndarray) -> _LeaderTerms:
-    """The leader map's terms on the buyer rows of m; slack is _slack_prices(m)."""
+def _rivals(m: _MarketArrays):
+    """The leader map's price-independent masks and sums on the buyer rows of
+    m (n x J): the positive links, their rival sums sum_S - S over the
+    positive links (_support_sums over the whole row), and where the formula
+    applies (a positive link with a positive rival sum)."""
     positive = m.S > 0.0
     denom = _support_sums(m.S, positive)[:, None] - m.S
-    return _LeaderTerms(positive, m.budget[:, None], denom, positive & (denom > 0.0),
-                        np.where(positive, slack, m.c))
+    return positive, denom, positive & (denom > 0.0)
 
 
 def leader_best_response_map(instance: GameInstance, uav_index: int,
@@ -657,12 +644,12 @@ def leader_best_response_map(instance: GameInstance, uav_index: int,
     equals the seller-by-seller formula in that order bit for bit.
     """
     m = instance.arrays.buyers([uav_index])
-    t = _leader_terms(m, _slack_prices(m))
+    positive, denom, formula = _rivals(m)
     p_over_q = np.asarray(price_vector, dtype=float)[None] / m.q
-    other = _support_sums(p_over_q, t.positive)[:, None] - p_over_q
+    other = _support_sums(p_over_q, positive)[:, None] - p_over_q
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sqrt(m.q * m.c * m.S * (t.budget + other) / t.denom)
-    out = np.where(t.formula, out, t.fallback)[0]
+        out = np.sqrt(m.q * m.c * m.S * (m.budget[:, None] + other) / denom)
+    out = np.where(formula, out, _slack_prices(m))[0]
     return np.clip(out, m.c, m.cap) if clamp else out
 
 
@@ -671,16 +658,19 @@ _ROOT_STEPS = 64
 _ROOT_RTOL = 1e-12       # the relative bracket width that certifies a root
 
 
-def _leader_roots(m: _MarketArrays, slack: np.ndarray):
+def _leader_roots(m: _MarketArrays, p_s: np.ndarray):
     """The clamped leader map's fixed point on every buyer row of m, as one
-    scalar root each; slack is _slack_prices(m).
+    scalar root each; p_s is the rows' clipped slack column,
+    np.clip(_slack_prices(m), c, cap).
 
     In x_j = p_j/q_j and X = sum_j x_j over the positive links, a formula
-    link's condition x_j^2 = a_j (R + X - x_j), a_j = c_j S_j / (q_j D_j),
-    has the rising root x_j(X) = (-a_j + sqrt(a_j^2 + 4 a_j (R + X)))/2 (here
-    without the cancellation), clipped to [c_j, cap_j]/q_j; the other links
-    keep their clipped fallback price. So g(X) = sum_j p_j(X)/q_j - X has
-    g(0) > 0 >= g(hi) at hi = sum_j cap_j/q_j and one root (Yates 1995).
+    link's condition x_j^2 = a_j (R + X - x_j), a_j = c_j S_j / (q_j D_j) with
+    D_j its rival sum, has the rising root x_j(X) = (-a_j + sqrt(a_j^2 +
+    4 a_j (R + X)))/2 (here without the cancellation), clipped to
+    [c_j, cap_j]/q_j; every other link keeps its p_s: c, or on a positive
+    link without a positive rival the leader map's fallback, the clipped
+    slack price. So g(X) = sum_j p_j(X)/q_j - X has g(0) > 0 >= g(hi) at
+    hi = sum_j cap_j/q_j and one root (Yates 1995).
     Safeguarded Newton from hi: each step goes a quarter of the target width
     past the Newton point, so that the steps straddle the root, or bisects if
     that leaves the bracket [lo, hi] (g(lo) > 0 >= g(hi)). A row stops, unchanged
@@ -690,29 +680,28 @@ def _leader_roots(m: _MarketArrays, slack: np.ndarray):
     and the price function X -> p(X) itself, one X per row, which
     solve_equilibrium reads at a buyer's budget kink.
     """
-    t = _leader_terms(m, slack)
-    q, c, cap = m.q, m.c, m.cap
+    positive, denom, formula = _rivals(m)
+    q, c, cap, R = m.q, m.c, m.cap, m.budget[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(t.formula, c * m.S / (q * t.denom), 1.0)
-    fixed = np.clip(t.fallback, c, cap)
+        a = np.where(formula, c * m.S / (q * denom), 1.0)
     a2, a4, aa = 2.0 * a, 4.0 * a, a * a     # so a step computes only what moves with X
 
     def prices(X):
-        s = t.budget + X[:, None]
+        s = R + X[:, None]
         r = np.sqrt(aa + a4 * s)
         p = q * (a2 * s / (a + r))
         np.maximum(p, c, out=p)
         np.minimum(p, cap, out=p)
-        return np.where(t.formula, p, fixed), r
+        return np.where(formula, p, p_s), r
 
-    X = hi = _support_sums(cap / q, t.positive)
+    X = hi = _support_sums(cap / q, positive)
     lo, steps, open_ = np.zeros(len(a)), np.zeros(len(a), dtype=int), np.ones(len(a), bool)
     for _ in range(_ROOT_STEPS):
         if not open_.any():
             break
         p, r = prices(X)
-        g = _support_sums(p / q, t.positive) - X
-        dg = _support_sums(a / r, t.formula & (p > c) & (p < cap)) - 1.0
+        g = _support_sums(p / q, positive) - X
+        dg = _support_sums(a / r, formula & (p > c) & (p < cap)) - 1.0
         lo, hi = np.where(open_ & (g > 0.0), X, lo), np.where(open_ & (g <= 0.0), X, hi)
         steps += open_
         tol = _ROOT_RTOL * hi
@@ -757,15 +746,14 @@ def solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
     m = instance.arrays
 
     # slack columns, one price row per buyer: a slack buyer keeps its candidates
-    slack = _slack_prices(m)
-    prices = np.clip(slack, m.c, m.cap)
+    prices = np.clip(_slack_prices(m), m.c, m.cap)
     *_, cand, is_slack, is_binding = _budget_split(prices, m)
     demands = np.where(is_slack[:, None], cand, 0.0)
 
     # binding buyers: fixed points of the clamped best-response map
     binding = np.flatnonzero(is_binding)
     mb = m.buyers(binding)
-    p_hat, steps, width, certified, price_at = _leader_roots(mb, slack[binding])
+    p_hat, steps, width, certified, price_at = _leader_roots(mb, prices[binding])
     d_hat, _, exits_hat = _batched_follower_demands(p_hat.T, mb)
 
     # a certified root that leaves the budget slack: the kink column instead

@@ -1,0 +1,209 @@
+"""Mutation check: every listed mutant must make its tests fail.
+
+A mutant is one exact source edit (file, old text, new text) paired with the
+test ids that must catch it. For each mutant the script copies src/, tests/
+and pyproject.toml into a temporary directory, applies the edit there and runs
+only the mutant's test ids with pytest -x. A run that fails its tests kills
+the mutant; a run that passes lets it survive. The unedited copy runs every
+selected test id once first, so a killed mutant is killed by the edit, not by
+a test that already fails. The tree itself is never edited.
+
+Run from anywhere, with the standard library and pytest installed:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named mutants
+
+Exits 0 when every selected mutant is killed, 1 when one survives, when its
+edit no longer applies (the old text is not in its file exactly once) or when
+pytest ends in an error (a test id it cannot find, a collection error). It is
+not part of the Tier-1 command: pytest collects only test_*.py files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                 # relative to the repository root
+    old: str                  # must occur exactly once in path
+    new: str
+    tests: tuple[str, ...]    # pytest node ids, relative to the repository root
+
+
+GAME, AGENTS = "src/bwmarket/game.py", "src/bwmarket/agents.py"
+T_GAME, T_AGENTS = "tests/test_game.py", "tests/test_agents.py"
+
+MUTANTS = (
+    # PPO: standardised advantages and the running reward scale
+    Mutant("advantages-not-standardised", AGENTS,
+           "    if n > 1:\n", "    if False:\n",
+           (f"{T_AGENTS}::TestPpoUpdate::test_first_epoch_actor_loss_is_the_mean_advantage",
+            f"{T_AGENTS}::TestAdvantages::test_normalization_zero_mean_unit_std")),
+    Mutant("reward-scale-dropped", AGENTS,
+           "        self._reward_scale = np.fmax(self._reward_scale, np.abs(reward))\n", "",
+           (f"{T_AGENTS}::TestPpoUpdate::test_recorded_rewards",)),
+    Mutant("learning-rate-check-dropped", AGENTS,
+           "0.0 < self.actor_lr < math.inf", "-math.inf < self.actor_lr < math.inf",
+           (f"{T_AGENTS}::TestPpoConfig::test_learning_rate_must_be_finite_and_positive",)),
+    # leader roots: the links off the formula keep the clipped slack column
+    Mutant("fixed-links-at-unclipped-slack-price", GAME,
+           "_leader_roots(mb, prices[binding])", "_leader_roots(mb, _slack_prices(mb))",
+           (f"{T_GAME}::TestLeaderResponses::test_roots_match_iterated_oracle_on_drawn_markets",)),
+    Mutant("formula-mask-is-positive-mask", GAME,
+           "        return np.where(formula, p, p_s), r\n",
+           "        return np.where(positive, p, p_s), r\n",
+           (f"{T_GAME}::TestLeaderResponses::test_roots_match_iterated_oracle_on_drawn_markets",)),
+    Mutant("root-certificate-dropped", GAME,
+           "        open_ &= hi - lo > tol\n", "",
+           (f"{T_GAME}::TestLeaderResponses::test_roots_match_iterated_oracle_on_drawn_markets",
+            f"{T_GAME}::TestLeaderResponses::test_fixed_points_of_a_stack_match_each_row_alone")),
+    # the kernel's slack test: a spend equal to the budget is slack
+    Mutant("slack-test-strict", GAME,
+           "slack = wants & (_row_sums(p * cand) <= m.budget)",
+           "slack = wants & (_row_sums(p * cand) < m.budget)",
+           (f"{T_GAME}::TestBatchedFollower::test_budget_split_is_the_kernels_first_stage",)),
+    # the budget kink: theta interpolates between the slack and binding prices
+    Mutant("kink-theta-pinned-to-0", GAME,
+           "        theta = np.clip(np.divide(X - x_s, x_b - x_s, out=np.ones_like(X), "
+           "where=x_b > x_s),\n                        0.0, 1.0)\n",
+           "        theta = np.zeros_like(X)\n",
+           (f"{T_GAME}::TestKink::test_kink_columns_spend_the_kink",)),
+    Mutant("kink-theta-pinned-to-1", GAME,
+           "        theta = np.clip(np.divide(X - x_s, x_b - x_s, out=np.ones_like(X), "
+           "where=x_b > x_s),\n                        0.0, 1.0)\n",
+           "        theta = np.ones_like(X)\n",
+           (f"{T_GAME}::TestKink::test_kink_columns_spend_the_kink",)),
+    # the demand check: no negative demand, spend within 1e-9 of the budget
+    Mutant("negative-demand-accepted", GAME,
+           "if not (demands >= 0).all():", "if not (demands >= -1.0).all():",
+           (f"{T_GAME}::TestMatrixTypes::test_demand_matrix_nonnegative",)),
+    Mutant("spend-slack-absolute", GAME,
+           "spend <= budget + 1e-9 * np.maximum(budget, 1.0)", "spend <= budget + 1e-9",
+           (f"{T_GAME}::TestMatrixTypes::test_demand_matrix_budget_slack_scales_with_the_budget",
+            f"{T_GAME}::TestMatrixTypes::test_scaled_budgets_solve_and_verify")),
+    # _row_sums adds the columns in order, as numpy's reduce does
+    Mutant("row-sums-columns-reversed", GAME,
+           "    for k in range(J):\n        out += x[..., k]\n",
+           "    for k in reversed(range(J)):\n        out += x[..., k]\n",
+           (f"{T_GAME}::TestRowSums::test_bytes_equal_the_reduce",)),
+    # pruning: equal scores mask in (layer, index) order
+    Mutant("update-masks-ties-reversed", "src/bwmarket/tinynet.py",
+           'order = np.argsort(pooled, kind="stable")',
+           'order = len(pooled) - 1 - np.argsort(pooled[::-1], kind="stable")',
+           ("tests/test_tinynet.py::TestUpdateMasks::test_tie_break_by_layer_index",
+            "tests/test_tinynet.py::TestUpdateMasks::test_matches_the_sorted_tuple_reference")),
+    # an unknown format is refused before the output directory exists
+    Mutant("emit-results-mkdir-before-format-check", "src/bwmarket/harness.py",
+           '    if fmt not in ("csv", "jsonl"):\n'
+           '        raise ValueError(f"unknown format {fmt!r}")\n'
+           "    out_dir = Path(out_dir)\n"
+           "    out_dir.mkdir(parents=True, exist_ok=True)\n",
+           "    out_dir = Path(out_dir)\n"
+           "    out_dir.mkdir(parents=True, exist_ok=True)\n"
+           '    if fmt not in ("csv", "jsonl"):\n'
+           '        raise ValueError(f"unknown format {fmt!r}")\n',
+           ("tests/test_harness.py::TestPersistence::test_unknown_format_leaves_no_directory",)),
+)
+
+
+# A pytest plugin for the copy: hypothesis reports the first failing example
+# without shrinking it, since only pass or fail counts here; each test's own
+# settings (examples, derandomize) still hold.
+_PLUGIN = """\
+from hypothesis import Phase, settings
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+settings.load_profile("mutants")
+"""
+
+# seconds before a mutant's test run is stopped and counted as not killed
+TIMEOUT_S = 600
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+    (dest / "_mutant_plugin.py").write_text(_PLUGIN)
+
+
+def _apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise LookupError(f"old text found {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _pytest(tree: Path, tests) -> int | None:
+    """pytest's exit code on the given ids in tree, importing tree's src;
+    None if it ran past TIMEOUT_S."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree)]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "-p", "_mutant_plugin", *tests]
+    try:
+        return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run(mutant: Mutant) -> str:
+    """killed, survived, or why the mutant could not be judged."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        try:
+            _apply(tree, mutant)
+        except LookupError as exc:
+            return f"stale edit: {exc}"
+        code = _pytest(tree, mutant.tests)
+    if code is None:
+        return f"timed out after {TIMEOUT_S} s"
+    return {0: "survived", 1: "killed"}.get(code, f"pytest error (exit {code})")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [known[n] for n in args.names] if args.names else list(MUTANTS)
+    tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
+        _copy_tree(Path(tmp))
+        code = _pytest(Path(tmp), tests)
+    print(f"{'baseline':40s} {'passed' if code == 0 else f'FAILED (exit {code})':>10s}"
+          f" {time.perf_counter() - start:7.1f} s")
+    if code != 0:
+        return 1
+    bad = 0
+    for m in chosen:
+        start = time.perf_counter()
+        outcome = run(m)
+        bad += outcome != "killed"
+        print(f"{m.name:40s} {outcome:>10s} {time.perf_counter() - start:7.1f} s", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,7 @@ from bwmarket.agents import (
     TinyMadrlAgent,
     compute_advantages,
 )
-from bwmarket.harness import ExperimentConfig, run_training
+from bwmarket.harness import ExperimentConfig, config_from_dict, run_training
 from bwmarket.tinynet import PruneSchedule
 
 from _oracles import reference_greedy_act
@@ -62,9 +62,24 @@ class TestAdvantages:
         for _ in range(8):
             buf.add(np.zeros(2), np.zeros(1), 0.0, rng.uniform(), rng.uniform(),
                     False)
-        adv, _ = compute_advantages(buf, discount=0.9, normalize=True)
+        adv, _ = compute_advantages(buf, discount=0.9)
         assert adv.mean() == pytest.approx(0.0, abs=1e-12)
         assert adv.std() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPpoConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("actor_lr", -1.0), ("critic_lr", 0.0), ("actor_lr", float("nan")),
+        ("critic_lr", float("inf")),
+    ])
+    def test_learning_rate_must_be_finite_and_positive(self, field, value):
+        # a negative actor rate would step against the surrogate objective
+        with pytest.raises(ValueError, match="learning rates must be finite and positive"):
+            PpoConfig(**{field: value})
+
+    def test_config_file_learning_rate_checked(self):
+        with pytest.raises(ValueError, match="learning rates must be finite and positive"):
+            config_from_dict({"ppo": {"actor_lr": -1.0}})
 
 
 class TestRolloutBuffer:
@@ -87,11 +102,11 @@ class TestRolloutBuffer:
                 buf.add(obs[k], action[k], log_prob[k], reward[k], value[k], t == 1)
         for field, fields in zip(stacked.rollout(), zip(*(b.rollout() for b in alone))):
             np.testing.assert_array_equal(field, np.stack(fields))
-        for normalize in (False, True):
-            both = compute_advantages(stacked, 0.9, normalize)
-            for k, buf in enumerate(alone):
-                for a, b in zip(both, compute_advantages(buf, 0.9, normalize)):
-                    np.testing.assert_array_equal(a[k], b)
+        # each seller's advantages are standardised over its own row
+        both = compute_advantages(stacked, 0.9)
+        for k, buf in enumerate(alone):
+            for a, b in zip(both, compute_advantages(buf, 0.9)):
+                np.testing.assert_array_equal(a[k], b)
 
 
 class TestActing:
@@ -146,31 +161,26 @@ class TestPpoUpdate:
         diag = agent.ppo_update()
         assert diag["mean_ratio"][0] == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_first_epoch_actor_loss_is_the_mean_advantage(self, normalize):
-        # at ratio 1 the surrogate is the advantage itself: the normalised
-        # G - V has mean 0, and with normalize_advantages=False the update
-        # ascends the raw G - V
-        agent = make_agent(rollout_size=8, update_epochs=1, normalize_advantages=normalize)
+    def test_first_epoch_actor_loss_is_the_mean_advantage(self):
+        # at ratio 1 the surrogate is the advantage itself: the update
+        # ascends the standardised G - V, whose mean is 0 although the raw
+        # G - V's is not
+        agent = make_agent(rollout_size=8, update_epochs=1)
         fill_on_policy(agent, np.random.default_rng(2), 8)
-        raw, _ = compute_advantages(agent.buffer, agent.config.discount)
+        _, returns = compute_advantages(agent.buffer, agent.config.discount)
+        raw = returns - agent.buffer.rollout()[4]
         assert abs(np.mean(raw)) > 0.1
         diag = agent.ppo_update()
-        want = 0.0 if normalize else np.mean(raw)
-        assert diag["actor_loss"][0] == pytest.approx(want, rel=1e-8, abs=1e-10)
+        assert diag["actor_loss"][0] == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_recorded_rewards(self, normalize):
-        # normalize_rewards divides each reward by the running max of |reward|
-        # so far; without it the buffer holds the raw rewards
-        agent = make_agent(normalize_rewards=normalize)
+    def test_recorded_rewards(self):
+        # the agent divides each reward by the running max of |reward| so far
+        agent = make_agent()
         rng = np.random.default_rng(7)
         for reward in (0.5, 4.0, -8.0, 2.0):
             _, u, logp, value = agent.act(np.zeros(4), rng)
             agent.record(np.zeros(4), u, logp, reward, value, False)
-        stored = agent.buffer.rollout()[3]
-        want = [0.5, 1.0, -1.0, 0.25] if normalize else [0.5, 4.0, -8.0, 2.0]
-        np.testing.assert_array_equal(stored, want)
+        np.testing.assert_array_equal(agent.buffer.rollout()[3], [0.5, 1.0, -1.0, 0.25])
 
     def test_buffer_cleared_after_update(self):
         agent = make_agent(rollout_size=8, update_epochs=1)

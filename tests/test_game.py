@@ -272,6 +272,29 @@ class TestAllFollowersRespond:
         np.testing.assert_allclose(dm.demands[0], sol.demands)
 
 
+def edge_market(rng, I, J, lead=()):
+    """A drawn I x J market m and (*lead, I, J) buyer price rows p at the
+    kernel's edges. Links are unusable (-inf), have S <= 0 or are usable;
+    prices sit inside [c/2, cap], at the choke price delta*q*S or past it.
+    About half the buyers with demand get a budget equal to their exact slack
+    spend at the first price matrix; tie marks them."""
+    c = rng.uniform(1.0, 4.0, J)
+    sim = np.where(rng.random((I, J)) < 0.15, 0.0, rng.uniform(0.3, 1.0, (I, J)))
+    m = game._market_arrays(rng.uniform(0.5, 40.0, J), c, rng.uniform(c, 35.0),
+                            sim, np.full(I, 0.5), rng.uniform(1.0, 20.0, I),
+                            rng.uniform(0.1, 20.0, I))
+    choke = m.delta[:, None] * m.q * np.where(m.S > 0.0, m.S, 0.0)
+    p = rng.uniform(0.5 * c, m.cap, lead + (I, J))
+    at = rng.integers(0, 3, p.shape)    # 0: inside, 1: at the choke, 2: past it
+    p = np.where((at == 1) & (choke > 0.0), choke, p)
+    p = np.where((at == 2) & (choke > 0.0), choke * rng.uniform(1.0, 2.0, p.shape), p)
+
+    *_, cand, _, _ = game._budget_split(p, m)
+    spend = game._row_sums((p * cand).reshape(-1, I, J)[0])
+    tie = (spend > 0.0) & (rng.random(I) < 0.5)
+    return m._replace(budget=np.where(tie, spend, m.budget)), p, tie
+
+
 class TestBatchedFollower:
     """The water-filling kernel and every public path that runs it against
     the buyer-by-buyer reference solver."""
@@ -459,30 +482,13 @@ class TestBatchedFollower:
         # _BINDING exits, and a slack row's candidates are the kernel's
         # demands bit for bit, on price stacks with 0-2 leading axes (up to
         # 512 rows, so short rows take _row_sums' column path) and J up to 9
-        # (the reduce path). Links are unusable (-inf), have S <= 0 or are
-        # usable; prices sit inside [c/2, cap], at the choke price
-        # delta*q*S or past it; some budgets are the exact slack spend at
-        # the stack's first price matrix, where the split must say slack.
+        # (the reduce path), on edge_market's links, prices and budgets; a
+        # budget at the exact slack spend must be slack.
         lead = tuple(data.draw(st.lists(st.integers(1, 8), max_size=2), label="lead"))
         I = data.draw(st.integers(1, 8), label="I")
         J = data.draw(st.integers(1, 9), label="J")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        c = rng.uniform(1.0, 4.0, J)
-        sim = np.where(rng.random((I, J)) < 0.15, 0.0, rng.uniform(0.3, 1.0, (I, J)))
-        m = game._market_arrays(rng.uniform(0.5, 40.0, J), c, rng.uniform(c, 35.0),
-                                sim, np.full(I, 0.5), rng.uniform(1.0, 20.0, I),
-                                rng.uniform(0.1, 20.0, I))
-        choke = m.delta[:, None] * m.q * np.where(m.S > 0.0, m.S, 0.0)
-        p = rng.uniform(0.5 * c, m.cap, lead + (I, J))
-        at = rng.integers(0, 3, p.shape)    # 0: inside, 1: at the choke, 2: past it
-        p = np.where((at == 1) & (choke > 0.0), choke, p)
-        p = np.where((at == 2) & (choke > 0.0), choke * rng.uniform(1.0, 2.0, p.shape), p)
-
-        *_, cand, _, _ = game._budget_split(p, m)
-        first = (p * cand).reshape(-1, I, J)[0]
-        spend = game._row_sums(first)
-        tie = (spend > 0.0) & (rng.random(I) < 0.5)
-        m = m._replace(budget=np.where(tie, spend, m.budget))
+        m, p, tie = edge_market(rng, I, J, lead)
 
         *_, cand, slack, binding = game._budget_split(p, m)
         demands, _, exits = game._batched_follower_demands(np.swapaxes(p, -1, -2), m)
@@ -490,6 +496,29 @@ class TestBatchedFollower:
         np.testing.assert_array_equal(binding, exits == game._BINDING, strict=True)
         assert cand[slack].tobytes() == demands[slack].tobytes()
         assert slack.reshape(-1, I)[0][tie].all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_demand_never_rises_with_its_own_price(self, data):
+        # raising p_ji alone by a factor in [1 + 1e-9, 2] never raises b_ij by
+        # more than 1e-12 relative, on edge_market's links, prices and
+        # budgets; at a budget equal to the slack spend, the least raise tips
+        # the buyer into binding
+        I = data.draw(st.integers(1, 8), label="I")
+        J = data.draw(st.integers(1, 9), label="J")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m, p, _ = edge_market(rng, I, J)
+
+        # price matrix k + 1 raises link k of every buyer; matrix 0 is the base
+        factor = np.where(rng.random((J, I)) < 0.25, 1.0 + 1e-9,
+                          rng.uniform(1.0 + 1e-9, 2.0, (J, I)))
+        raised = np.repeat(p[None], J + 1, axis=0)
+        for k in range(J):
+            raised[k + 1, :, k] *= factor[k]
+        demands = game._batched_follower_demands(np.swapaxes(raised, -1, -2), m)[0]
+        before = demands[0]
+        after = np.stack([demands[k + 1, :, k] for k in range(J)], axis=-1)
+        assert (after <= before + 1e-12 * before).all(), np.max(after - before)
 
 
 class TestSupportSums:
@@ -644,10 +673,10 @@ class TestLeaderResponses:
                 inst = random_instance(rng, I=6, J=J,
                                        min_component=0.85 if trial % 4 < 2 else 0.0)
                 m = inst.arrays.buyers(np.flatnonzero((inst.arrays.S > 0.0).any(axis=1)))
-                slack = game._slack_prices(m)
-                stack = game._leader_roots(m, slack)
+                p_s = np.clip(game._slack_prices(m), m.c, m.cap)
+                stack = game._leader_roots(m, p_s)
                 for i in range(len(m.S)):
-                    alone = game._leader_roots(m.buyers([i]), slack[[i]])
+                    alone = game._leader_roots(m.buyers([i]), p_s[[i]])
                     for a, b in zip(stack[:4], alone[:4]):   # then the price function
                         np.testing.assert_array_equal(a[i], b[0], strict=True)
                 spread |= len(set(stack[1].tolist())) > 1
@@ -687,10 +716,10 @@ class TestLeaderResponses:
         # every binding buyer's root certifies, and the oracle's g changes
         # sign across SOLVE_RTOL around the X its prices spend
         m = inst.arrays
-        slack = game._slack_prices(m)
-        exits = game._batched_follower_demands(np.clip(slack, m.c, m.cap).T, m)[2]
+        p_s = np.clip(game._slack_prices(m), m.c, m.cap)
+        exits = game._batched_follower_demands(p_s.T, m)[2]
         binding = np.flatnonzero(exits == game._BINDING)
-        p, steps, width, certified, _ = game._leader_roots(m.buyers(binding), slack[binding])
+        p, steps, width, certified, _ = game._leader_roots(m.buyers(binding), p_s[binding])
         assert certified.all() and (width <= game._ROOT_RTOL).all()
         for i, row in zip(binding.tolist(), p):
             X = float(np.sum(np.where(m.S[i] > 0.0, row / m.q, 0.0)))
@@ -1110,11 +1139,11 @@ def kink_buyers(inst) -> list:
     """The buyers whose budget binds at their slack column and whose certified
     root leaves it slack in the kernel: solve_equilibrium's kink rows."""
     m = inst.arrays
-    slack = game._slack_prices(m)
-    exits = game._batched_follower_demands(np.clip(slack, m.c, m.cap).T, m)[2]
+    p_s = np.clip(game._slack_prices(m), m.c, m.cap)
+    exits = game._batched_follower_demands(p_s.T, m)[2]
     binding = np.flatnonzero(exits == game._BINDING)
     mb = m.buyers(binding)
-    p, _, _, certified, _ = game._leader_roots(mb, slack[binding])
+    p, _, _, certified, _ = game._leader_roots(mb, p_s[binding])
     exits_root = game._batched_follower_demands(p.T, mb)[2]
     return binding[certified & (exits_root != game._BINDING)].tolist()
 
@@ -1232,7 +1261,7 @@ class TestKink:
 
     @pytest.mark.xfail(strict=True, reason=(
         "a positive link without a positive rival keeps its slack price under a "
-        "binding budget (game._leader_terms' fallback); its best response is "
+        "binding budget (the leader map's fallback); its best response is "
         "min(q(delta*S - R), cap)"))
     def test_lone_positive_link_under_a_binding_budget(self):
         # seed 9: seller 1 gains 2.1% on buyer 1 by moving from 13.17 to its cap

@@ -290,10 +290,10 @@ class TestConfig:
     def test_int_and_float_spellings_hash_alike(self):
         """A float option written as an int loads as that float, so both
         spellings give one config and one run_id: the float spelling's."""
-        assert config_hash(config_from_dict({})) == "4304c20908bb7487"
-        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "6e4652c41373cfbc"),
+        assert config_hash(config_from_dict({})) == "d238fd9b8e01b6d8"
+        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "78ad106b00983d24"),
                  ({"ppo": {"discount": 0}}, {"ppo": {"discount": 0.0}},
-                  "ac995b9708038c16")]
+                  "1903caab421bb86f")]
         for as_int, as_float, digest in pairs:
             a, b = config_from_dict(as_int), config_from_dict(as_float)
             assert a == b
@@ -902,6 +902,10 @@ class TestCli:
                 "instance: {ranges: {noise_dbm: [-1.0e+308, 1.0e+308]}}\n",
             "zero floor neurons": "floor_neurons: 0\n",
             "negative floor neurons": "floor_neurons: -5\n",
+            "negative actor learning rate": "ppo: {actor_lr: -1.0}\n",
+            "zero critic learning rate": "ppo: {critic_lr: 0}\n",
+            "removed advantage switch": "ppo: {normalize_advantages: false}\n",
+            "removed reward switch": "ppo: {normalize_rewards: false}\n",
         }
         for name, text in cases.items():
             path = tmp_path / "bad.yaml"

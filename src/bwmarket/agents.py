@@ -45,12 +45,12 @@ class PpoConfig:
             raise ValueError("clip must lie in (0, 1)")
         if not (0.0 < self.actor_lr < math.inf and 0.0 < self.critic_lr < math.inf):
             raise ValueError("learning rates must be finite and positive")
-        if self.policy_std <= 0 or self.final_policy_std <= 0:
-            raise ValueError("exploration std must be positive")
-        if self.action_headroom < 0.0:
-            raise ValueError("action headroom must be nonnegative")
-        if self.rollout_size < 1 or self.update_epochs < 1:
-            raise ValueError("rollout_size and update_epochs must be >= 1")
+        if not (0.0 < self.policy_std < math.inf and 0.0 < self.final_policy_std < math.inf):
+            raise ValueError("exploration std must be finite and positive")
+        if not 0.0 <= self.action_headroom < math.inf:
+            raise ValueError("action headroom must be finite and nonnegative")
+        if not (1 <= self.rollout_size < math.inf and 1 <= self.update_epochs < math.inf):
+            raise ValueError("rollout_size and update_epochs must be finite and >= 1")
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ValueError("hidden_sizes must be a non-empty list of sizes >= 1")
 

@@ -41,12 +41,12 @@ class EnvConfig:
     warmup_policy: str = WARMUP_ZEROS
 
     def __post_init__(self):
-        if self.history_length < 1:
-            raise ValueError("history_length must be >= 1")
-        if self.episode_length < self.history_length:
-            raise ValueError("episode_length must be >= history_length")
-        if self.demand_scale is not None and self.demand_scale <= 0:
-            raise ValueError("demand_scale must be positive")
+        if not 1 <= self.history_length < math.inf:
+            raise ValueError("history_length must be finite and >= 1")
+        if not self.history_length <= self.episode_length < math.inf:
+            raise ValueError("episode_length must be finite and >= history_length")
+        if self.demand_scale is not None and not 0.0 < self.demand_scale < math.inf:
+            raise ValueError("demand_scale must be finite and positive")
         if self.warmup_policy not in (WARMUP_ZEROS, WARMUP_UNIFORM):
             raise ValueError(f"unknown warmup policy {self.warmup_policy!r}")
 
@@ -80,8 +80,8 @@ class PricingEnv:
         self.demand_scale = (self.config.demand_scale
                              if self.config.demand_scale is not None
                              else default_demand_scale(instance))
-        if self.demand_scale <= 0:
-            raise ValueError("demand_scale must be positive")
+        if not 0.0 < self.demand_scale < math.inf:
+            raise ValueError("demand_scale must be finite and positive")
         self._lead = () if runs is None else (runs,)
         # [run x] agent x time slot (newest last) x (price, demand) x buyer, normalized
         self._history = np.zeros(self._lead + (self.num_agents,

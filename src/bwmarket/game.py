@@ -10,12 +10,13 @@ at that root is priced on its budget kink.  solve_equilibrium runs all
 buyers' subgames at once.
 
 Every solver reads the market's dense arrays, GameInstance.arrays, built once
-per instance by one builder, _market_arrays.  A hand-built instance,
-GameInstance(uavs, rsus), builds them from its profiles on first use.  A
-sampled instance (GameInstance._from_draws) builds them straight from its
-per-entity draws, checked in a few vector operations against the same field
-checks the profiles make, and builds its profiles only when they are read;
-no solver reads them.
+per instance by one builder from its rows of per-entity values: one row per
+seller and one per buyer (_RSU_DRAWS, _UAV_DRAWS).  A sampled instance
+(GameInstance._from_draws) passes its draws; a hand-built one,
+GameInstance(uavs, rsus), copies its profiles' values into the same rows when
+it is constructed.  The builder checks the rows in a few vector operations
+against the same field checks the profiles make, and the profiles are built
+from the rows only when they are read; no solver reads them.
 
 One water-filling kernel, _batched_follower_demands, solves every buyer best
 response: follower_best_response is its one-row call, and
@@ -137,17 +138,15 @@ class ChannelLink:
 
 @dataclass
 class SsimTriple:
-    """Luminance/contrast/structure similarity components with exponent weights."""
+    """Luminance/contrast/structure similarity components; the composite SSIM
+    of a link is their product l * c * s."""
 
     luminance: float
     contrast: float
     structure: float
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         _check(_triple_checks(self.luminance, self.contrast, self.structure))
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("similarity weights must be positive")
 
 
 @dataclass
@@ -202,15 +201,30 @@ def _uav_profiles(uav_draws: np.ndarray) -> list[UavProfile]:
             for delta, budget, threshold, *similarity in uav_draws.tolist()]
 
 
+def _rsu_rows(rsus: list[RsuProfile]) -> np.ndarray:
+    """The sellers' draw rows (J x 5) from their profiles."""
+    return np.array([[r.link.transmit_power_dbm, r.link.channel_gain_db, r.link.noise_dbm,
+                      r.bandwidth_cost, r.price_cap] for r in rsus], dtype=float)
+
+
+def _uav_rows(uavs: list[UavProfile]) -> np.ndarray:
+    """The buyers' draw rows (I x (3 + 3J)) from their profiles."""
+    return np.array([[u.delta, u.budget, u.ssim_threshold,
+                      *(x for t in u.per_rsu_ssim
+                        for x in (t.luminance, t.contrast, t.structure))]
+                     for u in uavs], dtype=float)
+
+
 class GameInstance:
     """Full market description: I buyers (uavs), J sellers (rsus), and the
-    market's dense arrays (``arrays``), cached and read-only.
+    market's dense arrays (``arrays``), read-only.
 
-    GameInstance(uavs, rsus) builds its arrays from its profiles on first use,
-    so the profiles must not change after that. A sampled instance
-    (_from_draws) is built the other way round: its arrays come straight from
-    its draws, and its profiles are built from the draws only when ``uavs`` or
-    ``rsus`` is read; changing them changes no array.
+    Every instance is built from its draw rows, one per entity (see
+    _from_draws). GameInstance(uavs, rsus) copies its profiles' values into
+    those rows when it is constructed, so changing a profile afterwards
+    changes nothing the instance computes or compares. ``uavs`` and ``rsus``
+    are profiles built from the rows when first read. Two instances are
+    equal when their rows are.
     """
 
     def __init__(self, uavs: list[UavProfile], rsus: list[RsuProfile]):
@@ -219,16 +233,21 @@ class GameInstance:
         for k, uav in enumerate(uavs):
             if len(uav.per_rsu_ssim) != J:
                 raise ValueError(f"uav {k}: per_rsu_ssim length != {J}")
-        self.uavs, self.rsus = uavs, rsus
-        self._draws = None
+        self._build(_rsu_rows(rsus), _uav_rows(uavs))
 
     @classmethod
     def _from_draws(cls, rsu_draws: np.ndarray, uav_draws: np.ndarray) -> GameInstance:
         """A market built from per-entity draws, one row per entity: rsu_draws
         is J x 5 and uav_draws I x (3 + 3J), in the columns _RSU_DRAWS and
-        _UAV_DRAWS name. Draws outside the domain raise the ValueError that
-        building the profiles raises, for the first invalid entity, sellers
-        first."""
+        _UAV_DRAWS name."""
+        inst = cls.__new__(cls)
+        inst._build(rsu_draws, uav_draws)
+        return inst
+
+    def _build(self, rsu_draws: np.ndarray, uav_draws: np.ndarray) -> None:
+        """Set the draw rows, the arrays and the SSIM thresholds. Draws outside
+        the domain raise the ValueError that building the profiles raises,
+        for the first invalid entity, sellers first."""
         (I, _), (J, _) = uav_draws.shape, rsu_draws.shape
         power, gain, noise, cost, cap = rsu_draws.T
         delta, budget, threshold = uav_draws[:, :3].T
@@ -242,45 +261,28 @@ class GameInstance:
             _rsu_profiles(rsu_draws)    # raise the first invalid entity's error
             _uav_profiles(uav_draws)
         _check_market_size(I, J)
-        inst = cls.__new__(cls)
-        inst._draws = rsu_draws, uav_draws
-        inst.arrays = _market_arrays(q, cost, cap, luminance * contrast * structure,
+        self._draws = rsu_draws, uav_draws
+        self.arrays = _market_arrays(q, cost, cap, luminance * contrast * structure,
                                      threshold, delta, budget)
-        inst.ssim_thresholds = _read_only(threshold)
-        return inst
+        self.ssim_thresholds = _read_only(threshold)
 
     @cached_property
     def uavs(self) -> list[UavProfile]:
-        """A sampled instance's buyers, built from its draws on first access."""
+        """The buyers, built from their draw rows on first access."""
         return _uav_profiles(self._draws[1])
 
     @cached_property
     def rsus(self) -> list[RsuProfile]:
-        """A sampled instance's sellers, built from its draws on first access."""
+        """The sellers, built from their draw rows on first access."""
         return _rsu_profiles(self._draws[0])
 
     @property
     def num_uavs(self) -> int:
-        return len(self.uavs if self._draws is None else self._draws[1])
+        return len(self.arrays.delta)
 
     @property
     def num_rsus(self) -> int:
-        return len(self.rsus if self._draws is None else self._draws[0])
-
-    @cached_property
-    def arrays(self) -> _MarketArrays:
-        """The market's dense arrays, built from the profiles on first use."""
-        rsus, uavs = self.rsus, self.uavs
-        return _market_arrays([r.link.spectrum_efficiency for r in rsus],
-                              [r.bandwidth_cost for r in rsus], [r.price_cap for r in rsus],
-                              [[ssim(t) for t in u.per_rsu_ssim] for u in uavs],
-                              self.ssim_thresholds, [u.delta for u in uavs],
-                              [u.budget for u in uavs])
-
-    @cached_property
-    def ssim_thresholds(self) -> np.ndarray:
-        """Each buyer's SSIM threshold (I,), read-only."""
-        return _read_only([u.ssim_threshold for u in self.uavs])
+        return len(self.arrays.q)
 
     def costs(self) -> np.ndarray:
         return self.arrays.c.copy()
@@ -294,7 +296,7 @@ class GameInstance:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.uavs, self.rsus) == (other.uavs, other.rsus)
+        return all(map(np.array_equal, self._draws, other._draws))
 
     __hash__ = None
 
@@ -427,12 +429,6 @@ def _market_arrays(q, c, cap, sim, threshold, delta, budget) -> _MarketArrays:
 # ---------------------------------------------------------------------------
 # Utility operations
 # ---------------------------------------------------------------------------
-
-def ssim(triple: SsimTriple) -> float:
-    """Composite similarity l^alpha * c^beta * s^nu in [0, 1]."""
-    a, b, v = triple.weights
-    return triple.luminance ** a * triple.contrast ** b * triple.structure ** v
-
 
 def _buyer_utilities(m: _MarketArrays, demands, prices) -> np.ndarray:
     """Surplus sum_j delta*ln(1 + b_j q_j)*S_j - p_j b_j of every demand row

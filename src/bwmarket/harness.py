@@ -91,17 +91,17 @@ class ExperimentConfig:
             if key not in DEFAULT_RANGES:
                 raise ConfigError(f"unknown parameter range {key!r}")
         _checked_ranges(self.ranges)
-        if self.num_uavs < 1 or self.num_rsus < 1:
+        if not (1 <= self.num_uavs < math.inf and 1 <= self.num_rsus < math.inf):
             raise ConfigError("need at least one UAV and one RSU")
-        if self.episodes < 1:
+        if not 1 <= self.episodes < math.inf:
             raise ConfigError("episodes must be >= 1")
-        if self.floor_neurons < 1:
+        if not 1 <= self.floor_neurons < math.inf:
             raise ConfigError(f"floor_neurons must be >= 1, got {self.floor_neurons}")
-        if self.greedy_levels < 1:
+        if not 1 <= self.greedy_levels < math.inf:
             raise ConfigError("greedy_levels must be >= 1")
         if not 0.0 <= self.greedy_epsilon <= 1.0:
             raise ConfigError("greedy_epsilon must lie in [0, 1]")
-        if self.verify_probes < 0:
+        if not 0 <= self.verify_probes < math.inf:
             raise ConfigError("verify_probes must be >= 0")
         if not self.seeds:
             raise ConfigError("seeds list is empty")

@@ -16,6 +16,7 @@ masking and compaction work on one unstacked net, such as one slice's view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +75,11 @@ class PruneSchedule:
             raise ValueError("target_sparsity must lie in [0, 1)")
         if self.initial_sparsity > self.target_sparsity:
             raise ValueError("initial sparsity above target")
-        if self.start_epoch < 0:
+        if not 0 <= self.start_epoch < math.inf:
             raise ValueError("start_epoch must be >= 0")
-        if self.total_steps < 1:
+        if not 1 <= self.total_steps < math.inf:
             raise ValueError("total_steps must be >= 1")
-        if self.frequency < 1:
+        if not 1 <= self.frequency < math.inf:
             raise ValueError("frequency must be >= 1")
 
     @property

@@ -20,6 +20,7 @@ from bwmarket.game import (
     SsimTriple,
     UavProfile,
     VerificationReport,
+    _MarketArrays,
     rsu_utility,
     uav_utility,
 )
@@ -49,6 +50,23 @@ def simple_instance(J: int = 2, delta: float = 10.0, ssim: float = 1.0,
     uav = UavProfile(delta, budget, threshold,
                      [SsimTriple(ssim, 1.0, 1.0) for _ in range(J)])
     return GameInstance([uav], rsus)
+
+
+def reference_market_arrays(instance: GameInstance) -> _MarketArrays:
+    """The market's arrays from its profiles in scalar math, one entry at a
+    time: each link's S = math.log(l * c * s / threshold) of its SSIM
+    components, and -inf where that SSIM is 0."""
+    rsus, uavs = instance.rsus, instance.uavs
+
+    def log_quality(t: SsimTriple, threshold: float) -> float:
+        sim = t.luminance * t.contrast * t.structure
+        return math.log(sim / threshold) if sim > 0.0 else -math.inf
+
+    return _MarketArrays(*(np.array(v, dtype=float) for v in (
+        [r.link.spectrum_efficiency for r in rsus], [r.bandwidth_cost for r in rsus],
+        [r.price_cap for r in rsus],
+        [[log_quality(t, u.ssim_threshold) for t in u.per_rsu_ssim] for u in uavs],
+        [u.delta for u in uavs], [u.budget for u in uavs])))
 
 
 def random_instance(rng: np.random.Generator, I: int, J: int,

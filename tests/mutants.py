@@ -42,8 +42,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]    # pytest node ids, relative to the repository root
 
 
-GAME, AGENTS = "src/bwmarket/game.py", "src/bwmarket/agents.py"
-T_GAME, T_AGENTS = "tests/test_game.py", "tests/test_agents.py"
+GAME, AGENTS, ENV = "src/bwmarket/game.py", "src/bwmarket/agents.py", "src/bwmarket/env.py"
+T_GAME, T_AGENTS, T_ENV = "tests/test_game.py", "tests/test_agents.py", "tests/test_env.py"
+ROLLOUT = f"{T_ENV}::TestMatchesReference::test_rollout_bit_for_bit"
 
 MUTANTS = (
     # PPO: standardised advantages and the running reward scale
@@ -57,6 +58,46 @@ MUTANTS = (
     Mutant("learning-rate-check-dropped", AGENTS,
            "0.0 < self.actor_lr < math.inf", "-math.inf < self.actor_lr < math.inf",
            (f"{T_AGENTS}::TestPpoConfig::test_learning_rate_must_be_finite_and_positive",)),
+    # a stack's abort restores and stops only the seller whose loss is not finite
+    Mutant("abort-restores-every-live-seller", AGENTS,
+           "self._restore(snap, live & ~finite)", "self._restore(snap, live)",
+           (f"{T_AGENTS}::TestStack::test_abort_restores_and_skips_only_its_seller",)),
+    Mutant("aborted-seller-keeps-stepping", AGENTS,
+           "step = live[..., None, None]", "step = np.ones_like(live)[..., None, None]",
+           (f"{T_AGENTS}::TestStack::test_abort_restores_and_skips_only_its_seller",)),
+    Mutant("one-abort-ends-the-stack", AGENTS,
+           "                if not live.any():\n", "                if not live.all():\n",
+           (f"{T_AGENTS}::TestStack::test_abort_restores_and_skips_only_its_seller",)),
+    # the market: one builder from the draw rows, compared by every row
+    Mutant("eq-compares-only-seller-rows", GAME,
+           "        return all(map(np.array_equal, self._draws, other._draws))\n",
+           "        return np.array_equal(self._draws[0], other._draws[0])\n",
+           (f"{T_GAME}::TestGameInstance::test_equality_reads_every_row",)),
+    Mutant("ssim-product-drops-structure", GAME,
+           "luminance * contrast * structure,", "luminance * contrast,",
+           (f"{T_GAME}::TestLinkAndSsim::test_ssim_product",
+            "tests/test_harness.py::TestSampling::test_matches_scalar_draws")),
+    Mutant("hand-built-uavs-are-the-callers-list", GAME,
+           "        self._build(_rsu_rows(rsus), _uav_rows(uavs))\n",
+           "        self._build(_rsu_rows(rsus), _uav_rows(uavs))\n        self.uavs = uavs\n",
+           (f"{T_GAME}::TestGameInstance::test_profiles_are_read_at_construction",)),
+    # the env: prices clipped into the box, the history shifted, fresh observations
+    Mutant("step-prices-not-clipped", ENV,
+           "        prices = np.clip(prices, self._market.c[:, None], "
+           "self._market.cap[:, None])\n", "",
+           (f"{T_ENV}::TestStep::test_out_of_box_actions_clamped",)),
+    Mutant("shift-keeps-the-oldest-slot", ENV,
+           "history[..., :-1, :, :] = history[..., 1:, :, :]",
+           "history[..., 1:-1, :, :] = history[..., 2:, :, :]",
+           (f"{ROLLOUT}[False-3-2-2-uniform_random]", f"{ROLLOUT}[True-4-3-3-zeros]")),
+    Mutant("observations-are-a-view", ENV,
+           "(self.num_agents, -1)).copy()", "(self.num_agents, -1))",
+           (f"{ROLLOUT}[False-3-2-2-uniform_random]", f"{ROLLOUT}[True-4-3-3-zeros]")),
+    # leader roots: a_j = c_j S_j / (q_j D_j)
+    Mutant("leader-root-a-without-q", GAME,
+           "a = np.where(formula, c * m.S / (q * denom), 1.0)",
+           "a = np.where(formula, c * m.S / denom, 1.0)",
+           (f"{T_GAME}::TestLeaderResponses::test_roots_match_iterated_oracle_on_drawn_markets",)),
     # leader roots: the links off the formula keep the clipped slack column
     Mutant("fixed-links-at-unclipped-slack-price", GAME,
            "_leader_roots(mb, prices[binding])", "_leader_roots(mb, _slack_prices(mb))",

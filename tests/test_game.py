@@ -28,7 +28,6 @@ from bwmarket.game import (
     leader_best_response_map,
     rsu_utility,
     solve_equilibrium,
-    ssim,
     uav_utility,
     verify_equilibrium,
 )
@@ -53,9 +52,11 @@ from _oracles import (
 LN2 = math.log(2.0)
 
 
-def one_link_log_quality(luminance: float, threshold: float = 0.5) -> float:
-    """The log-quality S of a one-buyer, one-seller market with the given SSIM."""
-    uav = UavProfile(10.0, 2.0, threshold, [SsimTriple(luminance, 1.0, 1.0)])
+def one_link_log_quality(luminance: float, threshold: float = 0.5,
+                         contrast: float = 1.0, structure: float = 1.0) -> float:
+    """The log-quality S of a one-buyer, one-seller market with the given SSIM
+    components."""
+    uav = UavProfile(10.0, 2.0, threshold, [SsimTriple(luminance, contrast, structure)])
     inst = GameInstance([uav], [RsuProfile(1.0, 5.0, link_with_efficiency(1.0))])
     return float(inst.arrays.S[0, 0])
 
@@ -93,13 +94,14 @@ class TestLinkAndSsim:
             ChannelLink(power_dbm, 0.0, 0.0)
 
     def test_ssim_unique_maximum(self):
-        assert ssim(SsimTriple(1.0, 1.0, 1.0)) == 1.0
+        # a perfect link's SSIM is 1, so S = ln(1 / threshold)
+        assert one_link_log_quality(1.0, 0.5) == math.log(1.0 / 0.5)
 
     def test_ssim_product(self):
-        assert ssim(SsimTriple(0.9, 0.8, 0.7)) == pytest.approx(0.504, abs=1e-12)
-
-    def test_ssim_weighted(self):
-        assert ssim(SsimTriple(0.5, 1.0, 1.0, weights=(2.0, 1.0, 1.0))) == pytest.approx(0.25)
+        # the composite SSIM is l * c * s
+        assert one_link_log_quality(0.9, 0.5, 0.8, 0.7) == pytest.approx(
+            math.log(0.504 / 0.5), abs=1e-12)
+        assert one_link_log_quality(0.9, 0.5, 0.8, 0.0) == -math.inf
 
     def test_ssim_component_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +119,59 @@ class TestLinkAndSsim:
 
     def test_log_quality_zero_ssim_is_minus_inf(self):
         assert one_link_log_quality(0.0) == -math.inf
+
+
+class TestGameInstance:
+    def test_profiles_are_read_at_construction(self):
+        """A hand-built market copies its profiles' values when it is built:
+        changing them afterwards moves no array, no comparison and no solve."""
+        def market():
+            uav = UavProfile(10.0, 2.0, 0.5,
+                             [SsimTriple(1.0, 1.0, 1.0), SsimTriple(0.9, 0.95, 1.0)])
+            rsus = [RsuProfile(1.0, 35.0, link_with_efficiency(q)) for q in (10.0, 8.0)]
+            return [uav], rsus
+
+        uavs, rsus = market()
+        inst = GameInstance(uavs, rsus)
+        uavs[0].budget = 20.0
+        uavs[0].per_rsu_ssim[1] = SsimTriple(0.1, 1.0, 1.0)
+        uavs.append(UavProfile(12.0, 3.0, 0.5, [SsimTriple(1.0, 1.0, 1.0)] * 2))
+        rsus[0].price_cap = 30.0
+        fresh = GameInstance(*market())
+        assert inst == fresh and repr(inst) == repr(fresh)
+        assert inst != GameInstance(uavs, rsus)
+        for a, b in zip(inst.arrays, fresh.arrays):
+            assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(solve_equilibrium(inst).prices.prices,
+                                      solve_equilibrium(fresh).prices.prices)
+
+    def test_equality_reads_every_row(self):
+        """Markets that differ in one buyer's value, or in one seller's, are
+        unequal."""
+        def market(budget=2.0, cap=35.0):
+            return GameInstance([UavProfile(10.0, budget, 0.5, [SsimTriple(1.0, 1.0, 1.0)])],
+                                [RsuProfile(1.0, cap, link_with_efficiency(10.0))])
+
+        assert market() == market()
+        assert market(budget=3.0) != market() and market(cap=30.0) != market()
+        assert market() == simple_instance(J=1) and market() != simple_instance(J=2)
+        assert market() != "market"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_hand_built_copy_of_a_sampled_market(self, data):
+        """GameInstance(s.uavs, s.rsus) is the sampled market s: equal, with
+        the same repr and every array byte the same."""
+        ranges = data.draw(st.sampled_from([{}, {"similarity": (0.85, 1.0)},
+                                            {"similarity": (0.0, 0.3)}]))
+        I, J = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+        sampled = sample_instance(ranges, I, J, data.draw(st.integers(0, 2**32 - 1)))
+        copy = GameInstance(sampled.uavs, sampled.rsus)
+        assert copy == sampled and repr(copy) == repr(sampled)
+        for a, b in zip(copy.arrays, sampled.arrays):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(copy.ssim_thresholds, sampled.ssim_thresholds)
 
 
 # =====================================================================
@@ -195,8 +250,10 @@ class TestFollowerBestResponse:
         assert sol.case_label == CASE_BUDGET_INACTIVE
 
     def test_negative_quality_excluded(self):
-        inst = simple_instance(J=2, budget=100.0)
-        inst.uavs[0].per_rsu_ssim[1] = SsimTriple(0.4, 1.0, 1.0)  # S < 0
+        uav = UavProfile(10.0, 100.0, 0.5,
+                         [SsimTriple(1.0, 1.0, 1.0), SsimTriple(0.4, 1.0, 1.0)])  # S_1 < 0
+        inst = GameInstance([uav], simple_instance(J=2).rsus)
+        assert inst.arrays.S[0, 1] < 0
         sol = follower_best_response(inst, 0, [2.0, 2.0])
         assert sol.demands[1] == 0.0
         assert 1 not in sol.support
@@ -257,9 +314,9 @@ class TestFollowerBestResponse:
 
 class TestAllFollowersRespond:
     def test_identical_uavs_identical_rows(self):
-        inst = simple_instance(J=2)
-        inst.uavs.append(UavProfile(10.0, 2.0, 0.5,
-                                    [SsimTriple(1.0, 1.0, 1.0) for _ in range(2)]))
+        uav = simple_instance(J=2).uavs[0]
+        inst = GameInstance([uav, uav], simple_instance(J=2).rsus)
+        assert inst.num_uavs == 2
         P = np.full((2, 2), 2.0)
         dm = all_followers_respond(inst, P)
         np.testing.assert_allclose(dm.demands[0], dm.demands[1])
@@ -614,8 +671,10 @@ class TestLeaderResponses:
 
     def test_link_without_positive_log_quality_prices_at_cost(self):
         # S < 0 on link 0 and -inf (SSIM 0) on link 1: neither has a slack price
-        inst = simple_instance(J=2, ssim=0.4, threshold=0.5, cost=3.0)
-        inst.uavs[0].per_rsu_ssim[1] = SsimTriple(0.0, 1.0, 1.0)
+        uav = UavProfile(10.0, 2.0, 0.5,
+                         [SsimTriple(0.4, 1.0, 1.0), SsimTriple(0.0, 1.0, 1.0)])
+        inst = GameInstance([uav], simple_instance(J=2, cost=3.0).rsus)
+        assert inst.arrays.S[0, 0] < 0 and inst.arrays.S[0, 1] == -math.inf
         np.testing.assert_array_equal(game._slack_prices(inst.arrays), [[3.0, 3.0]])
 
     def test_symmetric_fixed_point_is_five(self):

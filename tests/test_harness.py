@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,8 +18,9 @@ import pytest
 import yaml
 
 from bwmarket import harness, tinynet
+from bwmarket.agents import PpoConfig
 from bwmarket.cli import main as cli_main
-from bwmarket.env import WARMUP_UNIFORM, WARMUP_ZEROS, PricingEnv
+from bwmarket.env import WARMUP_UNIFORM, WARMUP_ZEROS, EnvConfig, PricingEnv
 from bwmarket.game import solve_equilibrium, verify_equilibrium
 from bwmarket.harness import (
     ALGORITHMS,
@@ -41,7 +43,7 @@ from bwmarket.harness import (
     write_summary,
 )
 
-from _oracles import reference_sample_instance
+from _oracles import reference_market_arrays, reference_sample_instance
 
 # The sampled-market digests: one sha256 per (ranges, market size) over the
 # arrays of 300 integer seeds, recorded with the entity-by-entity sampler
@@ -124,8 +126,9 @@ class TestSampling:
     ], ids=["default", "dense", "zero-width"])
     def test_matches_scalar_draws(self, ranges):
         """One vector draw per entity gives what one scalar draw per parameter
-        gives: every profile field (repr shows each float exactly) and every
-        byte of the market arrays, for integer seeds and a Generator."""
+        gives: every profile field (repr shows each float exactly), and every
+        byte of the market arrays is what scalar math gives from the profiles,
+        for integer seeds and a Generator."""
         for seed in range(12):
             for I, J in ((1, 1), (3, 2), (15, 6), (7, 10)):
                 seeds = ((seed, seed) if seed % 4 else
@@ -133,7 +136,7 @@ class TestSampling:
                 got = sample_instance(ranges, I, J, seeds[0])
                 want = reference_sample_instance(ranges, I, J, seeds[1])
                 assert repr(got) == repr(want), (seed, I, J)
-                for a, b in zip(got.arrays, want.arrays):
+                for a, b in zip(got.arrays, reference_market_arrays(want)):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes(), (seed, I, J)
 
@@ -217,6 +220,28 @@ class TestConfig:
         for call in (cfg.validate, lambda: sample_instance(ranges, 2, 2, 0)):
             with pytest.raises(ConfigError, match=error):
                 call()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, name", [
+        (PpoConfig, "policy_std"), (PpoConfig, "final_policy_std"),
+        (PpoConfig, "action_headroom"), (PpoConfig, "rollout_size"),
+        (PpoConfig, "update_epochs"), (EnvConfig, "demand_scale"),
+        (EnvConfig, "history_length"), (EnvConfig, "episode_length"),
+        (tinynet.PruneSchedule, "start_epoch"), (tinynet.PruneSchedule, "total_steps"),
+        (tinynet.PruneSchedule, "frequency"), (ExperimentConfig, "num_uavs"),
+        (ExperimentConfig, "num_rsus"), (ExperimentConfig, "episodes"),
+        (ExperimentConfig, "floor_neurons"), (ExperimentConfig, "greedy_levels"),
+        (ExperimentConfig, "verify_probes"),
+    ])
+    def test_non_finite_values_rejected_from_python(self, cls, name, value):
+        """A NaN or infinite number fails the field's own domain check when
+        set from Python, as the config loader already rejects it in a file."""
+        base = {tinynet.PruneSchedule: dict(initial_sparsity=0.0, target_sparsity=0.5,
+                                            start_epoch=150, total_steps=30, frequency=5)}
+        with pytest.raises(ValueError):  # ConfigError is one
+            config = cls(**{**base.get(cls, {}), name: value})
+            if cls is ExperimentConfig:
+                config.validate()
 
     def test_from_dict_round_trip(self):
         doc = {"instance": {"I": 2, "J": 3,

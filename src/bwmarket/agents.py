@@ -49,10 +49,12 @@ class PpoConfig:
             raise ValueError("exploration std must be finite and positive")
         if not 0.0 <= self.action_headroom < math.inf:
             raise ValueError("action headroom must be finite and nonnegative")
-        if not (1 <= self.rollout_size < math.inf and 1 <= self.update_epochs < math.inf):
-            raise ValueError("rollout_size and update_epochs must be finite and >= 1")
-        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
-            raise ValueError("hidden_sizes must be a non-empty list of sizes >= 1")
+        if not all(1 <= n < math.inf and n % 1 == 0
+                   for n in (self.rollout_size, self.update_epochs)):
+            raise ValueError("rollout_size and update_epochs must be whole numbers >= 1")
+        if not self.hidden_sizes or not all(1 <= n < math.inf and n % 1 == 0
+                                            for n in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be a non-empty list of whole numbers >= 1")
 
 
 class RolloutBuffer:
@@ -70,9 +72,10 @@ class RolloutBuffer:
         self._lead = 0     # number of seller axes before the row axis
 
     def add(self, obs, action, log_prob, reward, value, done):
-        row = [np.asarray(v, dtype=float) for v in (obs, action, log_prob, reward, value)]
-        row.append(np.asarray(done, dtype=bool))
-        if self._arrays is None:
+        row = (obs, action, log_prob, reward, value, done)
+        if self._arrays is None:   # later rows are cast as they are stored
+            row = ([np.asarray(v, dtype=float) for v in row[:-1]]
+                   + [np.asarray(done, dtype=bool)])
             sellers = row[2].shape     # log_prob has one entry per seller
             self._lead = len(sellers)
             self._arrays = [np.empty((*sellers, self.capacity, *v.shape[self._lead:]),
@@ -205,8 +208,8 @@ class PpoAgent:
 
     def _log_prob(self, u, mean):
         resid = (u - mean) / self.std
-        return np.sum(-0.5 * resid ** 2 - math.log(self.std) - _LOG_SQRT_2PI,
-                      axis=-1)
+        return np.add.reduce(-0.5 * resid ** 2 - math.log(self.std) - _LOG_SQRT_2PI,
+                             axis=-1)
 
     def act(self, obs, rng, deterministic: bool = False):
         """Returns (price_row, squashed_action, log_prob, value).
@@ -218,17 +221,24 @@ class PpoAgent:
         if deterministic:
             u = mean.copy()
         else:
-            noise = (rng.standard_normal(self.action_dim)
-                     if isinstance(rng, np.random.Generator)
-                     else np.stack([r.standard_normal(self.action_dim) for r in rng]))
-            u = np.clip(mean + self.std * noise, 0.0, 1.0)
+            if isinstance(rng, np.random.Generator):
+                noise = rng.standard_normal(self.action_dim)
+            else:   # each seller's row from its own stream, in seller order
+                noise = np.empty((len(rng), self.action_dim))
+                for r, row in zip(rng, noise):
+                    r.standard_normal(out=row)
+            # np.clip(mean + std * noise, 0, 1) bit for bit, in place on the
+            # fresh sum: the sum is never -0.0, as the sigmoid's mean is not
+            u = mean + self.std * noise
+            np.maximum(u, 0.0, out=u)
+            np.minimum(u, 1.0, out=u)
         log_prob = self._log_prob(u, mean)
         value_out, _ = self.critic.forward(obs)
         # The squashed range overshoots the cap so the mean can saturate at a
         # boundary optimum; the overshoot is clipped back into the box.
         span = (1.0 + self.config.action_headroom) * (self.box_high - self.box_low)
         prices = np.minimum(self.box_low + u * span, self.box_high)
-        return prices, u, log_prob, np.take(value_out, 0, axis=-1)
+        return prices, u, log_prob, value_out[..., 0]
 
     def record(self, obs, action, log_prob, reward, value, done):
         """Store the step with its reward divided by the running max |reward|."""
@@ -271,18 +281,20 @@ class PpoAgent:
             mean = _sigmoid(Z)
             logp_new = self._log_prob(U, mean)
             ratio = np.exp(logp_new - logp_old)
-            eta = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip)
-            surrogate = np.minimum(ratio * advantages, eta * advantages)
-            actor_loss = np.mean(surrogate, axis=-1)
-            unclipped = ratio * advantages <= eta * advantages
-            dL_dlogp = np.where(unclipped, ratio * advantages, 0.0) / n
+            # np.clip(ratio, 1 - clip, 1 + clip), in place on a fresh array
+            eta = np.maximum(ratio, 1.0 - cfg.clip)
+            np.minimum(eta, 1.0 + cfg.clip, out=eta)
+            fa, ea = ratio * advantages, eta * advantages
+            actor_loss = np.add.reduce(np.minimum(fa, ea), axis=-1) / n   # the mean
+            dL_dlogp = np.where(fa <= ea, fa, 0.0) / n   # the unclipped terms
             dZ = (dL_dlogp[..., None] * (U - mean) / self.std ** 2
                   * mean * (1.0 - mean))
 
             # critic: minimize mean (V - G)^2
             V, vcache = self.critic.forward(X)
-            critic_loss = np.mean((V[..., 0] - returns) ** 2, axis=-1)
-            dV = (2.0 * (V[..., 0] - returns) / n)[..., None]
+            error = V[..., 0] - returns
+            critic_loss = np.add.reduce(error ** 2, axis=-1) / n
+            dV = (2.0 * error / n)[..., None]
 
             finite = (np.isfinite(actor_loss) & np.isfinite(critic_loss)
                       & np.isfinite(dZ).all(axis=(-2, -1)))
@@ -302,7 +314,7 @@ class PpoAgent:
                 np.subtract(layer.weights, g, out=layer.weights, where=step)
             history["actor_loss"].append(actor_loss)
             history["critic_loss"].append(critic_loss)
-            history["mean_ratio"].append(np.mean(ratio, axis=-1))
+            history["mean_ratio"].append(np.add.reduce(ratio, axis=-1) / n)
 
         diags = []
         for k, seller in zip(np.ndindex(live.shape), self._sellers):
@@ -408,8 +420,9 @@ class GreedyAgent:
         """Feed back the (price - cost) * demand margin earned per buyer."""
         arm = self._row_starts + self._last_choice   # one flat arm per buyer
         counts, means = self.counts.reshape(-1), self.means.reshape(-1)
-        counts[arm] += 1
-        means[arm] += (np.asarray(per_uav_margins, dtype=float) - means[arm]) / counts[arm]
+        n, mean = counts[arm] + 1, means[arm]
+        counts[arm] = n
+        means[arm] = mean + (np.asarray(per_uav_margins, dtype=float) - mean) / n
 
 
 class RandomAgent:

@@ -41,10 +41,11 @@ class EnvConfig:
     warmup_policy: str = WARMUP_ZEROS
 
     def __post_init__(self):
-        if not 1 <= self.history_length < math.inf:
-            raise ValueError("history_length must be finite and >= 1")
-        if not self.history_length <= self.episode_length < math.inf:
-            raise ValueError("episode_length must be finite and >= history_length")
+        if not (1 <= self.history_length < math.inf and self.history_length % 1 == 0):
+            raise ValueError("history_length must be a whole number >= 1")
+        if not (self.history_length <= self.episode_length < math.inf
+                and self.episode_length % 1 == 0):
+            raise ValueError("episode_length must be a whole number >= history_length")
         if self.demand_scale is not None and not 0.0 < self.demand_scale < math.inf:
             raise ValueError("demand_scale must be finite and positive")
         if self.warmup_policy not in (WARMUP_ZEROS, WARMUP_UNIFORM):
@@ -119,12 +120,13 @@ class PricingEnv:
     def _shift(self, prices: np.ndarray, demands: np.ndarray) -> bool:
         """Drop the oldest slot, write the normalized newest one; True if any
         demand exceeded demand_scale and was clipped."""
-        scaled = np.swapaxes(demands, -1, -2) / self.demand_scale
+        scaled = demands.swapaxes(-1, -2) / self.demand_scale
         history = self._history
         history[..., :-1, :, :] = history[..., 1:, :, :]
-        history[..., -1, 0, :] = prices / self._market.cap[:, None]
-        history[..., -1, 1, :] = np.clip(scaled, 0.0, 1.0)
-        return bool(np.any(scaled > 1.0))
+        np.divide(prices, self._market.cap[:, None], out=history[..., -1, 0, :])
+        # np.clip(scaled, 0, 1) bit for bit: the kernel's demands are never -0.0
+        np.minimum(np.maximum(scaled, 0.0), 1.0, out=history[..., -1, 1, :])
+        return bool((scaled > 1.0).any())
 
     def observations(self) -> np.ndarray:
         """One fresh row per agent: L (price row, demand column) pairs, newest last."""
@@ -137,14 +139,17 @@ class PricingEnv:
         shape = self._lead + (self.num_agents, self.num_uavs)
         if prices.shape != shape:
             raise ValueError(f"expected shape {shape}, got {prices.shape}")
-        prices = np.clip(prices, self._market.c[:, None], self._market.cap[:, None])
+        # np.clip(prices, c, cap) bit for bit, since 0 < c <= cap. np.maximum
+        # returns a fresh array, so the caller's prices are never written
+        prices = np.maximum(prices, self._market.c[:, None])
+        np.minimum(prices, self._market.cap[:, None], out=prices)
         demands = _batched_follower_demands(prices, self._market)[0]
         margins = _margins(prices, demands, self._market.c)
         clipped = self._shift(prices, demands)
         self._t += 1
         done = self._t >= self.config.episode_length
-        return StepOutcome(self.observations(), margins.sum(axis=-1), demands, done,
-                           clipped, margins)
+        return StepOutcome(self.observations(), np.add.reduce(margins, axis=-1), demands,
+                           done, clipped, margins)
 
 
 def theoretical_baseline(instance: GameInstance) -> tuple[float, bool]:

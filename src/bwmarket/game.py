@@ -523,7 +523,9 @@ def _budget_split(p: np.ndarray, m: _MarketArrays):
     d = delta[:, None]
     dS, dqS, inv_q = d * S, d * q * S, 1.0 / q
 
-    cand = np.where(positive & (p < dqS), dS / p - inv_q, 0.0)
+    # dqS is 0.0 off the positive links, so p < dqS holds there only for
+    # p < 0, whose candidate 0.0/p - 1/q floors to 0.0 below
+    cand = np.where(p < dqS, dS / p - inv_q, 0.0)
     cand = np.maximum(cand, 0.0)
     wants = _row_sums(cand > 0) > 0
     slack = wants & (_row_sums(p * cand) <= m.budget)

@@ -91,20 +91,23 @@ class ExperimentConfig:
             if key not in DEFAULT_RANGES:
                 raise ConfigError(f"unknown parameter range {key!r}")
         _checked_ranges(self.ranges)
-        if not (1 <= self.num_uavs < math.inf and 1 <= self.num_rsus < math.inf):
-            raise ConfigError("need at least one UAV and one RSU")
-        if not 1 <= self.episodes < math.inf:
-            raise ConfigError("episodes must be >= 1")
-        if not 1 <= self.floor_neurons < math.inf:
-            raise ConfigError(f"floor_neurons must be >= 1, got {self.floor_neurons}")
-        if not 1 <= self.greedy_levels < math.inf:
-            raise ConfigError("greedy_levels must be >= 1")
+        if not all(1 <= n < math.inf and n % 1 == 0 for n in (self.num_uavs, self.num_rsus)):
+            raise ConfigError("need at least one UAV and one RSU, as whole numbers")
+        if not (1 <= self.episodes < math.inf and self.episodes % 1 == 0):
+            raise ConfigError("episodes must be >= 1 and a whole number")
+        if not (1 <= self.floor_neurons < math.inf and self.floor_neurons % 1 == 0):
+            raise ConfigError(f"floor_neurons must be >= 1 and a whole number, "
+                              f"got {self.floor_neurons}")
+        if not (1 <= self.greedy_levels < math.inf and self.greedy_levels % 1 == 0):
+            raise ConfigError("greedy_levels must be >= 1 and a whole number")
         if not 0.0 <= self.greedy_epsilon <= 1.0:
             raise ConfigError("greedy_epsilon must lie in [0, 1]")
-        if not 0 <= self.verify_probes < math.inf:
-            raise ConfigError("verify_probes must be >= 0")
+        if not (0 <= self.verify_probes < math.inf and self.verify_probes % 1 == 0):
+            raise ConfigError("verify_probes must be >= 0 and a whole number")
         if not self.seeds:
             raise ConfigError("seeds list is empty")
+        if not all(abs(s) < math.inf and s % 1 == 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be whole numbers, got {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if len(set(self.seeds)) < len(self.seeds):
@@ -447,7 +450,7 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int) -> list[Run
             for unit in units:
                 _timed(unit, unit.act, obs, prices)
             out = env.step(prices)
-            if not np.all(np.isfinite(out.rewards)):
+            if not np.isfinite(out.rewards).all():
                 first = np.flatnonzero(~np.isfinite(out.rewards).all(axis=1))[0]
                 algorithm = runs[first].algorithm
                 raise RuntimeError(

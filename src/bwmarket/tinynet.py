@@ -75,12 +75,12 @@ class PruneSchedule:
             raise ValueError("target_sparsity must lie in [0, 1)")
         if self.initial_sparsity > self.target_sparsity:
             raise ValueError("initial sparsity above target")
-        if not 0 <= self.start_epoch < math.inf:
-            raise ValueError("start_epoch must be >= 0")
-        if not 1 <= self.total_steps < math.inf:
-            raise ValueError("total_steps must be >= 1")
-        if not 1 <= self.frequency < math.inf:
-            raise ValueError("frequency must be >= 1")
+        if not (0 <= self.start_epoch < math.inf and self.start_epoch % 1 == 0):
+            raise ValueError("start_epoch must be >= 0 and a whole number")
+        if not (1 <= self.total_steps < math.inf and self.total_steps % 1 == 0):
+            raise ValueError("total_steps must be >= 1 and a whole number")
+        if not (1 <= self.frequency < math.inf and self.frequency % 1 == 0):
+            raise ValueError("frequency must be >= 1 and a whole number")
 
     @property
     def end_epoch(self) -> int:
@@ -186,7 +186,10 @@ class PrunableMlp:
 
         output_gradient is dloss/doutput with the same batch shape the forward
         pass used. Masked neurons get exactly zero incoming and outgoing
-        weight gradients.
+        weight gradients: the ReLU gate is taken on the cached activations,
+        which the forward pass already masked, and a masked neuron's cached
+        activation is 0.0 (or NaN), never > 0, so the gate alone zeroes its
+        delta, bit for bit as a further multiply by the 0/1 mask would.
         """
         delta = np.asarray(output_gradient, dtype=float)
         if delta.ndim == self.layers[0].weights.ndim - 1:
@@ -194,7 +197,6 @@ class PrunableMlp:
         grads = [None] * len(self.layers)
         for k in reversed(range(len(self.layers))):
             if k < len(self.masks):  # delta is this call's own array: in place
-                delta *= self.masks[k][..., None, :]
                 delta *= cache[k + 1] > 0.0   # bool: x*True == x
             grads[k] = delta.swapaxes(-1, -2) @ cache[k]
             if k:   # the gradient w.r.t. the network's input is never used

@@ -83,9 +83,13 @@ MUTANTS = (
            (f"{T_GAME}::TestGameInstance::test_profiles_are_read_at_construction",)),
     # the env: prices clipped into the box, the history shifted, fresh observations
     Mutant("step-prices-not-clipped", ENV,
-           "        prices = np.clip(prices, self._market.c[:, None], "
-           "self._market.cap[:, None])\n", "",
+           "        prices = np.maximum(prices, self._market.c[:, None])\n"
+           "        np.minimum(prices, self._market.cap[:, None], out=prices)\n", "",
            (f"{T_ENV}::TestStep::test_out_of_box_actions_clamped",)),
+    Mutant("step-clips-the-callers-prices", ENV,
+           "prices = np.maximum(prices, self._market.c[:, None])",
+           "np.maximum(prices, self._market.c[:, None], out=prices)",
+           (f"{T_ENV}::TestStep::test_callers_prices_left_unchanged",)),
     Mutant("shift-keeps-the-oldest-slot", ENV,
            "history[..., :-1, :, :] = history[..., 1:, :, :]",
            "history[..., 1:-1, :, :] = history[..., 2:, :, :]",
@@ -110,6 +114,11 @@ MUTANTS = (
            "        open_ &= hi - lo > tol\n", "",
            (f"{T_GAME}::TestLeaderResponses::test_roots_match_iterated_oracle_on_drawn_markets",
             f"{T_GAME}::TestLeaderResponses::test_fixed_points_of_a_stack_match_each_row_alone")),
+    # the split's candidates need no positive-link mask only while S is 0.0
+    # off the positive links
+    Mutant("budget-split-S-unmasked", GAME,
+           "    S = np.where(positive, S, 0.0)\n", "",
+           (f"{T_GAME}::TestBatchedFollower::test_budget_split_needs_no_positive_mask",)),
     # the kernel's slack test: a spend equal to the budget is slack
     Mutant("slack-test-strict", GAME,
            "slack = wants & (_row_sums(p * cand) <= m.budget)",
@@ -139,6 +148,18 @@ MUTANTS = (
            "    for k in range(J):\n        out += x[..., k]\n",
            "    for k in reversed(range(J)):\n        out += x[..., k]\n",
            (f"{T_GAME}::TestRowSums::test_bytes_equal_the_reduce",)),
+    # backward: the ReLU gate on the masked cache is what zeroes masked neurons
+    Mutant("backward-relu-gate-dropped", "src/bwmarket/tinynet.py",
+           "            if k < len(self.masks):  # delta is this call's own array: in place\n"
+           "                delta *= cache[k + 1] > 0.0   # bool: x*True == x\n", "",
+           ("tests/test_tinynet.py::TestBackward::test_gate_alone_equals_mask_then_gate[4-80-0]",
+            "tests/test_tinynet.py::TestBackward::test_masked_neuron_gradients_exactly_zero")),
+    # whole-number config fields reject fractions
+    Mutant("history-length-may-be-fractional", ENV,
+           "1 <= self.history_length < math.inf and self.history_length % 1 == 0",
+           "1 <= self.history_length < math.inf",
+           ("tests/test_harness.py::TestConfig::"
+            "test_non_integral_values_rejected_from_python[history_length-2.5]",)),
     # pruning: equal scores mask in (layer, index) order
     Mutant("update-masks-ties-reversed", "src/bwmarket/tinynet.py",
            'order = np.argsort(pooled, kind="stable")',

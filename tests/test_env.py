@@ -97,6 +97,16 @@ class TestStep:
         newest_price = env.observations()[0][-2]
         assert newest_price == pytest.approx(1.0)  # 35/35
 
+    def test_callers_prices_left_unchanged(self, symmetric):
+        # a float C-contiguous array is the caller's own after np.asarray, so
+        # the clamp must not write into it
+        env = PricingEnv(symmetric, EnvConfig(history_length=1, episode_length=3), runs=2)
+        env.reset([0, 1])
+        prices = np.array([[[1000.0], [-5.0]], [[5.0], [np.inf]]])
+        before = prices.copy()
+        env.step(prices)
+        assert prices.tobytes() == before.tobytes()
+
     def test_wrong_price_shape_rejected(self):
         inst = random_instance(np.random.default_rng(8), I=2, J=2)
         env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=3))

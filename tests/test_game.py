@@ -554,6 +554,47 @@ class TestBatchedFollower:
         assert cand[slack].tobytes() == demands[slack].tobytes()
         assert slack.reshape(-1, I)[0][tie].all()
 
+    @staticmethod
+    def positive_and_below_choke_split(p, m):
+        """The reference: _budget_split with its candidate mask written as the
+        positive links and p below the choke price delta*q*S."""
+        q, S, delta = m.q, m.S, m.delta
+        positive = S > 0.0
+        S = np.where(positive, S, 0.0)
+        d = delta[:, None]
+        dS, dqS, inv_q = d * S, d * q * S, 1.0 / q
+        cand = np.where(positive & (p < dqS), dS / p - inv_q, 0.0)
+        cand = np.maximum(cand, 0.0)
+        wants = game._row_sums(cand > 0) > 0
+        slack = wants & (game._row_sums(p * cand) <= m.budget)
+        return positive, S, dS, inv_q, cand, slack, wants & ~slack
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_budget_split_needs_no_positive_mask(self, data):
+        # S is 0.0 off the positive links, so there p < delta*q*S only for
+        # p < 0, whose candidate floors to +0.0: _budget_split equals the
+        # form that also masks by the positive links, byte for byte, on
+        # edge_market's -inf and S <= 0 links (and S = +-0.0 ones) priced at
+        # p <= 0, -0.0, +-inf or NaN, beside its own prices
+        lead = tuple(data.draw(st.lists(st.integers(1, 8), max_size=2), label="lead"))
+        I = data.draw(st.integers(1, 8), label="I")
+        J = data.draw(st.integers(1, 9), label="J")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m, p, _ = edge_market(rng, I, J, lead)
+        zero = rng.random((I, J)) < 0.1
+        m = m._replace(S=np.where(zero, rng.choice([0.0, -0.0], (I, J)), m.S))
+        special = np.array([0.0, -0.0, -1e-300, -1.5, -np.inf, np.inf, np.nan])
+        pick = rng.random(p.shape) < np.where(m.S > 0.0, 0.1, 0.6)
+        p = np.where(pick, rng.choice(special, p.shape), p)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = game._budget_split(p, m)
+            want = self.positive_and_below_choke_split(p, m)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_demand_never_rises_with_its_own_price(self, data):

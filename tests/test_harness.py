@@ -53,6 +53,10 @@ DIGEST_RANGES = {"default": {}, "dense": {"similarity": (0.85, 1.0)},
                  "zero-width": {"bandwidth_cost": (2.5, 2.5), "similarity": (0.7, 0.7)}}
 DIGEST_SIZES = ((1, 1), (3, 2), (15, 6), (7, 10))
 
+# sha256 of TestReproducibility::test_compare_matches_recorded_digest's
+# four-algorithm compare: results.csv without wall_ms, then summary.json
+TRAINING_DIGEST = "1583a89669099ec536cc1f5af48ef2e81605f6204ccd8cd486267682572e5c36"
+
 
 def sampled_digests(seeds=range(300)) -> dict:
     """sha256 of the dtype, shape and bytes of every market array of each
@@ -240,6 +244,40 @@ class TestConfig:
                                             start_epoch=150, total_steps=30, frequency=5)}
         with pytest.raises(ValueError):  # ConfigError is one
             config = cls(**{**base.get(cls, {}), name: value})
+            if cls is ExperimentConfig:
+                config.validate()
+
+    # every whole-number field, as the keyword arguments that set it to v
+    WHOLE_FIELDS = {
+        "seeds": (ExperimentConfig, lambda v: {"seeds": [v]}),
+        "num_uavs": (ExperimentConfig, lambda v: {"num_uavs": v}),
+        "num_rsus": (ExperimentConfig, lambda v: {"num_rsus": v}),
+        "episodes": (ExperimentConfig, lambda v: {"episodes": v}),
+        "floor_neurons": (ExperimentConfig, lambda v: {"floor_neurons": v}),
+        "greedy_levels": (ExperimentConfig, lambda v: {"greedy_levels": v}),
+        "verify_probes": (ExperimentConfig, lambda v: {"verify_probes": v}),
+        "hidden_sizes=(v,)": (PpoConfig, lambda v: {"hidden_sizes": (v,)}),
+        "hidden_sizes=(v,64)": (PpoConfig, lambda v: {"hidden_sizes": (v, 64)}),
+        "hidden_sizes=(64,v)": (PpoConfig, lambda v: {"hidden_sizes": (64, v)}),
+        "rollout_size": (PpoConfig, lambda v: {"rollout_size": v}),
+        "update_epochs": (PpoConfig, lambda v: {"update_epochs": v}),
+        "history_length": (EnvConfig, lambda v: {"history_length": v}),
+        "episode_length": (EnvConfig, lambda v: {"episode_length": v + 8}),
+        "start_epoch": (tinynet.PruneSchedule, lambda v: {"start_epoch": v}),
+        "total_steps": (tinynet.PruneSchedule, lambda v: {"total_steps": v}),
+        "frequency": (tinynet.PruneSchedule, lambda v: {"frequency": v}),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("field", list(WHOLE_FIELDS))
+    def test_non_integral_values_rejected_from_python(self, field, value):
+        """A whole-number field rejects a fraction, NaN or inf set from
+        Python with a ValueError, as the config loader rejects it in a file."""
+        cls, kwargs = self.WHOLE_FIELDS[field]
+        base = {tinynet.PruneSchedule: dict(initial_sparsity=0.0, target_sparsity=0.5,
+                                            start_epoch=150, total_steps=30, frequency=5)}
+        with pytest.raises(ValueError):  # ConfigError is one
+            config = cls(**{**base.get(cls, {}), **kwargs(value)})
             if cls is ExperimentConfig:
                 config.validate()
 
@@ -682,6 +720,30 @@ class TestReproducibility:
                     (line.split(",") for line in path.read_text().splitlines())]
 
         assert run("x") == run("y")
+
+    def test_compare_matches_recorded_digest(self, tmp_path):
+        """Every bit of a small four-algorithm `bwmarket compare` is what it
+        was when TRAINING_DIGEST was recorded (commit 9fc3079): results.csv
+        without its wall_ms column, and summary.json.
+
+        The market is the perfbench `compare` one (3x2, similarity 0.85-1),
+        for 30 episodes on seeds 0 and 1. The prune schedule masks from
+        episode 5 on and ends at episode 25, so the updates also run masked
+        actors. The digest holds for numpy's AVX-512 dispatch only: np.exp
+        in the sigmoid and in the PPO ratio rounds differently in its
+        AVX-512 code (ROADMAP item 16)."""
+        config = tmp_path / "compare.yaml"
+        config.write_text(yaml.safe_dump({
+            "instance": {"I": 3, "J": 2, "ranges": {"similarity": [0.85, 1.0]}},
+            "episodes": 30, "seeds": [0, 1],
+            "schedule": {"start_epoch": 5, "total_steps": 4, "frequency": 5}}))
+        out = tmp_path / "out"
+        assert cli_main(["compare", "--config", str(config), "--out", str(out)]) == 0
+        digest = hashlib.sha256()
+        for line in (out / "results.csv").read_text().splitlines():
+            digest.update(line.rsplit(",", 1)[0].encode() + b"\n")   # no wall_ms
+        digest.update((out / "summary.json").read_bytes())
+        assert digest.hexdigest() == TRAINING_DIGEST
 
 
 class TestCli:

@@ -184,6 +184,52 @@ class TestBackward:
         assert np.all(grads[0][4, :] == 0.0)
         assert np.all(grads[1][:, 4] == 0.0)
 
+    @staticmethod
+    def mask_then_gate_backward(net, cache, output_gradient):
+        """The reference: backward with delta multiplied by the hidden
+        layer's mask and then by the ReLU gate on the cached activations."""
+        delta = np.asarray(output_gradient, dtype=float)
+        if delta.ndim == net.layers[0].weights.ndim - 1:
+            delta = delta[..., None, :]
+        grads = [None] * len(net.layers)
+        for k in reversed(range(len(net.layers))):
+            if k < len(net.masks):
+                delta = delta * net.masks[k][..., None, :]
+                delta = delta * (cache[k + 1] > 0.0)
+            grads[k] = delta.swapaxes(-1, -2) @ cache[k]
+            if k:
+                delta = delta @ net.layers[k].weights
+        return grads
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("stack, batch", [(None, 80), (None, None), (4, 80), (4, None)])
+    def test_gate_alone_equals_mask_then_gate(self, seed, stack, batch):
+        """The ReLU gate on the masked cache zeroes a masked neuron's delta, so
+        backward equals the mask-then-gate form bit for bit on random 0/1
+        masks, also where delta is -0.0, NaN or inf and where a masked
+        neuron's cached activation is NaN (an inf input)."""
+        rng = np.random.default_rng(seed)
+        sizes = (12, 64, 64, 3)
+        nets = [random_net(rng, sizes) for _ in range(stack or 1)]
+        net = PrunableMlp.stack(nets) if stack else nets[0]
+        for mask in net.masks:
+            mask[...] = rng.integers(0, 2, mask.shape)
+        lead = (stack,) if stack else ()
+        x = rng.standard_normal(lead + ((batch,) if batch else ()) + (sizes[0],))
+        grad = rng.standard_normal(lead + ((batch,) if batch else ()) + (sizes[-1],))
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf])
+        pick = rng.random(grad.shape) < 0.05
+        grad[pick] = rng.choice(special, pick.sum())
+        if batch:   # one inf input row: its masked activations cache NaN
+            x[..., 0, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, cache = net.forward(x)
+            got = net.backward(cache, grad)
+            want = self.mask_then_gate_backward(net, cache, grad)
+        assert np.isnan(cache[1]).any() == bool(batch)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
 
 # =====================================================================
 # Importance and schedule

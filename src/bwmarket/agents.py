@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from ._domain import check
 from .tinynet import (
     PrunableMlp,
     PruneSchedule,
@@ -27,34 +29,19 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 @dataclass
 class PpoConfig:
-    discount: float = 0.95
-    clip: float = 0.2
-    actor_lr: float = 3e-3
-    critic_lr: float = 1e-2
-    rollout_size: int = 80
-    update_epochs: int = 10
-    policy_std: float = 0.3        # exploration std in squashed [0,1] units
-    final_policy_std: float = 0.02
-    action_headroom: float = 1.0   # squashed range overshoot past the price cap
-    hidden_sizes: tuple[int, ...] = (64, 64)
+    discount: Annotated[float, "[0, 1)"] = 0.95
+    clip: Annotated[float, "(0, 1)"] = 0.2
+    actor_lr: Annotated[float, "(0, inf)"] = 3e-3
+    critic_lr: Annotated[float, "(0, inf)"] = 1e-2
+    rollout_size: Annotated[int, "[1, inf)"] = 80
+    update_epochs: Annotated[int, "[1, inf)"] = 10
+    policy_std: Annotated[float, "(0, inf)"] = 0.3  # exploration std in squashed [0,1] units
+    final_policy_std: Annotated[float, "(0, inf)"] = 0.02
+    action_headroom: Annotated[float, "[0, inf)"] = 1.0  # squashed overshoot past the cap
+    hidden_sizes: tuple[Annotated[int, "[1, inf)"], ...] = (64, 64)
 
     def __post_init__(self):
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must lie in [0, 1)")
-        if not 0.0 < self.clip < 1.0:
-            raise ValueError("clip must lie in (0, 1)")
-        if not (0.0 < self.actor_lr < math.inf and 0.0 < self.critic_lr < math.inf):
-            raise ValueError("learning rates must be finite and positive")
-        if not (0.0 < self.policy_std < math.inf and 0.0 < self.final_policy_std < math.inf):
-            raise ValueError("exploration std must be finite and positive")
-        if not 0.0 <= self.action_headroom < math.inf:
-            raise ValueError("action headroom must be finite and nonnegative")
-        if not all(1 <= n < math.inf and n % 1 == 0
-                   for n in (self.rollout_size, self.update_epochs)):
-            raise ValueError("rollout_size and update_epochs must be whole numbers >= 1")
-        if not self.hidden_sizes or not all(1 <= n < math.inf and n % 1 == 0
-                                            for n in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be a non-empty list of whole numbers >= 1")
+        check(self)
 
 
 class RolloutBuffer:

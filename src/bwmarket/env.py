@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from ._domain import check
 from .game import GameInstance, _batched_follower_demands, _margins, solve_equilibrium
 
 WARMUP_ZEROS = "zeros"
@@ -35,19 +37,15 @@ def default_demand_scale(instance: GameInstance) -> float:
 
 @dataclass
 class EnvConfig:
-    history_length: int = 2
-    episode_length: int = 10
-    demand_scale: float | None = None  # None: derived from the instance
+    history_length: Annotated[int, "[1, inf)"] = 2
+    episode_length: Annotated[int, "[1, inf)"] = 10
+    demand_scale: Annotated[float, "(0, inf)"] | None = None  # None: derived from the instance
     warmup_policy: str = WARMUP_ZEROS
 
     def __post_init__(self):
-        if not (1 <= self.history_length < math.inf and self.history_length % 1 == 0):
-            raise ValueError("history_length must be a whole number >= 1")
-        if not (self.history_length <= self.episode_length < math.inf
-                and self.episode_length % 1 == 0):
-            raise ValueError("episode_length must be a whole number >= history_length")
-        if self.demand_scale is not None and not 0.0 < self.demand_scale < math.inf:
-            raise ValueError("demand_scale must be finite and positive")
+        check(self)
+        if self.episode_length < self.history_length:
+            raise ValueError("episode_length must be >= history_length")
         if self.warmup_policy not in (WARMUP_ZEROS, WARMUP_UNIFORM):
             raise ValueError(f"unknown warmup policy {self.warmup_policy!r}")
 

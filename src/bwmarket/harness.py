@@ -17,10 +17,12 @@ import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated
 
 import numpy as np
 
+from . import _domain
+from ._domain import ConfigError
 from .agents import GreedyAgent, PpoAgent, PpoConfig, RandomAgent, TinyMadrlAgent
 from .env import EnvConfig, PricingEnv, theoretical_baseline
 from .game import (
@@ -53,10 +55,6 @@ CSV_COLUMNS = ["run_id", "seed", "episode", "agent_id", "reward", "avg_reward",
                "sparsity", "theoretical", "wall_ms"]
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def named_rng(master_seed: int, name: str) -> np.random.Generator:
     """Independent stream keyed by (seed, name); insensitive to creation order."""
     tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
@@ -69,50 +67,41 @@ def named_rng(master_seed: int, name: str) -> np.random.Generator:
 
 @dataclass
 class ExperimentConfig:
-    num_uavs: int = 3
-    num_rsus: int = 2
-    ranges: dict = field(default_factory=lambda: dict(DEFAULT_RANGES))
+    num_uavs: Annotated[int, "[1, inf)"] = 3
+    num_rsus: Annotated[int, "[1, inf)"] = 2
+    ranges: dict[str, tuple[float, float]] = field(
+        default_factory=lambda: dict(DEFAULT_RANGES))
     env: EnvConfig = field(default_factory=EnvConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)
     schedule: PruneSchedule = field(
         default_factory=lambda: PruneSchedule(0.0, 0.5, 150, 30, 5))
-    floor_neurons: int = 4
+    floor_neurons: Annotated[int, "[1, inf)"] = 4
     prune_critic: bool = False
-    greedy_levels: int = 16
-    greedy_epsilon: float = 0.1
-    episodes: int = 300
-    seeds: list[int] = field(default_factory=lambda: [0])
+    greedy_levels: Annotated[int, "[1, inf)"] = 16
+    greedy_epsilon: Annotated[float, "[0, 1]"] = 0.1
+    episodes: Annotated[int, "[1, inf)"] = 300
+    seeds: list[Annotated[int, "[0, inf)"]] = field(default_factory=lambda: [0])
     out: str = "results"
     strict: bool = False
-    verify_probes: int = 200
+    verify_probes: Annotated[int, "[0, inf)"] = 200
 
     def validate(self):
+        """Check every field; construction does not, so fields may be edited first."""
+        _domain.check(self)
         for key in self.ranges:
             if key not in DEFAULT_RANGES:
                 raise ConfigError(f"unknown parameter range {key!r}")
         _checked_ranges(self.ranges)
-        if not all(1 <= n < math.inf and n % 1 == 0 for n in (self.num_uavs, self.num_rsus)):
-            raise ConfigError("need at least one UAV and one RSU, as whole numbers")
-        if not (1 <= self.episodes < math.inf and self.episodes % 1 == 0):
-            raise ConfigError("episodes must be >= 1 and a whole number")
-        if not (1 <= self.floor_neurons < math.inf and self.floor_neurons % 1 == 0):
-            raise ConfigError(f"floor_neurons must be >= 1 and a whole number, "
-                              f"got {self.floor_neurons}")
-        if not (1 <= self.greedy_levels < math.inf and self.greedy_levels % 1 == 0):
-            raise ConfigError("greedy_levels must be >= 1 and a whole number")
-        if not 0.0 <= self.greedy_epsilon <= 1.0:
-            raise ConfigError("greedy_epsilon must lie in [0, 1]")
-        if not (0 <= self.verify_probes < math.inf and self.verify_probes % 1 == 0):
-            raise ConfigError("verify_probes must be >= 0 and a whole number")
-        if not self.seeds:
-            raise ConfigError("seeds list is empty")
-        if not all(abs(s) < math.inf and s % 1 == 0 for s in self.seeds):
-            raise ConfigError(f"seeds must be whole numbers, got {self.seeds}")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
+        _checked_seeds("seeds", self.seeds)
         return self
+
+
+def _checked_seeds(label: str, seeds) -> list[int]:
+    """seeds in ExperimentConfig.seeds's declared domain, none repeated."""
+    seeds = _domain.checked(label, _domain.hints(ExperimentConfig)["seeds"], seeds)
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{label} must not repeat, got {seeds}")
+    return seeds
 
 
 def _check_range(key: str, lo: float, hi: float) -> None:
@@ -127,28 +116,11 @@ def _check_range(key: str, lo: float, hi: float) -> None:
 _INSTANCE_KEYS = {"I": "num_uavs", "J": "num_rsus", "ranges": "ranges"}
 
 
-def _is_integral(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and float(value).is_integer())
-
-
-def _load(label: str, hint, value, current=None, keys: dict | None = None):
-    """value checked against its field's declared type, as the field stores it.
-    A mapping for a dataclass or a dict is applied onto current; keys maps its
-    keys to the dataclass's fields (default: every field, by name)."""
-    origin, args = get_origin(hint), get_args(hint)
-    if type(None) in args:  # X | None
-        return None if value is None else _load(label, args[0], value)
-    if origin in (list, tuple) and isinstance(value, (list, tuple)):
-        return origin(_load(f"{label} entry", args[0], v) for v in value)
-    if hint is int and _is_integral(value):
-        return int(value)
-    if hint is float and type(value) in (int, float) and math.isfinite(value):
-        return float(value)  # 0 and 0.0 load, and hash, alike
-    if hint in (bool, str) and type(value) is hint:
-        return value
+def _load(label: str, hint, value, current, keys: dict | None = None):
+    """The value read for a field at file key label: a mapping is applied onto current
+    (through keys, default each field by name, for a dataclass); else it is checked."""
     if is_dataclass(hint) and isinstance(value, dict):
-        hints = get_type_hints(hint)
+        hints = _domain.hints(hint)
         keys = keys or dict(zip(hints, hints))
         changes = {}
         for key, item in value.items():
@@ -158,15 +130,9 @@ def _load(label: str, hint, value, current=None, keys: dict | None = None):
             changes[keys[key]] = _load(path, hints[keys[key]], item,
                                        getattr(current, keys[key]))
         return replace(current, **changes)
-    if hint is dict and isinstance(value, dict) and all(  # parameter ranges
-            isinstance(p, (list, tuple)) and len(p) == 2
-            and all(isinstance(v, (int, float)) for v in p) for p in value.values()):
-        return {**current,
-                **{k: (float(lo), float(hi)) for k, (lo, hi) in value.items()}}
-    kind = ("mapping" if is_dataclass(hint) else {
-        int: "whole number", float: "finite number", tuple: "list",
-        dict: "mapping of [low, high] pairs"}.get(origin or hint, hint.__name__))
-    raise ConfigError(f"{label or 'config'} must be a {kind}, got {value!r}")
+    if isinstance(current, dict) and isinstance(value, dict):  # partial ranges
+        value = {**current, **value}
+    return _domain.checked(label, hint, value)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -300,6 +266,7 @@ class RunRecord:
     theoretical: float
     consistent: bool
     wall_ms: float
+    _TAIL_FRACTION = 0.1  # final_average's share of the episodes, from the last
 
     @property
     def avg_rewards(self) -> np.ndarray:
@@ -308,11 +275,11 @@ class RunRecord:
             return np.array([])
         return self.episode_rewards.mean(axis=1)
 
-    def final_average(self, tail_fraction: float = 0.1) -> float:
+    def final_average(self) -> float:
         avg = self.avg_rewards
         if avg.size == 0:
             return self.theoretical
-        k = max(1, int(round(tail_fraction * avg.size)))
+        k = max(1, int(round(self._TAIL_FRACTION * avg.size)))
         return float(avg[-k:].mean())
 
 
@@ -516,7 +483,8 @@ class SweepSpec:
         if self.parameter not in ("c", "p_bar", "I", "J"):
             raise ConfigError(f"unknown sweep parameter {self.parameter!r}")
         if self.parameter in ("I", "J"):
-            if any(not _is_integral(v) or v < 1 for v in self.grid):
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and float(v).is_integer() and v >= 1 for v in self.grid):
                 raise ConfigError(f"sweep grid for {self.parameter} must hold "
                                   f"whole numbers >= 1, got {list(self.grid)}")
             self.grid = [int(v) for v in self.grid]
@@ -525,8 +493,7 @@ class SweepSpec:
                               f"positive values, got {list(self.grid)}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
-        if not self.seeds:
-            raise ConfigError("sweep seeds list is empty")
+        self.seeds = _checked_seeds("sweep seeds", self.seeds)
 
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value):

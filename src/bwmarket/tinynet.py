@@ -16,10 +16,12 @@ masking and compaction work on one unstacked net, such as one slice's view.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
+
+from ._domain import check
 
 CHECKPOINT_VERSION = 2
 
@@ -62,25 +64,16 @@ class DenseLayer:
 class PruneSchedule:
     """Cubic sparsity ramp from initial to target over M pruning steps."""
 
-    initial_sparsity: float
-    target_sparsity: float
-    start_epoch: int
-    total_steps: int
-    frequency: int = 1
+    initial_sparsity: Annotated[float, "[0, 1)"]
+    target_sparsity: Annotated[float, "[0, 1)"]
+    start_epoch: Annotated[int, "[0, inf)"]
+    total_steps: Annotated[int, "[1, inf)"]
+    frequency: Annotated[int, "[1, inf)"] = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.initial_sparsity < 1.0:
-            raise ValueError("initial_sparsity must lie in [0, 1)")
-        if not 0.0 <= self.target_sparsity < 1.0:
-            raise ValueError("target_sparsity must lie in [0, 1)")
+        check(self)
         if self.initial_sparsity > self.target_sparsity:
             raise ValueError("initial sparsity above target")
-        if not (0 <= self.start_epoch < math.inf and self.start_epoch % 1 == 0):
-            raise ValueError("start_epoch must be >= 0 and a whole number")
-        if not (1 <= self.total_steps < math.inf and self.total_steps % 1 == 0):
-            raise ValueError("total_steps must be >= 1 and a whole number")
-        if not (1 <= self.frequency < math.inf and self.frequency % 1 == 0):
-            raise ValueError("frequency must be >= 1 and a whole number")
 
     @property
     def end_epoch(self) -> int:

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 
 GAME, AGENTS, ENV = "src/bwmarket/game.py", "src/bwmarket/agents.py", "src/bwmarket/env.py"
+DOMAIN = "src/bwmarket/_domain.py"
 T_GAME, T_AGENTS, T_ENV = "tests/test_game.py", "tests/test_agents.py", "tests/test_env.py"
 ROLLOUT = f"{T_ENV}::TestMatchesReference::test_rollout_bit_for_bit"
 
@@ -56,7 +57,7 @@ MUTANTS = (
            "        self._reward_scale = np.fmax(self._reward_scale, np.abs(reward))\n", "",
            (f"{T_AGENTS}::TestPpoUpdate::test_recorded_rewards",)),
     Mutant("learning-rate-check-dropped", AGENTS,
-           "0.0 < self.actor_lr < math.inf", "-math.inf < self.actor_lr < math.inf",
+           'actor_lr: Annotated[float, "(0, inf)"]', "actor_lr: float",
            (f"{T_AGENTS}::TestPpoConfig::test_learning_rate_must_be_finite_and_positive",)),
     # a stack's abort restores and stops only the seller whose loss is not finite
     Mutant("abort-restores-every-live-seller", AGENTS,
@@ -154,12 +155,28 @@ MUTANTS = (
            "                delta *= cache[k + 1] > 0.0   # bool: x*True == x\n", "",
            ("tests/test_tinynet.py::TestBackward::test_gate_alone_equals_mask_then_gate[4-80-0]",
             "tests/test_tinynet.py::TestBackward::test_masked_neuron_gradients_exactly_zero")),
-    # whole-number config fields reject fractions
+    # config fields: each declared domain, and the one check that reads them
     Mutant("history-length-may-be-fractional", ENV,
-           "1 <= self.history_length < math.inf and self.history_length % 1 == 0",
-           "1 <= self.history_length < math.inf",
+           'history_length: Annotated[int, "[1, inf)"]',
+           'history_length: Annotated[float, "[1, inf)"]',
            ("tests/test_harness.py::TestConfig::"
             "test_non_integral_values_rejected_from_python[history_length-2.5]",)),
+    Mutant("bool-accepted-as-number", DOMAIN,
+           "            and not isinstance(value, bool) and math.isfinite(value)\n",
+           "            and math.isfinite(value)\n",
+           ("tests/test_harness.py::TestCli::test_bad_value_names_its_file_key[instance.I]",)),
+    Mutant("int-stored-in-float-field", DOMAIN,
+           "        value = origin(value)\n",
+           "        value = int(value) if origin is int else value\n",
+           ("tests/test_harness.py::TestConfig::test_int_and_float_spellings_hash_alike",)),
+    Mutant("edited-section-not-rechecked", DOMAIN,
+           "        value.__post_init__()  # its fields may have been edited since it was built\n",
+           "",
+           ("tests/test_harness.py::TestConfig::test_validate_checks_sections_edited_in_place",)),
+    Mutant("episode-shorter-than-history-accepted", ENV,
+           "        if self.episode_length < self.history_length:\n"
+           '            raise ValueError("episode_length must be >= history_length")\n', "",
+           (f"{T_ENV}::TestConfig::test_episode_shorter_than_history",)),
     # pruning: equal scores mask in (layer, index) order
     Mutant("update-masks-ties-reversed", "src/bwmarket/tinynet.py",
            'order = np.argsort(pooled, kind="stable")',

@@ -74,11 +74,11 @@ class TestPpoConfig:
     ])
     def test_learning_rate_must_be_finite_and_positive(self, field, value):
         # a negative actor rate would step against the surrogate objective
-        with pytest.raises(ValueError, match="learning rates must be finite and positive"):
+        with pytest.raises(ValueError, match=f"^{field} must be (> 0|a finite number), got"):
             PpoConfig(**{field: value})
 
     def test_config_file_learning_rate_checked(self):
-        with pytest.raises(ValueError, match="learning rates must be finite and positive"):
+        with pytest.raises(ValueError, match=r"^ppo\.actor_lr must be > 0, got -1\.0$"):
             config_from_dict({"ppo": {"actor_lr": -1.0}})
 
 

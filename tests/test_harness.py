@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +281,49 @@ class TestConfig:
             if cls is ExperimentConfig:
                 config.validate()
 
+    # every config field: None for ExperimentConfig's own, else its section
+    ALL_FIELDS = [(None, f.name) for f in fields(ExperimentConfig)] + [
+        (section, f.name) for section, cls in (("env", EnvConfig), ("ppo", PpoConfig),
+                                              ("schedule", tinynet.PruneSchedule))
+        for f in fields(cls)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0, -1, True, "x"],
+                             ids=repr)
+    @pytest.mark.parametrize("section, name", ALL_FIELDS,
+                             ids=[f"{s}.{n}" if s else n for s, n in ALL_FIELDS])
+    def test_every_field_rejects_or_runs(self, section, name, value):
+        """Any of these values set on any field from Python either raises one
+        ValueError when the config is built or validated, or gives a config
+        whose training group (one episode, a PPO update, all four algorithms)
+        and solve end with finite rewards."""
+        cfg = ExperimentConfig(num_uavs=2, num_rsus=2, episodes=1,
+                               ppo=PpoConfig(rollout_size=5, update_epochs=2,
+                                             hidden_sizes=(8, 8)))
+        cfg.ranges["similarity"] = (0.85, 1.0)
+        try:
+            if section is None:
+                setattr(cfg, name, value)
+            else:
+                setattr(cfg, section, replace(getattr(cfg, section), **{name: value}))
+            cfg.validate()
+        except ValueError:
+            return
+        records = run_training_group(cfg, ALGORITHMS, 0)
+        assert all(np.isfinite(rec.episode_rewards).all() for rec in records)
+        assert math.isfinite(run_solve(cfg, 0).theoretical)
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("ppo", "hidden_sizes", (0,)), ("ppo", "policy_std", math.nan),
+        ("env", "history_length", 0), ("env", "history_length", 20),
+        ("schedule", "initial_sparsity", 0.9)])
+    def test_validate_checks_sections_edited_in_place(self, section, name, value):
+        """validate() checks each option section again, cross-field rules
+        included, so an option edited after its section was built is checked."""
+        cfg = ExperimentConfig()
+        setattr(getattr(cfg, section), name, value)
+        with pytest.raises(ValueError):
+            cfg.validate()
+
     def test_from_dict_round_trip(self):
         doc = {"instance": {"I": 2, "J": 3,
                             "ranges": {"delta": [12.0, 14.0]}},
@@ -352,7 +395,9 @@ class TestConfig:
 
     def test_int_and_float_spellings_hash_alike(self):
         """A float option written as an int loads as that float, so both
-        spellings give one config and one run_id: the float spelling's."""
+        spellings give one config and one run_id: the float spelling's. A
+        config built in Python stores its values so too once validated, and
+        equals the file's."""
         assert config_hash(config_from_dict({})) == "d238fd9b8e01b6d8"
         pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "78ad106b00983d24"),
                  ({"ppo": {"discount": 0}}, {"ppo": {"discount": 0.0}},
@@ -361,6 +406,17 @@ class TestConfig:
             a, b = config_from_dict(as_int), config_from_dict(as_float)
             assert a == b
             assert config_hash(a) == config_hash(b) == digest
+        built = [(ExperimentConfig(episodes=2.0), {"episodes": 2}, "5dc7745208bba05c"),
+                 (ExperimentConfig(greedy_epsilon=0), {"greedy_epsilon": 0.0},
+                  "78ad106b00983d24"),
+                 (ExperimentConfig(ppo=PpoConfig(discount=0)), {"ppo": {"discount": 0.0}},
+                  "1903caab421bb86f"),
+                 (ExperimentConfig(seeds=(np.int64(0),),
+                                   ppo=PpoConfig(hidden_sizes=[64, 64.0])),
+                  {"ppo": {"hidden_sizes": [64, 64]}}, "d238fd9b8e01b6d8")]
+        for cfg, doc, digest in built:
+            assert cfg.validate() == config_from_dict(doc)
+            assert config_hash(cfg) == digest
 
     def test_hash_stable_and_sensitive(self):
         a, b = ExperimentConfig(), ExperimentConfig()
@@ -426,6 +482,22 @@ class TestRuns:
         # without seeds every cell's mean and sd would be over no records
         with pytest.raises(ConfigError, match="sweep seeds list is empty"):
             SweepSpec("J", [2, 3], [])
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([0, 0], r"seeds must not repeat, got \[0, 0\]$"),
+        ([1.5], r"seeds must be whole numbers, got \[1.5\]$"),
+        ([-1], r"seeds must be >= 0, got \[-1\]$"),
+        ([True], r"seeds must be whole numbers, got \[True\]$"),
+    ])
+    def test_sweep_seeds_follow_the_config_seeds_rule(self, seeds, message):
+        with pytest.raises(ConfigError, match="^sweep " + message):
+            SweepSpec("J", [2, 3], seeds)
+        with pytest.raises(ConfigError, match="^" + message):
+            ExperimentConfig(seeds=seeds).validate()
+
+    def test_sweep_seeds_stored_as_ints(self):
+        spec = SweepSpec("J", [2, 3], (np.int64(3), 4.0))
+        assert spec.seeds == [3, 4] and all(type(s) is int for s in spec.seeds)
 
     def test_sweep_grid_must_increase(self):
         with pytest.raises(ConfigError):
@@ -1003,6 +1075,25 @@ class TestCli:
             assert code == 2, name
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", [
+        "instance.I", "instance.ranges", "episodes", "seeds", "ppo", "ppo.actor_lr",
+        "ppo.hidden_sizes", "env.history_length", "env.demand_scale",
+        "schedule.total_steps"])
+    def test_bad_value_names_its_file_key(self, tmp_path, capsys, monkeypatch, key):
+        """The values test_every_field_rejects_or_runs sets from Python, each
+        written under a file key it does not fit, exit 2 before any work with
+        one error line that names the key as the file spells it."""
+        self.forbid_work(monkeypatch)
+        section, _, name = key.rpartition(".")
+        path = tmp_path / "bad.yaml"
+        for value in (".nan", ".inf", "-.inf", "0", "-1", "true", "x"):
+            path.write_text(f"{section}: {{{name}: {value}}}\n" if section
+                            else f"{name}: {value}\n")
+            code = cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, value
+            assert err.startswith(f"error: {path}: {key} ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", ["solve", "train"])
     def test_negative_seed_override_reports_error(self, tmp_path, capsys, command):

@@ -128,14 +128,12 @@ class PpoAgent:
     methods below serve both, the one seller being the case without that axis.
     """
 
-    def __init__(self, obs_dim: int, box_low, box_high,
-                 config: PpoConfig | None = None,
-                 rng: np.random.Generator | None = None):
-        self.config = config or PpoConfig()
+    def __init__(self, obs_dim: int, box_low, box_high, config: PpoConfig,
+                 rng: np.random.Generator):
+        self.config = config
         self.box_low = np.asarray(box_low, dtype=float)
         self.box_high = np.asarray(box_high, dtype=float)
         self.action_dim = len(self.box_low)
-        rng = rng or np.random.default_rng()
         sizes = [obs_dim, *self.config.hidden_sizes, self.action_dim]
         self.actor = PrunableMlp.create(sizes, rng=rng)
         self.critic = PrunableMlp.create([obs_dim, *self.config.hidden_sizes, 1],
@@ -322,10 +320,8 @@ class TinyMadrlAgent(PpoAgent):
     the actor and reports the physically smaller model.
     """
 
-    def __init__(self, obs_dim: int, box_low, box_high,
-                 schedule: PruneSchedule,
-                 config: PpoConfig | None = None,
-                 rng: np.random.Generator | None = None,
+    def __init__(self, obs_dim: int, box_low, box_high, schedule: PruneSchedule,
+                 config: PpoConfig, rng: np.random.Generator,
                  floor_neurons: int = 4,
                  prune_critic: bool = False):
         super().__init__(obs_dim, box_low, box_high, config, rng)

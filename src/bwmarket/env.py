@@ -15,7 +15,6 @@ call.  With ``runs=None`` there is no run axis; it is the same code path.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -23,9 +22,6 @@ import numpy as np
 
 from ._domain import check
 from .game import GameInstance, _batched_follower_demands, _margins, solve_equilibrium
-
-WARMUP_ZEROS = "zeros"
-WARMUP_UNIFORM = "uniform_random"
 
 
 def default_demand_scale(instance: GameInstance) -> float:
@@ -40,14 +36,11 @@ class EnvConfig:
     history_length: Annotated[int, "[1, inf)"] = 2
     episode_length: Annotated[int, "[1, inf)"] = 10
     demand_scale: Annotated[float, "(0, inf)"] | None = None  # None: derived from the instance
-    warmup_policy: str = WARMUP_ZEROS
 
     def __post_init__(self):
         check(self)
         if self.episode_length < self.history_length:
             raise ValueError("episode_length must be >= history_length")
-        if self.warmup_policy not in (WARMUP_ZEROS, WARMUP_UNIFORM):
-            raise ValueError(f"unknown warmup policy {self.warmup_policy!r}")
 
 
 @dataclass(eq=False)
@@ -92,27 +85,10 @@ class PricingEnv:
     def observation_dim(self) -> int:
         return 2 * self.num_uavs * self.config.history_length
 
-    def reset(self, seed: int | np.random.Generator | Sequence | None = None
-              ) -> np.ndarray:
-        """Fill the history per the warmup policy; deterministic given the seed.
-
-        With a run axis, seed is a sequence of one seed or generator per run;
-        each run draws its warm-up prices slot by slot from its own stream.
-        """
-        seeds = [seed] if self.runs is None else list(seed)
-        if len(seeds) != (self.runs or 1):
-            raise ValueError(f"expected {self.runs} seeds, one per run, got {len(seeds)}")
-        rngs = [s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
-                for s in seeds]
+    def reset(self) -> np.ndarray:
+        """Start an episode from an all-zero history."""
         self._t = 0
         self._history[:] = 0.0
-        if self.config.warmup_policy == WARMUP_UNIFORM:
-            c, cap = self._market.c[:, None], self._market.cap[:, None]
-            shape = (self.num_agents, self.num_uavs)
-            for _ in range(self.config.history_length):
-                prices = np.stack([rng.uniform(c, cap, size=shape) for rng in rngs])
-                prices = prices.reshape(self._lead + shape)
-                self._shift(prices, _batched_follower_demands(prices, self._market)[0])
         return self.observations()
 
     def _shift(self, prices: np.ndarray, demands: np.ndarray) -> bool:

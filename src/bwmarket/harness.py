@@ -1,11 +1,12 @@
 """Experiment harness: config ingestion, seeded sampling, runs, sweeps, persistence.
 
-One master seed fans out into named, order-independent substreams (instance,
-warmup, per-agent policy) so results are reproducible and adding an algorithm
-never perturbs instance sampling.  A sampled instance is its market arrays,
-built straight from one row of draws per seller and per buyer; its profile
-objects are built only if something reads them.  A sweep draws each seed's
-rows once, at its largest market, and builds every cell from a prefix of them.
+One master seed fans out into named, order-independent substreams
+(``instance``, and ``init:j`` and ``policy:j`` for each seller j) so results
+are reproducible and adding an algorithm never perturbs instance sampling.
+A sampled instance is its market arrays, built straight from one row of draws
+per seller and per buyer; its profile objects are built only if something
+reads them.  A sweep draws each seed's rows once, at its largest market, and
+builds every cell from a prefix of them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -88,9 +90,6 @@ class ExperimentConfig:
     def validate(self):
         """Check every field; construction does not, so fields may be edited first."""
         _domain.check(self)
-        for key in self.ranges:
-            if key not in DEFAULT_RANGES:
-                raise ConfigError(f"unknown parameter range {key!r}")
         _checked_ranges(self.ranges)
         _checked_seeds("seeds", self.seeds)
         return self
@@ -200,6 +199,9 @@ def sample_instance(ranges: dict, num_uavs: int, num_rsus: int,
 
 def _checked_ranges(ranges: dict) -> dict:
     """The default ranges updated with ranges, each checked, then cost against cap."""
+    for key in ranges:
+        if key not in DEFAULT_RANGES:
+            raise ConfigError(f"unknown parameter range {key!r}")
     full = {**DEFAULT_RANGES, **ranges}
     for key in DEFAULT_RANGES:
         _check_range(key, *full[key])
@@ -320,7 +322,6 @@ class _Run:
         self.row = row
         self.agents = _build_agents(cfg, env, algorithm, seed)
         self.policy_rngs = [named_rng(seed, f"policy:{j}") for j in range(env.num_agents)]
-        self.warmup_rng = named_rng(seed, "warmup")
         self.learned = algorithm in ("ppo", "tiny_madrl")
         self.episode_rewards = np.zeros((cfg.episodes, env.num_agents))
         self.sparsity = np.zeros(cfg.episodes)
@@ -411,7 +412,7 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int) -> list[Run
     for episode in range(cfg.episodes):
         if stack:
             _timed(stack, stack.agent.set_progress, episode / max(cfg.episodes - 1, 1))
-        obs = env.reset([run.warmup_rng for run in runs])
+        obs = env.reset()
         ep_rewards = np.zeros((len(runs), env.num_agents))
         for _ in range(steps):
             for unit in units:
@@ -482,13 +483,15 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in ("c", "p_bar", "I", "J"):
             raise ConfigError(f"unknown sweep parameter {self.parameter!r}")
+        numbers_only = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                           for v in self.grid)
         if self.parameter in ("I", "J"):
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and float(v).is_integer() and v >= 1 for v in self.grid):
+            if not (numbers_only and all(float(v).is_integer() and v >= 1
+                                         for v in self.grid)):
                 raise ConfigError(f"sweep grid for {self.parameter} must hold "
                                   f"whole numbers >= 1, got {list(self.grid)}")
             self.grid = [int(v) for v in self.grid]
-        elif not all(math.isfinite(v) and v > 0 for v in self.grid):
+        elif not (numbers_only and all(math.isfinite(v) and v > 0 for v in self.grid)):
             raise ConfigError(f"sweep grid for {self.parameter} must hold finite "
                               f"positive values, got {list(self.grid)}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):

@@ -117,10 +117,8 @@ class PrunableMlp:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def create(cls, sizes: list[int],
-               rng: np.random.Generator | None = None) -> "PrunableMlp":
+    def create(cls, sizes: list[int], rng: np.random.Generator) -> "PrunableMlp":
         """He-style random init for the dims in sizes (input, hidden..., output)."""
-        rng = rng or np.random.default_rng()
         return cls([DenseLayer(rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in))
                     for n_in, n_out in zip(sizes, sizes[1:])])
 

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from bwmarket.env import WARMUP_ZEROS
 from bwmarket.game import (
     CASE_BUDGET_ACTIVE,
     CASE_BUDGET_INACTIVE,
@@ -456,22 +455,12 @@ class ReferencePricingEnv:
         scaled = demand_col / self.demand_scale
         return np.clip(scaled, 0.0, 1.0), bool(np.any(scaled > 1.0))
 
-    def reset(self, rng: np.random.Generator) -> list[np.ndarray]:
+    def reset(self) -> list[np.ndarray]:
         J, I = self.instance.num_rsus, self.instance.num_uavs
-        L = self.config.history_length
         self.t = 0
-        if self.config.warmup_policy == WARMUP_ZEROS:
-            zero = np.zeros(I)
-            self.history = [[(zero.copy(), zero.copy()) for _ in range(L)]
-                            for _ in range(J)]
-        else:
-            self.history = [[] for _ in range(J)]
-            for _ in range(L):
-                prices = rng.uniform(self.costs[:, None], self.caps[:, None], size=(J, I))
-                demands = reference_all_followers_respond(self.instance, prices).demands
-                for j in range(J):
-                    self.history[j].append((prices[j] / self.caps[j],
-                                            self._norm_demands(demands[:, j])[0]))
+        zero = np.zeros(I)
+        self.history = [[(zero.copy(), zero.copy())
+                         for _ in range(self.config.history_length)] for _ in range(J)]
         return self.observations()
 
     def observations(self) -> list[np.ndarray]:

@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 
 
 GAME, AGENTS, ENV = "src/bwmarket/game.py", "src/bwmarket/agents.py", "src/bwmarket/env.py"
-DOMAIN = "src/bwmarket/_domain.py"
+DOMAIN, HARNESS = "src/bwmarket/_domain.py", "src/bwmarket/harness.py"
 T_GAME, T_AGENTS, T_ENV = "tests/test_game.py", "tests/test_agents.py", "tests/test_env.py"
 ROLLOUT = f"{T_ENV}::TestMatchesReference::test_rollout_bit_for_bit"
 
@@ -94,10 +94,10 @@ MUTANTS = (
     Mutant("shift-keeps-the-oldest-slot", ENV,
            "history[..., :-1, :, :] = history[..., 1:, :, :]",
            "history[..., 1:-1, :, :] = history[..., 2:, :, :]",
-           (f"{ROLLOUT}[False-3-2-2-uniform_random]", f"{ROLLOUT}[True-4-3-3-zeros]")),
+           (f"{ROLLOUT}[False-3-2-2-full]", f"{ROLLOUT}[True-4-3-3-cut]")),
     Mutant("observations-are-a-view", ENV,
            "(self.num_agents, -1)).copy()", "(self.num_agents, -1))",
-           (f"{ROLLOUT}[False-3-2-2-uniform_random]", f"{ROLLOUT}[True-4-3-3-zeros]")),
+           (f"{ROLLOUT}[False-3-2-2-full]", f"{ROLLOUT}[True-4-3-3-cut]")),
     # leader roots: a_j = c_j S_j / (q_j D_j)
     Mutant("leader-root-a-without-q", GAME,
            "a = np.where(formula, c * m.S / (q * denom), 1.0)",
@@ -177,6 +177,18 @@ MUTANTS = (
            "        if self.episode_length < self.history_length:\n"
            '            raise ValueError("episode_length must be >= history_length")\n', "",
            (f"{T_ENV}::TestConfig::test_episode_shorter_than_history",)),
+    # config ranges and sweep grids: one check for every caller, numpy numbers taken
+    Mutant("range-key-check-dropped", HARNESS,
+           "    for key in ranges:\n"
+           "        if key not in DEFAULT_RANGES:\n"
+           '            raise ConfigError(f"unknown parameter range {key!r}")\n', "",
+           ("tests/test_harness.py::TestSampling::test_unknown_range_key_is_config_error",
+            "tests/test_harness.py::TestConfig::test_unknown_range_key")),
+    Mutant("sweep-grid-takes-only-python-numbers", HARNESS,
+           "isinstance(v, numbers.Real) and not isinstance(v, bool)",
+           "isinstance(v, (int, float)) and not isinstance(v, bool)",
+           ("tests/test_harness.py::TestRuns::"
+            "test_sweep_market_size_grid_takes_numpy_numbers[grid0]",)),
     # pruning: equal scores mask in (layer, index) order
     Mutant("update-masks-ties-reversed", "src/bwmarket/tinynet.py",
            'order = np.argsort(pooled, kind="stable")',
@@ -184,7 +196,7 @@ MUTANTS = (
            ("tests/test_tinynet.py::TestUpdateMasks::test_tie_break_by_layer_index",
             "tests/test_tinynet.py::TestUpdateMasks::test_matches_the_sorted_tuple_reference")),
     # an unknown format is refused before the output directory exists
-    Mutant("emit-results-mkdir-before-format-check", "src/bwmarket/harness.py",
+    Mutant("emit-results-mkdir-before-format-check", HARNESS,
            '    if fmt not in ("csv", "jsonl"):\n'
            '        raise ValueError(f"unknown format {fmt!r}")\n'
            "    out_dir = Path(out_dir)\n"

@@ -6,8 +6,6 @@ import pytest
 from bwmarket.env import (
     EnvConfig,
     PricingEnv,
-    WARMUP_UNIFORM,
-    WARMUP_ZEROS,
     default_demand_scale,
     theoretical_baseline,
 )
@@ -25,52 +23,29 @@ def symmetric():
 class TestReset:
     def test_zero_warmup_zero_observations(self, symmetric):
         env = PricingEnv(symmetric, EnvConfig(history_length=3, episode_length=5))
-        obs = env.reset(seed=0)
+        obs = env.reset()
         assert len(obs) == 2
         for o in obs:
             assert o.shape == (env.observation_dim,)
             assert np.all(o == 0.0)
 
-    def test_same_seed_identical(self, symmetric):
-        cfg = EnvConfig(history_length=2, episode_length=5,
-                        warmup_policy=WARMUP_UNIFORM)
-        a = PricingEnv(symmetric, cfg).reset(seed=42)
-        b = PricingEnv(symmetric, cfg).reset(seed=42)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_uniform_warmup_price_range(self):
-        rng = np.random.default_rng(1)
-        inst = random_instance(rng, I=3, J=2)
-        cfg = EnvConfig(history_length=4, episode_length=6,
-                        warmup_policy=WARMUP_UNIFORM)
-        env = PricingEnv(inst, cfg)
-        obs = env.reset(seed=7)
-        caps = inst.price_caps()
-        cs = inst.costs()
-        for j, o in enumerate(obs):
-            blocks = o.reshape(cfg.history_length, 2, inst.num_uavs)
-            prices = blocks[:, 0, :]
-            assert np.all(prices >= cs[j] / caps[j] - 1e-12)
-            assert np.all(prices <= 1.0 + 1e-12)
-
 
 class TestStep:
     def test_cost_prices_zero_rewards(self, symmetric):
         env = PricingEnv(symmetric, EnvConfig(history_length=1, episode_length=3))
-        env.reset(seed=0)
+        env.reset()
         out = env.step([np.full(1, 1.0), np.full(1, 1.0)])
         np.testing.assert_array_equal(out.rewards, [0.0, 0.0])
 
     def test_equilibrium_prices_match_solver_rewards(self, symmetric):
         env = PricingEnv(symmetric, EnvConfig(history_length=1, episode_length=3))
-        env.reset(seed=0)
+        env.reset()
         out = env.step([np.full(1, 5.0), np.full(1, 5.0)])
         np.testing.assert_allclose(out.rewards, [0.8, 0.8], atol=1e-9)
 
     def test_reward_memoryless(self, symmetric):
         env = PricingEnv(symmetric, EnvConfig(history_length=1, episode_length=5))
-        env.reset(seed=0)
+        env.reset()
         a = env.step([np.full(1, 3.0), np.full(1, 4.0)])
         b = env.step([np.full(1, 3.0), np.full(1, 4.0)])
         np.testing.assert_array_equal(a.rewards, b.rewards)
@@ -79,7 +54,7 @@ class TestStep:
         rng = np.random.default_rng(2)
         inst = random_instance(rng, I=3, J=2)
         env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=4))
-        env.reset(seed=0)
+        env.reset()
         prices = [rng.uniform(inst.costs()[j], inst.price_caps()[j], 3)
                   for j in range(2)]
         out = env.step(prices)
@@ -89,7 +64,7 @@ class TestStep:
 
     def test_out_of_box_actions_clamped(self, symmetric):
         env = PricingEnv(symmetric, EnvConfig(history_length=1, episode_length=3))
-        env.reset(seed=0)
+        env.reset()
         out = env.step([np.full(1, 1000.0), np.full(1, -5.0)])
         # clamped to cap 35 and cost 1: reward of agent 1 is zero margin
         assert out.rewards[1] == 0.0
@@ -101,7 +76,7 @@ class TestStep:
         # a float C-contiguous array is the caller's own after np.asarray, so
         # the clamp must not write into it
         env = PricingEnv(symmetric, EnvConfig(history_length=1, episode_length=3), runs=2)
-        env.reset([0, 1])
+        env.reset()
         prices = np.array([[[1000.0], [-5.0]], [[5.0], [np.inf]]])
         before = prices.copy()
         env.step(prices)
@@ -110,13 +85,13 @@ class TestStep:
     def test_wrong_price_shape_rejected(self):
         inst = random_instance(np.random.default_rng(8), I=2, J=2)
         env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=3))
-        env.reset(seed=0)
+        env.reset()
         with pytest.raises(ValueError):
             env.step([5.0, 6.0])  # one price per seller, not a J x I matrix
 
     def test_done_after_episode_length(self, symmetric):
         env = PricingEnv(symmetric, EnvConfig(history_length=1, episode_length=2))
-        env.reset(seed=0)
+        env.reset()
         act = [np.full(1, 5.0), np.full(1, 5.0)]
         assert not env.step(act).done
         assert env.step(act).done
@@ -125,7 +100,7 @@ class TestStep:
 class TestHistory:
     def test_history_order_newest_last(self, symmetric):
         env = PricingEnv(symmetric, EnvConfig(history_length=2, episode_length=5))
-        env.reset(seed=0)
+        env.reset()
         env.step([np.full(1, 2.0), np.full(1, 2.0)])
         env.step([np.full(1, 10.0), np.full(1, 10.0)])
         obs = env.observations()[0].reshape(2, 2, 1)
@@ -135,14 +110,13 @@ class TestHistory:
     def test_determinism_full_rollout(self):
         rng = np.random.default_rng(3)
         inst = random_instance(rng, I=2, J=2)
-        cfg = EnvConfig(history_length=2, episode_length=4,
-                        warmup_policy=WARMUP_UNIFORM)
+        cfg = EnvConfig(history_length=2, episode_length=4)
         actions = [[rng.uniform(inst.costs()[j], inst.price_caps()[j], 2)
                     for j in range(2)] for _ in range(4)]
 
         def rollout():
             env = PricingEnv(inst, cfg)
-            env.reset(seed=11)
+            env.reset()
             outs = [env.step(a) for a in actions]
             return outs
 
@@ -155,10 +129,9 @@ class TestHistory:
     def test_observation_entries_in_unit_interval(self):
         rng = np.random.default_rng(4)
         inst = random_instance(rng, I=2, J=3)
-        cfg = EnvConfig(history_length=3, episode_length=6,
-                        warmup_policy=WARMUP_UNIFORM)
+        cfg = EnvConfig(history_length=3, episode_length=6)
         env = PricingEnv(inst, cfg)
-        env.reset(seed=5)
+        env.reset()
         for _ in range(4):
             acts = [rng.uniform(inst.costs()[j], inst.price_caps()[j], 2)
                     for j in range(3)]
@@ -168,31 +141,32 @@ class TestHistory:
 
 
 class TestMatchesReference:
-    @pytest.mark.parametrize("warmup", [WARMUP_ZEROS, WARMUP_UNIFORM])
+    @pytest.mark.parametrize("cut", [False, True], ids=["full", "cut"])
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("I,J", [(1, 1), (3, 2), (2, 3), (4, 3)])
     @pytest.mark.parametrize("small_scale", [False, True])
-    def test_rollout_bit_for_bit(self, warmup, L, I, J, small_scale):
+    def test_rollout_bit_for_bit(self, cut, L, I, J, small_scale):
         """Observations, rewards, demand_clipped and done equal the per-agent
-        list bookkeeping exactly, and a returned observation never changes."""
+        list bookkeeping exactly, and a returned observation never changes.
+        A cut first episode stops after L + 1 steps, before done, so the
+        second reset discards a history of real prices mid-episode."""
         rng = np.random.default_rng(100 * I + 10 * J + L)
         # floor 0.5 leaves some links unusable; 0.85 makes every buyer demand,
         # and a scale of 0.05 then clips some demands but not all
         inst = random_instance(rng, I=I, J=J, min_component=0.85 if small_scale else 0.5)
         scale = 0.05 if small_scale else None
         cfg = EnvConfig(history_length=L, episode_length=L + 4,
-                        demand_scale=scale, warmup_policy=warmup)
+                        demand_scale=scale)
         env = PricingEnv(inst, cfg)
         ref = ReferencePricingEnv(inst, cfg, env.demand_scale)
-        # one warm-up stream per env, shared by its episodes as in run_training
-        warm_rng, ref_warm_rng = np.random.default_rng(7), np.random.default_rng(7)
         c, cap = inst.costs(), inst.price_caps()
         any_clipped = False
-        for _ in range(2):  # the second reset must discard the first episode
-            previous = env.reset(warm_rng)
+        for episode in range(2):  # the second reset must discard the first episode
+            steps = L + 1 if cut and episode == 0 else cfg.episode_length
+            previous = env.reset()
             kept = previous.copy()
-            np.testing.assert_array_equal(previous, ref.reset(ref_warm_rng))
-            for _ in range(cfg.episode_length):
+            np.testing.assert_array_equal(previous, ref.reset())
+            for _ in range(steps):
                 # a wider box than [c, cap], so clamping fires on both sides
                 actions = [rng.uniform(c[j] - 1.0, cap[j] + 5.0, I) for j in range(J)]
                 out = env.step(actions)
@@ -204,41 +178,39 @@ class TestMatchesReference:
                 any_clipped = any_clipped or clipped
                 np.testing.assert_array_equal(previous, kept)
                 previous, kept = out.next_observations, out.next_observations.copy()
-            assert done
+            assert done == (steps == cfg.episode_length)
         if small_scale:
             assert any_clipped
 
 
 class TestRunAxis:
-    @pytest.mark.parametrize("warmup", [WARMUP_ZEROS, WARMUP_UNIFORM])
+    @pytest.mark.parametrize("cut", [False, True], ids=["full", "cut"])
     @pytest.mark.parametrize("I,J,small_scale", [(3, 2, False), (3, 2, True),
                                                  (12, 3, False)])
-    def test_stack_equals_single_envs(self, warmup, I, J, small_scale):
+    def test_stack_equals_single_envs(self, cut, I, J, small_scale):
         """runs=3 steps each run bit for bit as a single env and the list
         bookkeeping do: observations, rewards, margins, demands,
-        demand_clipped (any run) and done, over two episodes."""
+        demand_clipped (any run) and done, over two episodes. A cut first
+        episode stops after 3 of its 5 steps, before done."""
         E = 3
         rng = np.random.default_rng(10 * I + J)
         inst = random_instance(rng, I=I, J=J, min_component=0.85 if small_scale else 0.5)
         # a demand scale of 0.5 clips some runs' demands in a step but not all
         cfg = EnvConfig(history_length=2, episode_length=5,
-                        demand_scale=0.5 if small_scale else None,
-                        warmup_policy=warmup)
+                        demand_scale=0.5 if small_scale else None)
         stack = PricingEnv(inst, cfg, runs=E)
         singles = [PricingEnv(inst, cfg) for _ in range(E)]
         refs = [ReferencePricingEnv(inst, cfg, stack.demand_scale) for _ in range(E)]
-        # one warm-up stream per run, shared by its episodes as in run_training
-        stack_rngs, single_rngs, ref_rngs = (
-            [np.random.default_rng(s) for s in (1, 2, 3)] for _ in range(3))
         c, cap = inst.costs(), inst.price_caps()
         mixed_clipping = False
-        for _ in range(2):
-            obs = stack.reset(stack_rngs)
+        for episode in range(2):
+            steps = 3 if cut and episode == 0 else cfg.episode_length
+            obs = stack.reset()
             assert obs.shape == (E, J, stack.observation_dim)
             for k in range(E):
-                np.testing.assert_array_equal(obs[k], singles[k].reset(single_rngs[k]))
-                np.testing.assert_array_equal(obs[k], refs[k].reset(ref_rngs[k]))
-            for _ in range(cfg.episode_length):
+                np.testing.assert_array_equal(obs[k], singles[k].reset())
+                np.testing.assert_array_equal(obs[k], refs[k].reset())
+            for _ in range(steps):
                 # a wider box than [c, cap], so clamping fires on both sides
                 prices = rng.uniform(c[:, None] - 1.0, cap[:, None] + 5.0, size=(E, J, I))
                 out = stack.step(prices)
@@ -260,14 +232,12 @@ class TestRunAxis:
                 assert out.demand_clipped is any(clipped)
                 assert out.done is one.done
                 mixed_clipping |= any(clipped) and not all(clipped)
-            assert out.done
+            assert out.done == (steps == cfg.episode_length)
         assert mixed_clipping == small_scale
 
-    def test_one_seed_per_run(self, symmetric):
+    def test_prices_need_the_run_axis(self, symmetric):
         env = PricingEnv(symmetric, runs=2)
-        with pytest.raises(ValueError, match="one per run"):
-            env.reset([0, 1, 2])
-        env.reset([0, 1])
+        env.reset()
         with pytest.raises(ValueError, match="expected shape"):
             env.step(np.full((2, 2), 5.0))
 

@@ -388,7 +388,7 @@ class TestBatchedFollower:
                                       [[w.degenerate for w in row] for row in want])
 
         env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=1))
-        env.reset(seed=0)
+        env.reset()
         for k in range(0, len(prices), 3):
             P = prices[k]
             for i, w in enumerate(want[k]):
@@ -1479,7 +1479,7 @@ class TestMatrixTypes:
         records is False, not numpy's "truth value of an array is ambiguous"."""
         inst = simple_instance(J=2)
         env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=1))
-        env.reset(seed=0)
+        env.reset()
         run = lambda: RunRecord("r", "h", 0, "solve", np.zeros((0, 2)), np.zeros(0),
                                 1.0, True, 1.0)
         builds = [lambda: solve_equilibrium(inst),

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, sampling, runs, files, CLI."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -20,7 +21,7 @@ import yaml
 from bwmarket import harness, tinynet
 from bwmarket.agents import PpoConfig
 from bwmarket.cli import main as cli_main
-from bwmarket.env import WARMUP_UNIFORM, WARMUP_ZEROS, EnvConfig, PricingEnv
+from bwmarket.env import EnvConfig, PricingEnv
 from bwmarket.game import solve_equilibrium, verify_equilibrium
 from bwmarket.harness import (
     ALGORITHMS,
@@ -55,7 +56,7 @@ DIGEST_SIZES = ((1, 1), (3, 2), (15, 6), (7, 10))
 
 # sha256 of TestReproducibility::test_compare_matches_recorded_digest's
 # four-algorithm compare: results.csv without wall_ms, then summary.json
-TRAINING_DIGEST = "1583a89669099ec536cc1f5af48ef2e81605f6204ccd8cd486267682572e5c36"
+TRAINING_DIGEST = "e2415a6edccf26e14c6504eea4690358a130ac9007cf933259a08a4f73cd7ff2"
 
 
 def sampled_digests(seeds=range(300)) -> dict:
@@ -85,15 +86,39 @@ def tiny_config(**overrides):
 
 class TestNamedRng:
     def test_streams_independent_of_order(self):
-        a = named_rng(0, "warmup").uniform(size=3)
+        a = named_rng(0, "policy:0").uniform(size=3)
         _ = named_rng(0, "instance").uniform(size=5)
-        b = named_rng(0, "warmup").uniform(size=3)
+        b = named_rng(0, "policy:0").uniform(size=3)
         np.testing.assert_array_equal(a, b)
 
     def test_different_names_differ(self):
-        a = named_rng(0, "warmup").uniform(size=3)
+        a = named_rng(0, "policy:0").uniform(size=3)
         b = named_rng(0, "instance").uniform(size=3)
         assert not np.array_equal(a, b)
+
+    def test_src_draws_only_from_given_seeds(self):
+        """No module of the package makes an unseeded generator or draws from
+        numpy's legacy global one: every draw comes from a named stream or a
+        seed its caller gives."""
+        legacy = {n for n in dir(np.random.RandomState) if not n.startswith("_")}
+        src = Path(harness.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                    func, "id", None)
+                if name == "default_rng" and not (node.args or node.keywords):
+                    found.append(f"{path.name}:{node.lineno}: default_rng()")
+                if (isinstance(func, ast.Attribute) and name in legacy
+                        and isinstance(func.value, ast.Attribute)
+                        and func.value.attr == "random"
+                        and getattr(func.value.value, "id", None) in ("np", "numpy")):
+                    found.append(f"{path.name}:{node.lineno}: np.random.{name}")
+        assert len(list(src.glob("*.py"))) > 5
+        assert not found, found
 
 
 class TestSampling:
@@ -178,6 +203,11 @@ class TestSampling:
         with pytest.raises(ConfigError, match="finite width"):
             sample_instance({"delta": (-1e308, 1e308)}, 2, 2, 0)
 
+    def test_unknown_range_key_is_config_error(self):
+        # a misspelt key must not sample the default range in its place
+        with pytest.raises(ConfigError, match="^unknown parameter range 'simlarity'$"):
+            sample_instance({"simlarity": (0.85, 1.0)}, 3, 2, 0)
+
     def test_hot_paths_build_no_profiles(self):
         """Solving, verifying and stepping an env read a sampled market's
         arrays only; its profiles are built when first read, as drawn."""
@@ -185,7 +215,7 @@ class TestSampling:
         sol = solve_equilibrium(inst)
         verify_equilibrium(inst, sol, num_probes=200)
         env = PricingEnv(inst)
-        env.reset(0)
+        env.reset()
         env.step(sol.prices.prices)
         assert "uavs" not in vars(inst) and "rsus" not in vars(inst)
         assert repr(inst) == repr(reference_sample_instance(
@@ -398,22 +428,22 @@ class TestConfig:
         spellings give one config and one run_id: the float spelling's. A
         config built in Python stores its values so too once validated, and
         equals the file's."""
-        assert config_hash(config_from_dict({})) == "d238fd9b8e01b6d8"
-        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "78ad106b00983d24"),
+        assert config_hash(config_from_dict({})) == "4e098628d8bda1ac"
+        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "8de8de521ea58a0d"),
                  ({"ppo": {"discount": 0}}, {"ppo": {"discount": 0.0}},
-                  "1903caab421bb86f")]
+                  "c5fa7da351dc6bbf")]
         for as_int, as_float, digest in pairs:
             a, b = config_from_dict(as_int), config_from_dict(as_float)
             assert a == b
             assert config_hash(a) == config_hash(b) == digest
-        built = [(ExperimentConfig(episodes=2.0), {"episodes": 2}, "5dc7745208bba05c"),
+        built = [(ExperimentConfig(episodes=2.0), {"episodes": 2}, "1fa80ab4a6fdb35c"),
                  (ExperimentConfig(greedy_epsilon=0), {"greedy_epsilon": 0.0},
-                  "78ad106b00983d24"),
+                  "8de8de521ea58a0d"),
                  (ExperimentConfig(ppo=PpoConfig(discount=0)), {"ppo": {"discount": 0.0}},
-                  "1903caab421bb86f"),
+                  "c5fa7da351dc6bbf"),
                  (ExperimentConfig(seeds=(np.int64(0),),
                                    ppo=PpoConfig(hidden_sizes=[64, 64.0])),
-                  {"ppo": {"hidden_sizes": [64, 64]}}, "d238fd9b8e01b6d8")]
+                  {"ppo": {"hidden_sizes": [64, 64]}}, "4e098628d8bda1ac")]
         for cfg, doc, digest in built:
             assert cfg.validate() == config_from_dict(doc)
             assert config_hash(cfg) == digest
@@ -506,13 +536,27 @@ class TestRuns:
     @pytest.mark.parametrize("param,grid", [
         ("I", [0, 1]), ("J", [1.5, 2]), ("I", [float("nan")]),
         ("c", [-1.0, 1.0]), ("c", [0.0]), ("p_bar", [float("inf")]),
+        ("c", ["x"]), ("p_bar", [1.0, None]), ("I", ["2"]), ("J", [True, 2]),
+        ("c", [True, 2.0]),
     ])
     def test_sweep_grid_out_of_domain(self, param, grid):
-        with pytest.raises(ConfigError):
+        kind = ("whole numbers >= 1" if param in ("I", "J")
+                else "finite positive values")
+        with pytest.raises(ConfigError, match=f"^sweep grid for {param} must hold {kind}"):
             SweepSpec(param, grid, [0])
 
     def test_sweep_market_size_grid_becomes_int(self):
         assert SweepSpec("I", [1.0, 3.0], [0]).grid == [1, 3]
+
+    @pytest.mark.parametrize("grid", [[np.int64(1), np.int64(3)], list(np.arange(1, 5, 2)),
+                                      [np.float64(1.0), 3]])
+    def test_sweep_market_size_grid_takes_numpy_numbers(self, grid):
+        spec = SweepSpec("J", grid, [0])
+        assert spec.grid == [1, 3] and all(type(v) is int for v in spec.grid)
+
+    def test_sweep_price_grid_takes_numpy_numbers(self):
+        grid = [np.float64(1.5), np.int64(2), 2.5]
+        assert SweepSpec("c", grid, [0]).grid == grid
 
     @pytest.mark.parametrize("ranges,message", [
         ({"budget": (-2.0, -1.0)}, "budget must be positive"),
@@ -630,11 +674,10 @@ class TestSweepDraws:
 
 class TestTrainingGroup:
     @staticmethod
-    def group_config(warmup):
+    def group_config():
         from bwmarket.tinynet import PruneSchedule
         cfg = ExperimentConfig(episodes=12, schedule=PruneSchedule(0.0, 0.5, 2, 3, 2))
         cfg.ranges["similarity"] = (0.85, 1.0)   # every link usable: rewards vary
-        cfg.env.warmup_policy = warmup
         cfg.env.episode_length = 4
         cfg.ppo.rollout_size = 8
         cfg.ppo.update_epochs = 2
@@ -649,19 +692,22 @@ class TestTrainingGroup:
         assert rec.theoretical == alone.theoretical
         assert rec.consistent == alone.consistent
 
-    @pytest.mark.parametrize("warmup", [WARMUP_ZEROS, WARMUP_UNIFORM])
     @pytest.mark.parametrize("algorithms", [ALGORITHMS,
                                             ("greedy", "tiny_madrl", "greedy"),
                                             ("tiny_madrl", "ppo", "tiny_madrl")])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_group_equals_separate_runs(self, warmup, algorithms, seed):
-        """Each run of a lock-step group gets the record it gets alone."""
-        self.check_group(self.group_config(warmup), algorithms, seed)
+    @pytest.mark.parametrize("episode_length", [4, 3])
+    def test_group_equals_separate_runs(self, episode_length, algorithms, seed):
+        """Each run of a lock-step group gets the record it gets alone, also
+        when a PPO rollout of 8 steps spans episodes of 3 and their resets."""
+        cfg = self.group_config()
+        cfg.env.episode_length = episode_length
+        self.check_group(cfg.validate(), algorithms, seed)
 
     @pytest.mark.parametrize("algorithms", [ALGORITHMS,
                                             ("tiny_madrl", "ppo", "tiny_madrl")])
     def test_group_equals_separate_runs_pruning_the_critic(self, algorithms):
-        cfg = self.group_config(WARMUP_UNIFORM)
+        cfg = self.group_config()
         cfg.prune_critic = True
         self.check_group(cfg, algorithms, 3)
 
@@ -677,7 +723,7 @@ class TestTrainingGroup:
         """A seller whose updates abort restores and skips only itself: the
         other run of its stack trains and records as if it were not there."""
         from bwmarket.agents import PpoAgent
-        cfg = self.group_config(WARMUP_UNIFORM)
+        cfg = self.group_config()
         build, stack = harness._build_agents, PpoAgent.stack
 
         def train(break_ppo):
@@ -718,7 +764,7 @@ class TestTrainingGroup:
             np.testing.assert_array_equal(layer.weights, w)
 
     def test_wall_ms_sums_to_group_time(self):
-        cfg = self.group_config(WARMUP_ZEROS)
+        cfg = self.group_config()
         start = time.perf_counter()
         group = run_training_group(cfg, ALGORITHMS, 0)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -796,7 +842,9 @@ class TestReproducibility:
     def test_compare_matches_recorded_digest(self, tmp_path):
         """Every bit of a small four-algorithm `bwmarket compare` is what it
         was when TRAINING_DIGEST was recorded (commit 9fc3079): results.csv
-        without its wall_ms column, and summary.json.
+        without its wall_ms column, and summary.json. The digest was re-pinned
+        when `env.warmup_policy` left the config, which moved only the config
+        hash inside each run_id.
 
         The market is the perfbench `compare` one (3x2, similarity 0.85-1),
         for 30 episodes on seeds 0 and 1. The prune schedule masks from
@@ -1075,6 +1123,15 @@ class TestCli:
             assert code == 2, name
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
             assert not (tmp_path / "out").exists()
+
+    def test_removed_warmup_policy_names_its_key(self, tmp_path, capsys, monkeypatch):
+        self.forbid_work(monkeypatch)
+        path = tmp_path / "bad.yaml"
+        path.write_text("env: {warmup_policy: zeros}\n")
+        code = cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown config option 'env.warmup_policy'\n")
 
     @pytest.mark.parametrize("key", [
         "instance.I", "instance.ranges", "episodes", "seeds", "ppo", "ppo.actor_lr",

@@ -1,7 +1,8 @@
 """Walk through the analytic market: one buyer, two identical sellers.
 
 Both sellers charge the same price at equilibrium, the buyer splits its
-bandwidth demand evenly, and random unilateral deviations never pay off.
+bandwidth demand evenly, and no seller gains by moving its own price alone:
+the verifier searches each seller's price on a grid over its price box.
 """
 
 import numpy as np
@@ -49,7 +50,7 @@ def main():
         value = rsu_utility(market, 0, row, demands.demands[:, 0])
         print(f"seller 0 at price {price:4.1f}: utility {value:.4f}")
 
-    report = verify_equilibrium(market, solution, num_probes=1000, rng_seed=0)
+    report = verify_equilibrium(market, solution)
     print(f"verification: passed={report.passed}, "
           f"max violation={report.max_violation:.2e}")
 

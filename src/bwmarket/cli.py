@@ -68,8 +68,6 @@ def _load(args) -> ExperimentConfig:
         cfg.seeds = [args.seed]
     if args.out is not None:
         cfg.out = args.out
-    if args.strict:
-        cfg.strict = True
     # the deepest existing path on the way to out must be a directory, or the
     # outputs could not be written after all the work
     out = Path(cfg.out).absolute()
@@ -121,7 +119,7 @@ def main(argv=None) -> int:
         return 2
     print(f"wrote {csv_path} and {summary_path}")
     inconsistent = [r.run_id for r in records if not r.consistent]
-    if cfg.strict and inconsistent:
+    if args.strict and inconsistent:
         print(f"error: equilibrium check failed for {', '.join(inconsistent)}",
               file=sys.stderr)
         return 1

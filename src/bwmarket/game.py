@@ -45,10 +45,12 @@ case and the demand check) and the verifier's other sums over a buyer's
 links are _row_sums: np.add.reduce's bits, one vector add per column on many
 rows of J < 8, so no result depends on a BLAS kernel's summation order.
 
-verify_equilibrium hands the kernel its seller probes as contiguous buyer
-rows, so the kernel copies nothing, in blocks of up to 4,096 rows: one block
-per seller for 200 probes of up to 20 buyers.  Its buyer half is one kernel
-call on the solution's prices.
+verify_equilibrium draws no random numbers.  Its seller half,
+_best_deviations, searches every seller's price to every buyer alone, on
+fixed grid levels, with one kernel call per level on all the sellers' trial
+rows, laid out as contiguous buyer rows so that the kernel copies nothing.
+Its buyer half is one kernel call on the solution's prices, which also gives
+the posted margins.
 """
 
 from __future__ import annotations
@@ -377,7 +379,6 @@ class EquilibriumSolution:
 
 @dataclass
 class VerificationReport:
-    num_probes: int
     rsu_violations: list[tuple[int, float]]
     uav_violations: list[tuple[int, float]]
     max_violation: float
@@ -785,63 +786,69 @@ def solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
 # Equilibrium verification
 # ---------------------------------------------------------------------------
 
-# Buyer rows per batch of a seller's probes in verify_equilibrium: the
-# temporaries grow with the batch. Verifying perfbench's ten sweep markets
-# (dense, up to 15 x 6, 200 probes) took 0.90x the time of 1,024-row blocks at
-# 2,048 rows and 0.79-0.80x at 3,072 to 8,192 (medians of five in-process
-# runs, BENCH_20); 4,096 holds one seller's 200 probes of up to 20 buyers.
-_PROBE_BLOCK_ROWS = 4096
+# The deviation search's grid levels, as points per level: the first spans
+# each seller's box [c_j, cap_j], and each later one the two cells beside the
+# last level's best point, so the last level's step is (cap_j - c_j) / 2,048.
+# On sampled 100 x 10 markets its best margins fell short of a 20,001-point
+# grid's by at most 1.1e-6 of the largest seller utility.
+_SEARCH_LEVELS = (33, 17, 17)
+
+
+def _best_deviations(P: np.ndarray, m: _MarketArrays) -> np.ndarray:
+    """Each seller's best margin (p - c_j) * b_ij on each buyer (J x I) over
+    its own price p to that buyer on the _SEARCH_LEVELS grids, every other
+    price as in the J x I prices P. A buyer's demands depend only on its own
+    price column, so setting seller j's whole row to a grid point prices every
+    buyer's entry j at once: a level is one kernel call on J x G trial
+    matrices. A trial whose followers return a negative demand or overspend a
+    budget raises ValueError."""
+    J, I = P.shape
+    seller = np.arange(J)
+    lo, hi = (np.broadcast_to(v[:, None], (J, I)) for v in (m.c, m.cap))
+    best = 0.0
+    for G in _SEARCH_LEVELS:
+        grid = np.linspace(lo, hi, G, axis=1)                 # J x G x I
+        rows = np.broadcast_to(P.T, (J, G, I, J)).copy()      # contiguous buyer rows
+        rows[seller, :, :, seller] = grid
+        trial = np.swapaxes(rows, -1, -2)
+        demands = _batched_follower_demands(trial, m)[0]
+        _check_demands(demands, trial, m.budget)
+        margins = (grid - m.c[:, None, None]) * demands[seller, :, :, seller]
+        best = np.maximum(best, margins.max(axis=1))
+        k = margins.argmax(axis=1)[:, None]
+        lo = np.take_along_axis(grid, np.maximum(k - 1, 0), axis=1)[:, 0]
+        hi = np.take_along_axis(grid, np.minimum(k + 1, G - 1), axis=1)[:, 0]
+    return best
 
 
 def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
-                       num_probes: int = 1000, rng_seed: int = 0,
                        rel_tol: float = 1e-6) -> VerificationReport:
-    """Numerical no-profitable-deviation check of the equilibrium definition.
+    """Numerical no-profitable-deviation check of the equilibrium definition;
+    it draws no random numbers.
 
-    For each seller, random unilateral price-row perturbations (with followers
-    re-solved) must not improve its margin; each buyer's exact best response
-    to the solution's prices must not beat its equilibrium utility, relative
-    to max(1, |utility|). A solve's own buyers pass with a violation of
-    exactly 0: their demands come from the same kernel on the same prices.
-
-    Each seller's probes are drawn at once and solved as one batch, in blocks
-    of at most 4096 buyer rows to bound memory, so 200 probes of up to 20
-    buyers take one kernel call per seller. The draws come in the order of a
-    probe-by-probe loop, seller by seller, so a given rng_seed gives the
-    report that loop gives. A probe whose followers return a negative demand
-    or overspend a budget raises ValueError.
+    The buyers' subgames are independent, so a seller's best unilateral
+    deviation is its best price to each buyer alone (_best_deviations).
+    Seller j's violation is (sum_i max(best_ji, posted margin_ji) -
+    rsu_utilities[j]) / scale, scale = max(1, max |rsu_utilities|), floored
+    at 0; the sum runs in the solve's order, so a solve's own seller whose
+    search finds no gain reports exactly 0, and a recorded utility below the
+    posted margins is flagged. Each buyer's exact best response to the
+    solution's prices must not beat its equilibrium utility, relative to
+    max(1, |utility|). A solve's own buyers pass with a violation of exactly
+    0: their demands come from the same kernel on the same prices, whose one
+    call also gives the posted margins.
     """
-    rng = np.random.default_rng(rng_seed)
-    P = solution.prices.prices
-    I, J = instance.num_uavs, instance.num_rsus
-    m = instance.arrays
+    P, m = solution.prices.prices, instance.arrays
+    demands = _batched_follower_demands(P, m)[0]
 
-    rsu_violations: list[tuple[int, float]] = []
-    max_violation = 0.0
     scale = max(1.0, float(np.max(np.abs(solution.rsu_utilities))))
-    block = max(1, _PROBE_BLOCK_ROWS // I)
-    for j in range(J):
-        draws = rng.uniform(m.c[j], m.cap[j], size=(num_probes, I))
-        margins = np.empty(num_probes)
-        for start in range(0, num_probes, block):
-            probe = draws[start:start + block]
-            rows = np.repeat(P.T[None], len(probe), axis=0)   # contiguous buyer rows
-            rows[:, :, j] = probe
-            trial = np.swapaxes(rows, 1, 2)
-            demands = _batched_follower_demands(trial, m)[0]
-            _check_demands(demands, trial, m.budget)
-            margins[start:start + block] = _margins(
-                probe[:, None], demands[:, :, j:j + 1], m.c[j:j + 1]).sum(axis=-1)[:, 0]
-        worst = float(np.max((margins - solution.rsu_utilities[j]) / scale,
-                             initial=0.0))
-        if worst > rel_tol:
-            rsu_violations.append((j, worst))
-        max_violation = max(max_violation, worst)
+    margins = np.maximum(_best_deviations(P, m), _margins(P, demands, m.c))
+    worst_rsu = np.maximum((margins.sum(axis=1) - solution.rsu_utilities) / scale, 0.0)
+    rsu_violations = [(j, w) for j, w in enumerate(worst_rsu.tolist()) if w > rel_tol]
 
-    best = _buyer_utilities(m, _batched_follower_demands(P, m)[0], P.T)
+    best = _buyer_utilities(m, demands, P.T)
     base = solution.uav_utilities
     worst_uav = np.maximum((best - base) / np.maximum(1.0, np.abs(base)), 0.0)
     uav_violations = [(i, w) for i, w in enumerate(worst_uav.tolist()) if w > rel_tol]
-    max_violation = max([max_violation, *worst_uav.tolist()])
-
-    return VerificationReport(num_probes, rsu_violations, uav_violations, max_violation)
+    max_violation = max([0.0, *worst_rsu.tolist(), *worst_uav.tolist()])
+    return VerificationReport(rsu_violations, uav_violations, max_violation)

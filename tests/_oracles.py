@@ -18,7 +18,6 @@ from bwmarket.game import (
     RsuProfile,
     SsimTriple,
     UavProfile,
-    VerificationReport,
     _MarketArrays,
     rsu_utility,
     uav_utility,
@@ -201,51 +200,6 @@ def reference_all_followers_respond(instance: GameInstance, prices) -> DemandMat
         for i in range(instance.num_uavs)
     ])
     return DemandMatrix(demands, instance, prices=P)
-
-
-def reference_verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
-                                 num_probes: int = 1000, rng_seed: int = 0,
-                                 rel_tol: float = 1e-6) -> VerificationReport:
-    """Probe-by-probe no-profitable-deviation check, one scalar solve per buyer.
-
-    The reference for verify_equilibrium: the same seller probes in the same
-    order, each re-solved through reference_all_followers_respond, and each
-    buyer's exact best response (reference_follower_best_response) scored
-    through uav_utility against its equilibrium utility.
-    """
-    rng = np.random.default_rng(rng_seed)
-    P = solution.prices.prices
-    I, J = instance.num_uavs, instance.num_rsus
-    cs = instance.costs()
-    caps = instance.price_caps()
-
-    rsu_violations: list[tuple[int, float]] = []
-    max_violation = 0.0
-    scale = max(1.0, float(np.max(np.abs(solution.rsu_utilities))))
-    for j in range(J):
-        base = solution.rsu_utilities[j]
-        worst = 0.0
-        for _ in range(num_probes):
-            trial = P.copy()
-            trial[j] = rng.uniform(cs[j], caps[j], size=I)
-            demands = reference_all_followers_respond(instance, trial)
-            v = rsu_utility(instance, j, trial[j], demands.demands[:, j])
-            worst = max(worst, (v - base) / scale)
-        if worst > rel_tol:
-            rsu_violations.append((j, worst))
-        max_violation = max(max_violation, worst)
-
-    uav_violations: list[tuple[int, float]] = []
-    for i in range(I):
-        base = solution.uav_utilities[i]
-        best = reference_follower_best_response(instance, i, P[:, i]).demands
-        u = uav_utility(instance, i, best, P[:, i])
-        worst = max(0.0, (u - base) / max(1.0, abs(base)))
-        if worst > rel_tol:
-            uav_violations.append((i, worst))
-        max_violation = max(max_violation, worst)
-
-    return VerificationReport(num_probes, rsu_violations, uav_violations, max_violation)
 
 
 def reference_leader_map(instance: GameInstance, uav_index: int,

@@ -144,6 +144,18 @@ MUTANTS = (
            "spend <= budget + 1e-9 * np.maximum(budget, 1.0)", "spend <= budget + 1e-9",
            (f"{T_GAME}::TestMatrixTypes::test_demand_matrix_budget_slack_scales_with_the_budget",
             f"{T_GAME}::TestMatrixTypes::test_scaled_budgets_solve_and_verify")),
+    # the verifier's deviation search: every level refines around the best
+    # point, and every trial's demands are checked
+    Mutant("search-without-refinement", GAME,
+           "    for G in _SEARCH_LEVELS:\n", "    for G in _SEARCH_LEVELS[:1]:\n",
+           (f"{T_GAME}::TestEquilibrium::test_search_finds_the_oracles_gain",)),
+    Mutant("search-off-by-a-grid-cell", GAME,
+           "        k = margins.argmax(axis=1)[:, None]\n",
+           "        k = np.minimum(margins.argmax(axis=1) + 1, G - 1)[:, None]\n",
+           (f"{T_GAME}::TestEquilibrium::test_search_finds_the_oracles_gain",)),
+    Mutant("verify-demand-check-dropped", GAME,
+           "        _check_demands(demands, trial, m.budget)\n", "",
+           (f"{T_GAME}::TestEquilibrium::test_verify_rejects_bad_follower_output",)),
     # _row_sums adds the columns in order, as numpy's reduce does
     Mutant("row-sums-columns-reversed", GAME,
            "    for k in range(J):\n        out += x[..., k]\n",

@@ -56,7 +56,7 @@ DIGEST_SIZES = ((1, 1), (3, 2), (15, 6), (7, 10))
 
 # sha256 of TestReproducibility::test_compare_matches_recorded_digest's
 # four-algorithm compare: results.csv without wall_ms, then summary.json
-TRAINING_DIGEST = "e2415a6edccf26e14c6504eea4690358a130ac9007cf933259a08a4f73cd7ff2"
+TRAINING_DIGEST = "fbfc65747690ab39ec12a88203b96cabda2d97d64112a99141067a67db63bbcc"
 
 
 def sampled_digests(seeds=range(300)) -> dict:
@@ -213,7 +213,7 @@ class TestSampling:
         arrays only; its profiles are built when first read, as drawn."""
         inst = sample_instance({"similarity": (0.85, 1.0)}, 6, 3, 4)
         sol = solve_equilibrium(inst)
-        verify_equilibrium(inst, sol, num_probes=200)
+        verify_equilibrium(inst, sol)
         env = PricingEnv(inst)
         env.reset()
         env.step(sol.prices.prices)
@@ -265,7 +265,6 @@ class TestConfig:
         (tinynet.PruneSchedule, "frequency"), (ExperimentConfig, "num_uavs"),
         (ExperimentConfig, "num_rsus"), (ExperimentConfig, "episodes"),
         (ExperimentConfig, "floor_neurons"), (ExperimentConfig, "greedy_levels"),
-        (ExperimentConfig, "verify_probes"),
     ])
     def test_non_finite_values_rejected_from_python(self, cls, name, value):
         """A NaN or infinite number fails the field's own domain check when
@@ -285,7 +284,6 @@ class TestConfig:
         "episodes": (ExperimentConfig, lambda v: {"episodes": v}),
         "floor_neurons": (ExperimentConfig, lambda v: {"floor_neurons": v}),
         "greedy_levels": (ExperimentConfig, lambda v: {"greedy_levels": v}),
-        "verify_probes": (ExperimentConfig, lambda v: {"verify_probes": v}),
         "hidden_sizes=(v,)": (PpoConfig, lambda v: {"hidden_sizes": (v,)}),
         "hidden_sizes=(v,64)": (PpoConfig, lambda v: {"hidden_sizes": (v, 64)}),
         "hidden_sizes=(64,v)": (PpoConfig, lambda v: {"hidden_sizes": (64, v)}),
@@ -428,22 +426,22 @@ class TestConfig:
         spellings give one config and one run_id: the float spelling's. A
         config built in Python stores its values so too once validated, and
         equals the file's."""
-        assert config_hash(config_from_dict({})) == "4e098628d8bda1ac"
-        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "8de8de521ea58a0d"),
+        assert config_hash(config_from_dict({})) == "98d15858e964def0"
+        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "cde00943820f73a7"),
                  ({"ppo": {"discount": 0}}, {"ppo": {"discount": 0.0}},
-                  "c5fa7da351dc6bbf")]
+                  "45f92afd76845a74")]
         for as_int, as_float, digest in pairs:
             a, b = config_from_dict(as_int), config_from_dict(as_float)
             assert a == b
             assert config_hash(a) == config_hash(b) == digest
-        built = [(ExperimentConfig(episodes=2.0), {"episodes": 2}, "1fa80ab4a6fdb35c"),
+        built = [(ExperimentConfig(episodes=2.0), {"episodes": 2}, "ee48d5102aa652ab"),
                  (ExperimentConfig(greedy_epsilon=0), {"greedy_epsilon": 0.0},
-                  "8de8de521ea58a0d"),
+                  "cde00943820f73a7"),
                  (ExperimentConfig(ppo=PpoConfig(discount=0)), {"ppo": {"discount": 0.0}},
-                  "c5fa7da351dc6bbf"),
+                  "45f92afd76845a74"),
                  (ExperimentConfig(seeds=(np.int64(0),),
                                    ppo=PpoConfig(hidden_sizes=[64, 64.0])),
-                  {"ppo": {"hidden_sizes": [64, 64]}}, "4e098628d8bda1ac")]
+                  {"ppo": {"hidden_sizes": [64, 64]}}, "98d15858e964def0")]
         for cfg, doc, digest in built:
             assert cfg.validate() == config_from_dict(doc)
             assert config_hash(cfg) == digest
@@ -457,10 +455,14 @@ class TestConfig:
         b.episodes = 301
         assert config_hash(a) != config_hash(b)
 
-    def test_strict_keeps_the_digest(self):
-        """strict sets only the exit code, so a strict run writes a plain run's ids."""
-        plain = ExperimentConfig()
-        assert config_hash(replace(plain, strict=True)) == config_hash(plain)
+    def test_strict_keeps_the_digest(self, tmp_path):
+        """--strict sets only the exit code, so a strict run writes a plain run's ids."""
+        ids = []
+        for flags in ([], ["--strict"]):
+            out = tmp_path / f"out{len(ids)}"
+            assert cli_main(["solve", "--seed", "0", "--out", str(out), *flags]) == 0
+            ids.append(parse_results_csv(out / "results.csv")[0]["run_id"])
+        assert ids[0] == ids[1] == f"solve-{config_hash(ExperimentConfig())}-0"
 
 
 class TestRuns:
@@ -598,15 +600,17 @@ class TestSweepDraws:
         cells = []
         solve_record = harness._solve_record
 
-        def spy(sub, seed, instance, *rest):
-            cells.append((sub, seed, instance))
-            return solve_record(sub, seed, instance, *rest)
+        def spy(seed, instance, *rest):
+            cells.append((seed, instance))
+            return solve_record(seed, instance, *rest)
 
         monkeypatch.setattr(harness, "_solve_record", spy)
         records, _ = run_sweep(cfg, SweepSpec(param, grid, cfg.seeds))
         monkeypatch.undo()
         assert len(cells) == len(records) == len(grid) * len(cfg.seeds)
-        for (sub, seed, got), rec in zip(cells, records):
+        subs = [harness._apply_sweep_value(cfg, param, value)
+                for value in grid for _ in cfg.seeds]
+        for sub, (seed, got), rec in zip(subs, cells, records):
             want = sample_instance(sub.ranges, sub.num_uavs, sub.num_rsus,
                                    named_rng(seed, "instance"))
             for a, b in zip(got.arrays, want.arrays):
@@ -843,8 +847,9 @@ class TestReproducibility:
         """Every bit of a small four-algorithm `bwmarket compare` is what it
         was when TRAINING_DIGEST was recorded (commit 9fc3079): results.csv
         without its wall_ms column, and summary.json. The digest was re-pinned
-        when `env.warmup_policy` left the config, which moved only the config
-        hash inside each run_id.
+        when `env.warmup_policy` left the config, and again when `strict` and
+        `verify_probes` did; each time only the config hash inside each run_id
+        moved.
 
         The market is the perfbench `compare` one (3x2, similarity 0.85-1),
         for 30 episodes on seeds 0 and 1. The prune schedule masks from
@@ -889,7 +894,7 @@ class TestCli:
         doc = {"instance": {"I": 8, "J": 4,
                             "ranges": {"similarity": [0.85, 1.0], "delta": [1e11, 2e11],
                                        "budget": [1e10, 1e11]}},
-               "seeds": [0, 1, 2], "verify_probes": 50}
+               "seeds": [0, 1, 2]}
         path = tmp_path / "scaled.yaml"
         path.write_text(yaml.safe_dump(doc))
         code = cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
@@ -905,6 +910,17 @@ class TestCli:
         code = cli_main(["solve", "--config", str(path), "--seed", "72",
                          "--out", str(tmp_path / "out"), "--strict"])
         assert code == 0
+
+    def test_solve_strict_on_a_large_market(self, tmp_path, capsys):
+        # a 100 x 10 market where sellers gain by moving one price entry
+        # alone: it fails verification, so --strict exits 1
+        doc = {"instance": {"I": 100, "J": 10, "ranges": {"similarity": [0.5, 1.0]}}}
+        path = tmp_path / "large.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code = cli_main(["solve", "--config", str(path), "--seed", "0",
+                         "--out", str(tmp_path / "out"), "--strict"])
+        assert code == 1
+        assert "equilibrium check failed for solve-" in capsys.readouterr().err
 
     def test_train_command(self, tmp_path):
         code = cli_main(["train", "--algo", "random",
@@ -1035,7 +1051,7 @@ class TestCli:
         inconsistent reference solve of a training run."""
         from bwmarket.game import VerificationReport
         monkeypatch.setattr(harness, "verify_equilibrium",
-                            lambda *args, **kwargs: VerificationReport(1, [(0, 1.0)], [], 1.0))
+                            lambda *args, **kwargs: VerificationReport([(0, 1.0)], [], 1.0))
         monkeypatch.setattr(harness, "theoretical_baseline", lambda inst: (1.0, False))
         out = tmp_path / "out"
         code = cli_main([*argv, "--config", self._write_cfg(tmp_path), "--strict",
@@ -1088,7 +1104,7 @@ class TestCli:
             "fractional hidden size": "ppo: {hidden_sizes: [8.5, 8]}\n",
             "unknown instance key": "instance: {K: 3}\n",
             "fractional rollout size": "ppo: {rollout_size: 2.5}\n",
-            "string strict": 'strict: "yes"\n',
+            "removed strict switch": "strict: true\n",
             "numeric out": "out: 5\n",
             "negative demand scale": "env: {demand_scale: -1}\n",
             "zero rollout size": "ppo: {rollout_size: 0}\n",
@@ -1098,7 +1114,7 @@ class TestCli:
             "zero greedy levels": "greedy_levels: 0\n",
             "greedy epsilon above 1": "greedy_epsilon: 1.5\n",
             "negative greedy epsilon": "greedy_epsilon: -0.1\n",
-            "negative verify probes": "verify_probes: -3\n",
+            "removed probe count": "verify_probes: 200\n",
             "negative seed": "seeds: [-3]\n",
             "negative schedule steps": "schedule: {total_steps: -10}\n",
             "zero schedule steps": "schedule: {total_steps: 0}\n",

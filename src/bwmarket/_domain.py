@@ -8,7 +8,7 @@ import functools
 import math
 import numbers
 from dataclasses import is_dataclass
-from typing import Annotated, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -30,8 +30,6 @@ def checked(label: str, hint, value, shown=...):
     shown = value if shown is ... else shown
     base, *interval = get_args(hint) if get_origin(hint) is Annotated else (hint,)
     origin, args = get_origin(base) or base, get_args(base)
-    if origin is Union:  # X | None
-        return None if value is None else checked(label, args[0], value, shown)
     if origin in (list, tuple) and isinstance(value, (list, tuple)):
         entries = args if origin is tuple and ... not in args else args[:1] * len(value)
         if not value or len(entries) != len(value):

@@ -10,6 +10,10 @@ newest last; an agent's observation is its slice, flattened.
 instance in lock step: every array gains a leading run axis (prices E x J x I,
 history E x J x L x 2 x I), and one step solves all E markets in one kernel
 call.  With ``runs=None`` there is no run axis; it is the same code path.
+
+What a run takes from its market is derived here from the instance alone: the
+demand scale is the market's own bound on any demand, and the reference is
+``theoretical_baseline``'s solved and verified equilibrium.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from typing import Annotated
 import numpy as np
 
 from ._domain import check
-from .game import GameInstance, _batched_follower_demands, _margins, solve_equilibrium
+from .game import (GameInstance, _batched_follower_demands, _margins, solve_equilibrium,
+                   verify_equilibrium)
 
 
 def default_demand_scale(instance: GameInstance) -> float:
-    """Upper bound on any single demand: delta_max * ln(1/min threshold) / c_min."""
+    """Upper bound on any single demand: delta_max * ln(1/min threshold) / c_min.
+    A demand is below delta * S / p, with S <= ln(1/threshold) and p >= c."""
     m = instance.arrays
     th_min = float(np.min(instance.ssim_thresholds))
     return float(np.max(m.delta) * math.log(1.0 / th_min) / np.min(m.c))
@@ -35,7 +41,6 @@ def default_demand_scale(instance: GameInstance) -> float:
 class EnvConfig:
     history_length: Annotated[int, "[1, inf)"] = 2
     episode_length: Annotated[int, "[1, inf)"] = 10
-    demand_scale: Annotated[float, "(0, inf)"] | None = None  # None: derived from the instance
 
     def __post_init__(self):
         check(self)
@@ -51,7 +56,7 @@ class StepOutcome:
     rewards: np.ndarray             # agents
     demands: np.ndarray             # buyers x agents
     done: bool
-    demand_clipped: bool            # in any run
+    demand_clipped: bool            # in any run; False, by demand_scale's bound
     margins: np.ndarray             # agents x buyers; row sums are the rewards
 
 
@@ -69,9 +74,8 @@ class PricingEnv:
         self.num_agents = instance.num_rsus
         self.num_uavs = instance.num_uavs
         self._market = instance.arrays
-        self.demand_scale = (self.config.demand_scale
-                             if self.config.demand_scale is not None
-                             else default_demand_scale(instance))
+        # an extreme hand-built market can overflow the bound
+        self.demand_scale = default_demand_scale(instance)
         if not 0.0 < self.demand_scale < math.inf:
             raise ValueError("demand_scale must be finite and positive")
         self._lead = () if runs is None else (runs,)
@@ -93,14 +97,12 @@ class PricingEnv:
 
     def _shift(self, prices: np.ndarray, demands: np.ndarray) -> bool:
         """Drop the oldest slot, write the normalized newest one; True if any
-        demand exceeded demand_scale and was clipped."""
-        scaled = demands.swapaxes(-1, -2) / self.demand_scale
+        normalized demand exceeds 1, which demand_scale's bound rules out."""
         history = self._history
         history[..., :-1, :, :] = history[..., 1:, :, :]
         np.divide(prices, self._market.cap[:, None], out=history[..., -1, 0, :])
-        # np.clip(scaled, 0, 1) bit for bit: the kernel's demands are never -0.0
-        np.minimum(np.maximum(scaled, 0.0), 1.0, out=history[..., -1, 1, :])
-        return bool((scaled > 1.0).any())
+        np.divide(demands.swapaxes(-1, -2), self.demand_scale, out=history[..., -1, 1, :])
+        return bool((history[..., -1, 1, :] > 1.0).any())
 
     def observations(self) -> np.ndarray:
         """One fresh row per agent: L (price row, demand column) pairs, newest last."""
@@ -127,7 +129,10 @@ class PricingEnv:
 
 
 def theoretical_baseline(instance: GameInstance) -> tuple[float, bool]:
-    """Mean seller utility at the analytic equilibrium; flag is False on an
-    inconsistent solve."""
+    """Mean seller utility at the analytic equilibrium, and whether it holds:
+    the solve is consistent and verify_equilibrium passes it. The check runs
+    on every solve, so every solve, sweep and training record takes its
+    reference and its consistent flag from here."""
     sol = solve_equilibrium(instance)
-    return float(np.mean(sol.rsu_utilities)), sol.consistent
+    verified = verify_equilibrium(instance, sol).passed
+    return float(np.mean(sol.rsu_utilities)), sol.consistent and verified

@@ -6,7 +6,9 @@ are reproducible and adding an algorithm never perturbs instance sampling.
 A sampled instance is its market arrays, built straight from one row of draws
 per seller and per buyer; its profile objects are built only if something
 reads them.  A sweep draws each seed's rows once, at its largest market, and
-builds every cell from a prefix of them.
+builds every cell from a prefix of them.  Every record, solve, sweep cell or
+training run, takes its reference value and consistent flag from
+``theoretical_baseline``, which solves and verifies the market.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Annotated
 
@@ -27,13 +29,7 @@ from . import _domain
 from ._domain import ConfigError
 from .agents import GreedyAgent, PpoAgent, PpoConfig, RandomAgent, TinyMadrlAgent
 from .env import EnvConfig, PricingEnv, theoretical_baseline
-from .game import (
-    _RSU_DRAWS,
-    _UAV_DRAWS,
-    GameInstance,
-    solve_equilibrium,
-    verify_equilibrium,
-)
+from .game import _RSU_DRAWS, _UAV_DRAWS, GameInstance
 from .tinynet import PruneSchedule
 
 SCHEMA_VERSION = 1
@@ -163,16 +159,9 @@ def load_config(path) -> ExperimentConfig:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable digest of the canonical config serialization, without the output
-    directory: one experiment gets one digest wherever it is written."""
-    def canon(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return {f.name: canon(getattr(obj, f.name)) for f in fields(obj)}
-        if isinstance(obj, dict):
-            return {str(k): canon(v) for k, v in sorted(obj.items())}
-        if isinstance(obj, (list, tuple)):
-            return [canon(v) for v in obj]
-        return obj
-    doc = canon(cfg)
+    directory: one experiment gets one digest wherever it is written. A value
+    JSON cannot write, such as an unvalidated numpy int, raises TypeError."""
+    doc = asdict(cfg)
     del doc["out"]
     blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -389,12 +378,13 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int) -> list[Run
     every run sits in one PpoAgent.stack, so a round makes one actor and one
     critic pass for all of them. Each run keeps its own agents and named
     streams, so its record equals the one it gets alone.
-    A record's wall_ms is its own agent time (a learned run's share of the
-    stack's time included) plus an equal share of the group's shared time
-    (sampling, solving, env steps and the loop), so the records' wall_ms sum
-    to the group's wall time.
+    The config is hashed first, so a config that cannot be hashed fails
+    before any work. A record's wall_ms is its own agent time (a learned
+    run's share of the stack's time included) plus an equal share of the
+    group's shared time (sampling, solving, verifying, env steps and the
+    loop), so the records' wall_ms sum to the group's wall time.
     """
-    start = time.perf_counter()
+    digest, start = config_hash(cfg), time.perf_counter()
     instance = _sample(cfg, seed)
     env = PricingEnv(instance, cfg.env, runs=len(algorithms))
     baseline, consistent = theoretical_baseline(instance)
@@ -431,7 +421,6 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int) -> list[Run
     if stack:
         stack.bill()
     shared_s = time.perf_counter() - start - sum(run.agent_s for run in runs)
-    digest = config_hash(cfg)
     return [RunRecord(f"{run.algorithm}-{digest}-{seed}", digest, seed, run.algorithm,
                       run.episode_rewards,
                       run.sparsity if run.algorithm == "tiny_madrl" else np.array([]),
@@ -446,18 +435,17 @@ def run_training(cfg: ExperimentConfig, algorithm: str, seed: int) -> RunRecord:
 
 
 def run_solve(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    """Solve and verify the analytic equilibrium for one sampled instance; the
-    record's consistent flag is False when either step fails."""
+    """Solve and verify the analytic equilibrium for one sampled instance, as
+    theoretical_baseline does for a training record; the record's consistent
+    flag is False when either step fails."""
     cfg_hash, start = config_hash(cfg), time.perf_counter()
     return _solve_record(seed, _sample(cfg, seed), start, cfg_hash)
 
 
 def _solve_record(seed: int, instance: GameInstance, start: float, cfg_hash: str) -> RunRecord:
     """run_solve's record for its sampled instance, timed from start."""
-    sol = solve_equilibrium(instance)
-    consistent = sol.consistent and verify_equilibrium(instance, sol).passed
+    theoretical, consistent = theoretical_baseline(instance)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    theoretical = float(np.mean(sol.rsu_utilities))
     return RunRecord(f"solve-{cfg_hash}-{seed}", cfg_hash, seed, "solve",
                      np.zeros((0, 0)), np.array([]), theoretical, consistent, wall_ms)
 

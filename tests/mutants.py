@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 GAME, AGENTS, ENV = "src/bwmarket/game.py", "src/bwmarket/agents.py", "src/bwmarket/env.py"
 DOMAIN, HARNESS = "src/bwmarket/_domain.py", "src/bwmarket/harness.py"
 T_GAME, T_AGENTS, T_ENV = "tests/test_game.py", "tests/test_agents.py", "tests/test_env.py"
+T_HARNESS = "tests/test_harness.py"
 ROLLOUT = f"{T_ENV}::TestMatchesReference::test_rollout_bit_for_bit"
 
 MUTANTS = (
@@ -94,10 +95,22 @@ MUTANTS = (
     Mutant("shift-keeps-the-oldest-slot", ENV,
            "history[..., :-1, :, :] = history[..., 1:, :, :]",
            "history[..., 1:-1, :, :] = history[..., 2:, :, :]",
-           (f"{ROLLOUT}[False-3-2-2-full]", f"{ROLLOUT}[True-4-3-3-cut]")),
+           (f"{ROLLOUT}[random-3-2-2-full]", f"{ROLLOUT}[random-4-3-3-cut]")),
     Mutant("observations-are-a-view", ENV,
            "(self.num_agents, -1)).copy()", "(self.num_agents, -1))",
-           (f"{ROLLOUT}[False-3-2-2-full]", f"{ROLLOUT}[True-4-3-3-cut]")),
+           (f"{ROLLOUT}[random-3-2-2-full]", f"{ROLLOUT}[random-4-3-3-cut]")),
+    # the env's demand scale is the market's own bound on any demand
+    Mutant("demand-scale-halved", ENV,
+           "self.demand_scale = default_demand_scale(instance)",
+           "self.demand_scale = default_demand_scale(instance) / 2",
+           (f"{T_ENV}::TestDemandScale::test_cost_corner_observations_within_bounds",
+            f"{ROLLOUT}[corner-3-2-2-full]")),
+    # every record's reference is a solve that also verifies
+    Mutant("baseline-skips-verification", ENV,
+           "sol.consistent and verified", "sol.consistent",
+           (f"{T_ENV}::TestBaseline::test_reference_holds_only_when_solved_and_verified",
+            f"{T_HARNESS}::TestTrainingGroup::test_reference_agrees_with_the_solve_record",
+            f"{T_HARNESS}::TestCli::test_train_strict_fails_where_solve_strict_fails")),
     # leader roots: a_j = c_j S_j / (q_j D_j)
     Mutant("leader-root-a-without-q", GAME,
            "a = np.where(formula, c * m.S / (q * denom), 1.0)",

@@ -9,7 +9,7 @@ from bwmarket.env import (
     default_demand_scale,
     theoretical_baseline,
 )
-from bwmarket import game
+from bwmarket import env as env_module, game
 from bwmarket.game import rsu_utility
 
 from _oracles import ReferencePricingEnv, random_instance, simple_instance
@@ -144,65 +144,60 @@ class TestMatchesReference:
     @pytest.mark.parametrize("cut", [False, True], ids=["full", "cut"])
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("I,J", [(1, 1), (3, 2), (2, 3), (4, 3)])
-    @pytest.mark.parametrize("small_scale", [False, True])
-    def test_rollout_bit_for_bit(self, cut, L, I, J, small_scale):
+    @pytest.mark.parametrize("prices", ["random", "corner"])
+    def test_rollout_bit_for_bit(self, cut, L, I, J, prices):
         """Observations, rewards, demand_clipped and done equal the per-agent
         list bookkeeping exactly, and a returned observation never changes.
         A cut first episode stops after L + 1 steps, before done, so the
-        second reset discards a history of real prices mid-episode."""
+        second reset discards a history of real prices mid-episode. At the
+        cost corner demands are largest, and the env's unclipped write still
+        equals the reference's clipped one."""
         rng = np.random.default_rng(100 * I + 10 * J + L)
-        # floor 0.5 leaves some links unusable; 0.85 makes every buyer demand,
-        # and a scale of 0.05 then clips some demands but not all
-        inst = random_instance(rng, I=I, J=J, min_component=0.85 if small_scale else 0.5)
-        scale = 0.05 if small_scale else None
-        cfg = EnvConfig(history_length=L, episode_length=L + 4,
-                        demand_scale=scale)
+        # floor 0.5 leaves some links unusable; 0.85 makes every buyer demand
+        inst = random_instance(rng, I=I, J=J, min_component=0.5 if prices == "random" else 0.85)
+        cfg = EnvConfig(history_length=L, episode_length=L + 4)
         env = PricingEnv(inst, cfg)
         ref = ReferencePricingEnv(inst, cfg, env.demand_scale)
         c, cap = inst.costs(), inst.price_caps()
-        any_clipped = False
         for episode in range(2):  # the second reset must discard the first episode
             steps = L + 1 if cut and episode == 0 else cfg.episode_length
             previous = env.reset()
             kept = previous.copy()
             np.testing.assert_array_equal(previous, ref.reset())
             for _ in range(steps):
-                # a wider box than [c, cap], so clamping fires on both sides
-                actions = [rng.uniform(c[j] - 1.0, cap[j] + 5.0, I) for j in range(J)]
+                # a wider box than [c, cap], so clamping fires on both sides;
+                # at the corner every price is clamped up to its seller's cost
+                high = cap + 5.0 if prices == "random" else c
+                actions = [rng.uniform(c[j] - 1.0, high[j], I) for j in range(J)]
                 out = env.step(actions)
                 obs, rewards, clipped, done = ref.step(actions)
                 np.testing.assert_array_equal(out.next_observations, obs)
                 np.testing.assert_array_equal(out.rewards, rewards)
                 assert out.demand_clipped == clipped
                 assert out.done == done
-                any_clipped = any_clipped or clipped
                 np.testing.assert_array_equal(previous, kept)
                 previous, kept = out.next_observations, out.next_observations.copy()
             assert done == (steps == cfg.episode_length)
-        if small_scale:
-            assert any_clipped
 
 
 class TestRunAxis:
     @pytest.mark.parametrize("cut", [False, True], ids=["full", "cut"])
-    @pytest.mark.parametrize("I,J,small_scale", [(3, 2, False), (3, 2, True),
-                                                 (12, 3, False)])
-    def test_stack_equals_single_envs(self, cut, I, J, small_scale):
+    @pytest.mark.parametrize("prices", ["random", "corner"])
+    @pytest.mark.parametrize("I,J", [(3, 2), (12, 3)])
+    def test_stack_equals_single_envs(self, cut, I, J, prices):
         """runs=3 steps each run bit for bit as a single env and the list
         bookkeeping do: observations, rewards, margins, demands,
-        demand_clipped (any run) and done, over two episodes. A cut first
-        episode stops after 3 of its 5 steps, before done."""
+        demand_clipped and done, over two episodes. A cut first
+        episode stops after 3 of its 5 steps, before done. The corner
+        prices every link at or below its seller's cost."""
         E = 3
         rng = np.random.default_rng(10 * I + J)
-        inst = random_instance(rng, I=I, J=J, min_component=0.85 if small_scale else 0.5)
-        # a demand scale of 0.5 clips some runs' demands in a step but not all
-        cfg = EnvConfig(history_length=2, episode_length=5,
-                        demand_scale=0.5 if small_scale else None)
+        inst = random_instance(rng, I=I, J=J, min_component=0.5 if prices == "random" else 0.85)
+        cfg = EnvConfig(history_length=2, episode_length=5)
         stack = PricingEnv(inst, cfg, runs=E)
         singles = [PricingEnv(inst, cfg) for _ in range(E)]
         refs = [ReferencePricingEnv(inst, cfg, stack.demand_scale) for _ in range(E)]
         c, cap = inst.costs(), inst.price_caps()
-        mixed_clipping = False
         for episode in range(2):
             steps = 3 if cut and episode == 0 else cfg.episode_length
             obs = stack.reset()
@@ -212,28 +207,26 @@ class TestRunAxis:
                 np.testing.assert_array_equal(obs[k], refs[k].reset())
             for _ in range(steps):
                 # a wider box than [c, cap], so clamping fires on both sides
-                prices = rng.uniform(c[:, None] - 1.0, cap[:, None] + 5.0, size=(E, J, I))
-                out = stack.step(prices)
-                game._check_demands(out.demands, np.clip(prices, c[:, None], cap[:, None]),
+                high = cap[:, None] + 5.0 if prices == "random" else c[:, None]
+                drawn = rng.uniform(c[:, None] - 1.0, high, size=(E, J, I))
+                out = stack.step(drawn)
+                game._check_demands(out.demands, np.clip(drawn, c[:, None], cap[:, None]),
                                     inst.arrays.budget)
-                clipped = []
                 for k in range(E):
-                    one = singles[k].step(prices[k])
+                    one = singles[k].step(drawn[k])
                     for got, want in [(out.next_observations[k], one.next_observations),
                                       (out.rewards[k], one.rewards),
                                       (out.margins[k], one.margins),
                                       (out.demands[k], one.demands)]:
                         np.testing.assert_array_equal(got, want, strict=True)
-                    ref_obs, ref_rewards, ref_clipped, ref_done = refs[k].step(prices[k])
+                    ref_obs, ref_rewards, ref_clipped, ref_done = refs[k].step(drawn[k])
                     np.testing.assert_array_equal(out.next_observations[k], ref_obs)
                     np.testing.assert_array_equal(out.rewards[k], ref_rewards)
-                    assert one.demand_clipped == ref_clipped and one.done == ref_done
-                    clipped.append(one.demand_clipped)
-                assert out.demand_clipped is any(clipped)
+                    assert one.demand_clipped is ref_clipped is False
+                    assert one.done == ref_done
+                assert out.demand_clipped is False
                 assert out.done is one.done
-                mixed_clipping |= any(clipped) and not all(clipped)
             assert out.done == (steps == cfg.episode_length)
-        assert mixed_clipping == small_scale
 
     def test_prices_need_the_run_axis(self, symmetric):
         env = PricingEnv(symmetric, runs=2)
@@ -254,6 +247,27 @@ class TestBaseline:
         assert value == 0.0
         assert consistent
 
+    @pytest.mark.parametrize("consistent", [True, False])
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_reference_holds_only_when_solved_and_verified(self, monkeypatch, symmetric,
+                                                           consistent, passed):
+        """The flag is the solve's consistent flag and the verification's
+        verdict together, and the verification runs on every solve."""
+        sol = game.solve_equilibrium(symmetric)
+        sol.consistent = consistent
+        checked = []
+
+        def verify(instance, solution):
+            checked.append(solution)
+            return game.VerificationReport([] if passed else [(0, 1.0)], [], 0.0)
+
+        monkeypatch.setattr(env_module, "solve_equilibrium", lambda instance: sol)
+        monkeypatch.setattr(env_module, "verify_equilibrium", verify)
+        value, holds = theoretical_baseline(symmetric)
+        assert holds is (consistent and passed)
+        assert checked == [sol]
+        assert value == float(np.mean(sol.rsu_utilities))
+
     def test_baseline_nonnegative_random(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -273,3 +287,24 @@ class TestConfig:
 
     def test_default_demand_scale_positive(self, symmetric):
         assert default_demand_scale(symmetric) > 0
+
+
+class TestDemandScale:
+    @pytest.mark.parametrize("floor", [0.0, 0.5, 0.85, 0.99])
+    def test_cost_corner_observations_within_bounds(self, floor):
+        """The demand scale is the market's own bound on any demand: with
+        every price at its seller's cost, where demands are largest, every
+        observation of sampled markets lies in [0, 1] and no demand is
+        clipped. A floor of 0.99 puts every link near full similarity."""
+        rng = np.random.default_rng(int(100 * floor))
+        for I, J in [(1, 1), (3, 2), (2, 3), (8, 4)] * 10:
+            inst = random_instance(rng, I=I, J=J, min_component=floor)
+            env = PricingEnv(inst, EnvConfig(history_length=2, episode_length=2), runs=2)
+            assert env.demand_scale == default_demand_scale(inst)
+            env.reset()
+            corner = np.broadcast_to(inst.costs()[:, None], (2, J, I))
+            for _ in range(2):
+                out = env.step(corner)
+                assert out.demand_clipped is False
+                assert np.all(out.next_observations >= 0.0)
+                assert np.all(out.next_observations <= 1.0)

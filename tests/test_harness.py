@@ -56,7 +56,7 @@ DIGEST_SIZES = ((1, 1), (3, 2), (15, 6), (7, 10))
 
 # sha256 of TestReproducibility::test_compare_matches_recorded_digest's
 # four-algorithm compare: results.csv without wall_ms, then summary.json
-TRAINING_DIGEST = "fbfc65747690ab39ec12a88203b96cabda2d97d64112a99141067a67db63bbcc"
+TRAINING_DIGEST = "5734cd69ad8d21e84134c92d66b38920139f747c2c1818bc64ea9f3fecad887d"
 
 
 def sampled_digests(seeds=range(300)) -> dict:
@@ -259,8 +259,8 @@ class TestConfig:
     @pytest.mark.parametrize("cls, name", [
         (PpoConfig, "policy_std"), (PpoConfig, "final_policy_std"),
         (PpoConfig, "action_headroom"), (PpoConfig, "rollout_size"),
-        (PpoConfig, "update_epochs"), (EnvConfig, "demand_scale"),
-        (EnvConfig, "history_length"), (EnvConfig, "episode_length"),
+        (PpoConfig, "update_epochs"), (EnvConfig, "history_length"),
+        (EnvConfig, "episode_length"),
         (tinynet.PruneSchedule, "start_epoch"), (tinynet.PruneSchedule, "total_steps"),
         (tinynet.PruneSchedule, "frequency"), (ExperimentConfig, "num_uavs"),
         (ExperimentConfig, "num_rsus"), (ExperimentConfig, "episodes"),
@@ -426,22 +426,22 @@ class TestConfig:
         spellings give one config and one run_id: the float spelling's. A
         config built in Python stores its values so too once validated, and
         equals the file's."""
-        assert config_hash(config_from_dict({})) == "98d15858e964def0"
-        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "cde00943820f73a7"),
+        assert config_hash(config_from_dict({})) == "91ee0303328943eb"
+        pairs = [({"greedy_epsilon": 0}, {"greedy_epsilon": 0.0}, "05df991a2e64d447"),
                  ({"ppo": {"discount": 0}}, {"ppo": {"discount": 0.0}},
-                  "45f92afd76845a74")]
+                  "d1c3f5a3ca187bf6")]
         for as_int, as_float, digest in pairs:
             a, b = config_from_dict(as_int), config_from_dict(as_float)
             assert a == b
             assert config_hash(a) == config_hash(b) == digest
-        built = [(ExperimentConfig(episodes=2.0), {"episodes": 2}, "ee48d5102aa652ab"),
+        built = [(ExperimentConfig(episodes=2.0), {"episodes": 2}, "5e09d051b60e4308"),
                  (ExperimentConfig(greedy_epsilon=0), {"greedy_epsilon": 0.0},
-                  "cde00943820f73a7"),
+                  "05df991a2e64d447"),
                  (ExperimentConfig(ppo=PpoConfig(discount=0)), {"ppo": {"discount": 0.0}},
-                  "45f92afd76845a74"),
+                  "d1c3f5a3ca187bf6"),
                  (ExperimentConfig(seeds=(np.int64(0),),
                                    ppo=PpoConfig(hidden_sizes=[64, 64.0])),
-                  {"ppo": {"hidden_sizes": [64, 64]}}, "98d15858e964def0")]
+                  {"ppo": {"hidden_sizes": [64, 64]}}, "91ee0303328943eb")]
         for cfg, doc, digest in built:
             assert cfg.validate() == config_from_dict(doc)
             assert config_hash(cfg) == digest
@@ -775,6 +775,28 @@ class TestTrainingGroup:
         assert all(r.wall_ms > 0 for r in group)
         assert sum(r.wall_ms for r in group) <= elapsed_ms
 
+    def test_reference_agrees_with_the_solve_record(self):
+        """A training record's consistent flag is its seed's solve record's:
+        the same solve, verified the same way, on seeds 0-199 of the default
+        config (seeds 91 and 178 solve consistently but fail verification)."""
+        cfg = ExperimentConfig().validate()
+        one = replace(cfg, episodes=1)
+        flags = [(run_training(one, "random", seed).consistent,
+                  run_solve(cfg, seed).consistent) for seed in range(200)]
+        assert [seed for seed, (a, b) in enumerate(flags) if a != b] == []
+        assert not flags[91][1] and not flags[178][1]
+
+    def test_config_hashed_before_any_work(self, monkeypatch):
+        """An unvalidated config that cannot be hashed fails before the
+        reference solve or any env step, not after every episode."""
+        def fail(*args):
+            raise AssertionError("the group ran before its config was hashed")
+
+        monkeypatch.setattr(harness, "theoretical_baseline", fail)
+        monkeypatch.setattr(PricingEnv, "step", fail)
+        with pytest.raises(TypeError, match="int64"):
+            run_training_group(ExperimentConfig(episodes=np.int64(40)), ["random"], 0)
+
     def test_non_finite_reward_names_episode_and_algorithm(self, monkeypatch):
         from bwmarket.agents import RandomAgent
         monkeypatch.setattr(RandomAgent, "act",
@@ -847,9 +869,9 @@ class TestReproducibility:
         """Every bit of a small four-algorithm `bwmarket compare` is what it
         was when TRAINING_DIGEST was recorded (commit 9fc3079): results.csv
         without its wall_ms column, and summary.json. The digest was re-pinned
-        when `env.warmup_policy` left the config, and again when `strict` and
-        `verify_probes` did; each time only the config hash inside each run_id
-        moved.
+        when `env.warmup_policy` left the config, again when `strict` and
+        `verify_probes` did, and again when `env.demand_scale` did; each time
+        only the config hash inside each run_id moved.
 
         The market is the perfbench `compare` one (3x2, similarity 0.85-1),
         for 30 episodes on seeds 0 and 1. The prune schedule masks from
@@ -1047,11 +1069,8 @@ class TestCli:
     def test_strict_writes_outputs_then_names_inconsistent_runs(self, tmp_path, capsys,
                                                                 monkeypatch, argv):
         """--strict writes every output, then exits 1 with one line naming the
-        runs whose equilibrium failed: a verification failure of a solve, or an
-        inconsistent reference solve of a training run."""
-        from bwmarket.game import VerificationReport
-        monkeypatch.setattr(harness, "verify_equilibrium",
-                            lambda *args, **kwargs: VerificationReport([(0, 1.0)], [], 1.0))
+        runs whose equilibrium failed; solve and training records alike take
+        that flag from theoretical_baseline."""
         monkeypatch.setattr(harness, "theoretical_baseline", lambda inst: (1.0, False))
         out = tmp_path / "out"
         code = cli_main([*argv, "--config", self._write_cfg(tmp_path), "--strict",
@@ -1063,6 +1082,17 @@ class TestCli:
         run_id = parse_results_csv(out / "results.csv")[0]["run_id"]
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert run_id in captured.err, captured.err
+
+    def test_train_strict_fails_where_solve_strict_fails(self, tmp_path, capsys):
+        """Seed 91 of the default config solves consistently but fails
+        verification; a training run's reference is that same equilibrium,
+        so train --strict exits 1 naming the run, as solve --strict does."""
+        for argv in (["solve"], ["train", "--algo", "random"]):
+            out = tmp_path / argv[0]
+            code = cli_main([*argv, "--seed", "91", "--strict", "--out", str(out)])
+            run_id = parse_results_csv(out / "results.csv")[0]["run_id"]
+            assert code == 1, argv
+            assert run_id in capsys.readouterr().err
 
     def test_strict_consistent_run_exits_zero(self, tmp_path, capsys):
         code = cli_main(["solve", "--config", self._write_cfg(tmp_path), "--strict",
@@ -1106,7 +1136,6 @@ class TestCli:
             "fractional rollout size": "ppo: {rollout_size: 2.5}\n",
             "removed strict switch": "strict: true\n",
             "numeric out": "out: 5\n",
-            "negative demand scale": "env: {demand_scale: -1}\n",
             "zero rollout size": "ppo: {rollout_size: 0}\n",
             "zero update epochs": "ppo: {update_epochs: 0}\n",
             "no hidden layers": "ppo: {hidden_sizes: []}\n",
@@ -1140,19 +1169,24 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
             assert not (tmp_path / "out").exists()
 
-    def test_removed_warmup_policy_names_its_key(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("key, value", [("env.warmup_policy", "zeros"),
+                                            ("env.demand_scale", "1.0")],
+                             ids=["env.warmup_policy", "env.demand_scale"])
+    def test_removed_warmup_policy_names_its_key(self, tmp_path, capsys, monkeypatch,
+                                                 key, value):
+        """A removed env option exits 2 before any work as an unknown option."""
         self.forbid_work(monkeypatch)
+        section, name = key.split(".")
         path = tmp_path / "bad.yaml"
-        path.write_text("env: {warmup_policy: zeros}\n")
+        path.write_text(f"{section}: {{{name}: {value}}}\n")
         code = cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: unknown config option 'env.warmup_policy'\n")
+            f"error: {path}: unknown config option '{key}'\n")
 
     @pytest.mark.parametrize("key", [
         "instance.I", "instance.ranges", "episodes", "seeds", "ppo", "ppo.actor_lr",
-        "ppo.hidden_sizes", "env.history_length", "env.demand_scale",
-        "schedule.total_steps"])
+        "ppo.hidden_sizes", "env.history_length", "schedule.total_steps"])
     def test_bad_value_names_its_file_key(self, tmp_path, capsys, monkeypatch, key):
         """The values test_every_field_rejects_or_runs sets from Python, each
         written under a file key it does not fit, exit 2 before any work with

@@ -14,11 +14,13 @@ def main():
     cfg.ranges["similarity"] = (0.85, 1.0)
     seed = 0
 
-    # the four algorithms train in lock step; each record equals its solo run
+    # the four algorithms train in lock step; each record equals its solo run,
+    # and the group's first record is the market's solved equilibrium
     algos = ("tiny_madrl", "ppo", "greedy", "random")
-    records = dict(zip(algos, run_training_group(cfg, algos, seed)))
+    solve, *trained = run_training_group(cfg, algos, seed)
+    records = dict(zip(algos, trained))
 
-    theoretical = records["ppo"].theoretical
+    theoretical = solve.theoretical
     print(f"theoretical baseline (mean seller utility): {theoretical:.4f}\n")
 
     header = f"{'episode':>8}" + "".join(f"{a:>12}" for a in records)

@@ -2,7 +2,8 @@
 
 The schedule ramps the masked fraction from 0 to the target, low-importance
 neurons drop out first, and compaction finally deletes them; the compact
-network reproduces the masked one exactly.
+network's outputs match the masked one's to rounding (within 1e-12), since
+its smaller matmuls sum fewer terms, in another order.
 """
 
 import numpy as np

@@ -99,10 +99,9 @@ def main(argv=None) -> int:
             records, aggregate = run_sweep(cfg, spec)
             for value, (mean, sd) in aggregate.items():
                 print(f"{args.param}={value}: avg reward {mean:.4f} +- {sd:.4f}")
-        else:  # compare: one lock-step group per seed, records algorithm-major
-            records = [run_solve(cfg, seed) for seed in cfg.seeds]
+        else:  # compare: one lock-step group per seed, solves first, then algorithm-major
             groups = [run_training_group(cfg, args.algo, seed) for seed in cfg.seeds]
-            records += [group[k] for k in range(len(args.algo)) for group in groups]
+            records = [group[k] for k in range(len(args.algo) + 1) for group in groups]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

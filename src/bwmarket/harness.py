@@ -6,9 +6,9 @@ are reproducible and adding an algorithm never perturbs instance sampling.
 A sampled instance is its market arrays, built straight from one row of draws
 per seller and per buyer; its profile objects are built only if something
 reads them.  A sweep draws each seed's rows once, at its largest market, and
-builds every cell from a prefix of them.  Every record, solve, sweep cell or
-training run, takes its reference value and consistent flag from
-``theoretical_baseline``, which solves and verifies the market.
+builds every cell from a prefix of them.  Every record takes its reference and
+consistent flag from ``theoretical_baseline``; a training group, the one
+runner per seed, solves its market once and returns that solve record first.
 """
 
 from __future__ import annotations
@@ -244,7 +244,6 @@ def _market(full: dict, rsu_units: np.ndarray, uav_units: np.ndarray) -> GameIns
 
 @dataclass(eq=False)
 class RunRecord:
-    run_id: str
     config_hash: str
     seed: int
     algorithm: str
@@ -254,6 +253,10 @@ class RunRecord:
     consistent: bool
     wall_ms: float
     _TAIL_FRACTION = 0.1  # final_average's share of the episodes, from the last
+
+    @property
+    def run_id(self) -> str:
+        return f"{self.algorithm}-{self.config_hash}-{self.seed}"
 
     @property
     def avg_rewards(self) -> np.ndarray:
@@ -309,7 +312,7 @@ class _Run:
         self.policy_rngs = [named_rng(seed, f"policy:{j}") for j in range(env.num_agents)]
         self.learned = algorithm in ("ppo", "tiny_madrl")
         self.episode_rewards = np.zeros((cfg.episodes, env.num_agents))
-        self.sparsity = np.zeros(cfg.episodes)
+        self.sparsity = np.zeros(cfg.episodes if algorithm == "tiny_madrl" else 0)
         self.agent_s = 0.0
 
     def act(self, obs: np.ndarray, prices: np.ndarray):
@@ -371,23 +374,26 @@ def _timed(unit, call, *args):
 
 
 def run_training_group(cfg: ExperimentConfig, algorithms, seed: int) -> list[RunRecord]:
-    """Train one agent per seller for each algorithm, all runs in lock step.
+    """The seed's solve record, then one record per algorithm; the algorithms
+    train one agent per seller each, in lock step.
 
-    The runs share one instance, one reference solve and one env with a run
-    axis, so a round is one env step for every run. Every learned seller of
-    every run sits in one PpoAgent.stack, so a round makes one actor and one
-    critic pass for all of them. Each run keeps its own agents and named
-    streams, so its record equals the one it gets alone.
-    The config is hashed first, so a config that cannot be hashed fails
-    before any work. A record's wall_ms is its own agent time (a learned
-    run's share of the stack's time included) plus an equal share of the
-    group's shared time (sampling, solving, verifying, env steps and the
-    loop), so the records' wall_ms sum to the group's wall time.
+    The runs share the solve's instance and reference and one env with a run
+    axis, so a round is one env step for every run. Every learned seller sits
+    in one PpoAgent.stack, so a round makes one actor and one critic pass for
+    all of them. Each run keeps its own agents and named streams, so its
+    record equals the one it gets alone. The config is hashed before any
+    work; with no algorithms no env is built. The solve record's wall_ms
+    spans sampling, solving and verifying; a training record's is its agent
+    time (a learned run's share of the stack's included) plus an equal share
+    of the rest: the env, its steps and the loop. All sum to the group's time.
     """
     digest, start = config_hash(cfg), time.perf_counter()
     instance = _sample(cfg, seed)
+    solve = _solve_record(seed, instance, start, digest)
+    if not algorithms:
+        return [solve]
+    start += solve.wall_ms / 1000.0  # the rest of the group, shared by its runs
     env = PricingEnv(instance, cfg.env, runs=len(algorithms))
-    baseline, consistent = theoretical_baseline(instance)
     runs = [_Run(cfg, env, algorithm, seed, k) for k, algorithm in enumerate(algorithms)]
     learned = [run for run in runs if run.learned]
     stack = _Stack(learned) if learned else None
@@ -420,34 +426,28 @@ def run_training_group(cfg: ExperimentConfig, algorithms, seed: int) -> list[Run
 
     if stack:
         stack.bill()
-    shared_s = time.perf_counter() - start - sum(run.agent_s for run in runs)
-    return [RunRecord(f"{run.algorithm}-{digest}-{seed}", digest, seed, run.algorithm,
-                      run.episode_rewards,
-                      run.sparsity if run.algorithm == "tiny_madrl" else np.array([]),
-                      baseline, consistent,
-                      (run.agent_s + shared_s / len(runs)) * 1000.0)
-            for run in runs]
+    share_s = (time.perf_counter() - start - sum(run.agent_s for run in runs)) / len(runs)
+    return [solve] + [RunRecord(digest, seed, run.algorithm, run.episode_rewards, run.sparsity,
+                                solve.theoretical, solve.consistent,
+                                (run.agent_s + share_s) * 1000.0) for run in runs]
 
 
 def run_training(cfg: ExperimentConfig, algorithm: str, seed: int) -> RunRecord:
-    """Train one agent per seller for the configured number of episodes."""
-    return run_training_group(cfg, [algorithm], seed)[0]
+    """Train one agent per seller for the configured episodes: a group of one."""
+    return run_training_group(cfg, [algorithm], seed)[1]
 
 
 def run_solve(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    """Solve and verify the analytic equilibrium for one sampled instance, as
-    theoretical_baseline does for a training record; the record's consistent
-    flag is False when either step fails."""
-    cfg_hash, start = config_hash(cfg), time.perf_counter()
-    return _solve_record(seed, _sample(cfg, seed), start, cfg_hash)
+    """Solve and verify one sampled instance's equilibrium: a group of none."""
+    return run_training_group(cfg, (), seed)[0]
 
 
 def _solve_record(seed: int, instance: GameInstance, start: float, cfg_hash: str) -> RunRecord:
-    """run_solve's record for its sampled instance, timed from start."""
+    """The solve record of a sampled instance, timed from start."""
     theoretical, consistent = theoretical_baseline(instance)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return RunRecord(f"solve-{cfg_hash}-{seed}", cfg_hash, seed, "solve",
-                     np.zeros((0, 0)), np.array([]), theoretical, consistent, wall_ms)
+    return RunRecord(cfg_hash, seed, "solve", np.zeros((0, 0)), np.array([]),
+                     theoretical, consistent, wall_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +532,10 @@ def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):
 
 def record_rows(record: RunRecord) -> list[dict]:
     """Flatten a run into CSV rows (fixed column order)."""
-    rows = []
+    rows, run_id = [], record.run_id
     if record.episode_rewards.size == 0:
         rows.append({
-            "run_id": record.run_id, "seed": record.seed, "episode": 0,
+            "run_id": run_id, "seed": record.seed, "episode": 0,
             "agent_id": "", "reward": repr(record.theoretical),
             "avg_reward": repr(record.theoretical), "sparsity": "",
             "theoretical": repr(record.theoretical),
@@ -548,7 +548,7 @@ def record_rows(record: RunRecord) -> list[dict]:
                  if record.sparsity.size else "")
         for agent in range(record.episode_rewards.shape[1]):
             rows.append({
-                "run_id": record.run_id, "seed": record.seed, "episode": episode,
+                "run_id": run_id, "seed": record.seed, "episode": episode,
                 "agent_id": agent,
                 "reward": repr(float(record.episode_rewards[episode, agent])),
                 "avg_reward": repr(float(avg[episode])),

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 GAME, AGENTS, ENV = "src/bwmarket/game.py", "src/bwmarket/agents.py", "src/bwmarket/env.py"
 DOMAIN, HARNESS = "src/bwmarket/_domain.py", "src/bwmarket/harness.py"
+CLI = "src/bwmarket/cli.py"
 T_GAME, T_AGENTS, T_ENV = "tests/test_game.py", "tests/test_agents.py", "tests/test_env.py"
 T_HARNESS = "tests/test_harness.py"
 ROLLOUT = f"{T_ENV}::TestMatchesReference::test_rollout_bit_for_bit"
@@ -220,6 +221,18 @@ MUTANTS = (
            'order = len(pooled) - 1 - np.argsort(pooled[::-1], kind="stable")',
            ("tests/test_tinynet.py::TestUpdateMasks::test_tie_break_by_layer_index",
             "tests/test_tinynet.py::TestUpdateMasks::test_matches_the_sorted_tuple_reference")),
+    # one runner per seed: compare samples, solves and verifies each seed once,
+    # and a group's solve record is its own seed's market
+    Mutant("compare-solves-each-seed-twice", CLI,
+           "            groups = [run_training_group(cfg, args.algo, seed) for seed in cfg.seeds]\n",
+           "            groups = [[run_solve(cfg, seed)] + run_training_group(cfg, args.algo, seed)[1:]\n"
+           "                      for seed in cfg.seeds]\n",
+           (f"{T_HARNESS}::TestCli::test_compare_samples_and_solves_each_seed_once",)),
+    Mutant("group-solves-another-seed", HARNESS,
+           "    solve = _solve_record(seed, instance, start, digest)\n",
+           "    solve = _solve_record(seed, _sample(cfg, seed + 1), start, digest)\n",
+           (f"{T_HARNESS}::TestTrainingGroup::"
+            "test_solve_record_matches_an_independent_reference",)),
     # an unknown format is refused before the output directory exists
     Mutant("emit-results-mkdir-before-format-check", HARNESS,
            '    if fmt not in ("csv", "jsonl"):\n'

@@ -181,7 +181,7 @@ class TestTrainingComparison:
         groups = [run_training_group(cfg, algos, seed) for seed in range(5)]
         for k, algo in enumerate(algos):
             fracs, reach = [], []
-            for rec in (group[k] for group in groups):
+            for rec in (group[1 + k] for group in groups):  # after the solve record
                 curve = rec.avg_rewards / rec.theoretical
                 fracs.append(rec.final_average() / rec.theoretical)
                 hits = np.nonzero(curve >= 0.8)[0]

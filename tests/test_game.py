@@ -1551,7 +1551,7 @@ class TestMatrixTypes:
         inst = simple_instance(J=2)
         env = PricingEnv(inst, EnvConfig(history_length=1, episode_length=1))
         env.reset()
-        run = lambda: RunRecord("r", "h", 0, "solve", np.zeros((0, 2)), np.zeros(0),
+        run = lambda: RunRecord("h", 0, "solve", np.zeros((0, 2)), np.zeros(0),
                                 1.0, True, 1.0)
         builds = [lambda: solve_equilibrium(inst),
                   lambda: solve_equilibrium(inst).prices,

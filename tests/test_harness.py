@@ -21,7 +21,7 @@ import yaml
 from bwmarket import harness, tinynet
 from bwmarket.agents import PpoConfig
 from bwmarket.cli import main as cli_main
-from bwmarket.env import EnvConfig, PricingEnv
+from bwmarket.env import EnvConfig, PricingEnv, theoretical_baseline
 from bwmarket.game import solve_equilibrium, verify_equilibrium
 from bwmarket.harness import (
     ALGORITHMS,
@@ -717,11 +717,11 @@ class TestTrainingGroup:
 
     def check_group(self, cfg, algorithms, seed):
         group = run_training_group(cfg, algorithms, seed)
-        assert [r.algorithm for r in group] == list(algorithms)
-        for rec in group:
+        assert [r.algorithm for r in group] == ["solve", *algorithms]
+        for rec in group[1:]:
             self.assert_records_equal(rec, run_training(cfg, rec.algorithm, seed))
         if "tiny_madrl" in algorithms:  # the schedule pruned inside the episodes
-            assert group[algorithms.index("tiny_madrl")].sparsity[-1] > 0.4
+            assert group[1 + algorithms.index("tiny_madrl")].sparsity[-1] > 0.4
 
     def test_aborting_seller_leaves_the_others_alone(self, monkeypatch):
         """A seller whose updates abort restores and skips only itself: the
@@ -750,8 +750,8 @@ class TestTrainingGroup:
             monkeypatch.setattr(PpoAgent, "stack", staticmethod(stack_and_break))
             return run_training_group(cfg, ["tiny_madrl", "ppo"], 0), built
 
-        (tiny, _), clean = train(False)
-        (tiny_broken, _), broken = train(True)
+        (_, tiny, _), clean = train(False)
+        (_, tiny_broken, _), broken = train(True)
         self.assert_records_equal(tiny_broken, tiny)
         for a, b in zip(broken["tiny_madrl"], clean["tiny_madrl"]):
             for net_a, net_b in ((a.actor, b.actor), (a.critic, b.critic)):
@@ -772,8 +772,35 @@ class TestTrainingGroup:
         start = time.perf_counter()
         group = run_training_group(cfg, ALGORITHMS, 0)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
+        assert [r.algorithm for r in group] == ["solve", *ALGORITHMS]
         assert all(r.wall_ms > 0 for r in group)
         assert sum(r.wall_ms for r in group) <= elapsed_ms
+
+    @pytest.mark.parametrize("algorithms", [(), ("greedy", "tiny_madrl")],
+                             ids=["none", "two"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_solve_record_matches_an_independent_reference(self, algorithms, seed):
+        """A group's first record is its seed's solve: theoretical_baseline on
+        the market sample_instance draws from the seed's instance stream."""
+        cfg = self.group_config()
+        rec = run_training_group(cfg, algorithms, seed)[0]
+        want = sample_instance(cfg.ranges, cfg.num_uavs, cfg.num_rsus,
+                               named_rng(seed, "instance"))
+        theoretical, consistent = theoretical_baseline(want)
+        assert (rec.run_id, rec.config_hash, rec.seed, rec.algorithm) == (
+            f"solve-{config_hash(cfg)}-{seed}", config_hash(cfg), seed, "solve")
+        assert rec.episode_rewards.size == rec.sparsity.size == 0
+        assert repr(rec.theoretical) == repr(theoretical)
+        assert rec.consistent == consistent
+        assert rec.wall_ms > 0
+
+    def test_group_of_none_builds_no_env(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a group of no algorithms built an env")
+
+        monkeypatch.setattr(PricingEnv, "__init__", fail)
+        group = run_training_group(self.group_config(), (), 0)
+        assert [r.algorithm for r in group] == ["solve"]
 
     def test_reference_agrees_with_the_solve_record(self):
         """A training record's consistent flag is its seed's solve record's:
@@ -993,6 +1020,33 @@ class TestCli:
             1 + len(algos) * cfg.episodes * cfg.num_rsus)
         assert ((tmp_path / "cli" / "summary.json").read_text()
                 == (tmp_path / "api" / "summary.json").read_text())
+
+    def test_compare_samples_and_solves_each_seed_once(self, tmp_path, monkeypatch):
+        """compare runs one group per seed: each seed's market is sampled
+        once, and that instance alone is solved and verified, once."""
+        doc = yaml.safe_load(Path(self._write_cfg(tmp_path)).read_text())
+        doc["seeds"] = [0, 3]
+        path = tmp_path / "two_seeds.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        sample, baseline = harness._sample, harness.theoretical_baseline
+        sampled, solved = [], []
+
+        def count_sample(cfg, seed):
+            sampled.append((seed, sample(cfg, seed)))
+            return sampled[-1][1]
+
+        def count_baseline(instance):
+            solved.append(instance)
+            return baseline(instance)
+
+        monkeypatch.setattr(harness, "_sample", count_sample)
+        monkeypatch.setattr(harness, "theoretical_baseline", count_baseline)
+        code = cli_main(["compare", "--algo", "greedy", "random", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert [seed for seed, _ in sampled] == [0, 3]
+        assert len(solved) == 2
+        assert all(a is b for (_, a), b in zip(sampled, solved))
 
     @pytest.mark.parametrize("param", ["I", "J"])
     def test_sweep_market_size_default_grid(self, tmp_path, capsys, param):

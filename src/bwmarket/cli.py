@@ -17,7 +17,6 @@ from .harness import (
     run_sweep,
     run_training,
     run_training_group,
-    write_summary,
 )
 
 
@@ -110,13 +109,11 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        csv_path = emit_results(records, cfg.out, fmt="csv")
-        emit_results(records, cfg.out, fmt="jsonl")
-        summary_path = write_summary(records, cfg.out)
+        csv_path = emit_results(records, cfg.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {csv_path} and {summary_path}")
+    print(f"wrote {csv_path} and {csv_path.with_name('summary.json')}")
     inconsistent = [r.run_id for r in records if not r.consistent]
     if args.strict and inconsistent:
         print(f"error: equilibrium check failed for {', '.join(inconsistent)}",

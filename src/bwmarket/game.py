@@ -793,6 +793,9 @@ def solve_equilibrium(instance: GameInstance) -> EquilibriumSolution:
 # grid's by at most 1.1e-6 of the largest seller utility.
 _SEARCH_LEVELS = (33, 17, 17)
 
+# The largest relative gain a verified seller or buyer may find by deviating.
+_REL_TOL = 1e-6
+
 
 def _best_deviations(P: np.ndarray, m: _MarketArrays) -> np.ndarray:
     """Each seller's best margin (p - c_j) * b_ij on each buyer (J x I) over
@@ -821,8 +824,8 @@ def _best_deviations(P: np.ndarray, m: _MarketArrays) -> np.ndarray:
     return best
 
 
-def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
-                       rel_tol: float = 1e-6) -> VerificationReport:
+def verify_equilibrium(instance: GameInstance,
+                       solution: EquilibriumSolution) -> VerificationReport:
     """Numerical no-profitable-deviation check of the equilibrium definition;
     it draws no random numbers.
 
@@ -834,7 +837,8 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
     search finds no gain reports exactly 0, and a recorded utility below the
     posted margins is flagged. Each buyer's exact best response to the
     solution's prices must not beat its equilibrium utility, relative to
-    max(1, |utility|). A solve's own buyers pass with a violation of exactly
+    max(1, |utility|). Any violation above _REL_TOL is reported, and fails
+    the check. A solve's own buyers pass with a violation of exactly
     0: their demands come from the same kernel on the same prices, whose one
     call also gives the posted margins.
     """
@@ -844,11 +848,11 @@ def verify_equilibrium(instance: GameInstance, solution: EquilibriumSolution,
     scale = max(1.0, float(np.max(np.abs(solution.rsu_utilities))))
     margins = np.maximum(_best_deviations(P, m), _margins(P, demands, m.c))
     worst_rsu = np.maximum((margins.sum(axis=1) - solution.rsu_utilities) / scale, 0.0)
-    rsu_violations = [(j, w) for j, w in enumerate(worst_rsu.tolist()) if w > rel_tol]
+    rsu_violations = [(j, w) for j, w in enumerate(worst_rsu.tolist()) if w > _REL_TOL]
 
     best = _buyer_utilities(m, demands, P.T)
     base = solution.uav_utilities
     worst_uav = np.maximum((best - base) / np.maximum(1.0, np.abs(base)), 0.0)
-    uav_violations = [(i, w) for i, w in enumerate(worst_uav.tolist()) if w > rel_tol]
+    uav_violations = [(i, w) for i, w in enumerate(worst_uav.tolist()) if w > _REL_TOL]
     max_violation = max([0.0, *worst_rsu.tolist(), *worst_uav.tolist()])
     return VerificationReport(rsu_violations, uav_violations, max_violation)

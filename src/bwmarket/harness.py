@@ -9,6 +9,8 @@ reads them.  A sweep draws each seed's rows once, at its largest market, and
 builds every cell from a prefix of them.  Every record takes its reference and
 consistent flag from ``theoretical_baseline``; a training group, the one
 runner per seed, solves its market once and returns that solve record first.
+One call, ``emit_results``, writes a command's outputs: results.csv and
+results.jsonl from one flattening of the records, then summary.json.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -454,26 +455,25 @@ def _solve_record(seed: int, instance: GameInstance, start: float, cfg_hash: str
 # Sweeps
 # ---------------------------------------------------------------------------
 
+# Each sweep parameter's grid domain: market sizes as num_uavs and num_rsus
+# declare theirs, and a cost or cap positive.
+_SWEEP_GRIDS = {"c": list[Annotated[float, "(0, inf)"]],
+                "p_bar": list[Annotated[float, "(0, inf)"]],
+                "I": list[Annotated[int, "[1, inf)"]],
+                "J": list[Annotated[int, "[1, inf)"]]}
+
+
 @dataclass
 class SweepSpec:
     parameter: str                  # one of: c, p_bar, I, J
-    grid: list                      # I and J values become ints
+    grid: list                      # stored as _SWEEP_GRIDS declares
     seeds: list[int]
 
     def __post_init__(self):
-        if self.parameter not in ("c", "p_bar", "I", "J"):
+        if self.parameter not in _SWEEP_GRIDS:
             raise ConfigError(f"unknown sweep parameter {self.parameter!r}")
-        numbers_only = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                           for v in self.grid)
-        if self.parameter in ("I", "J"):
-            if not (numbers_only and all(float(v).is_integer() and v >= 1
-                                         for v in self.grid)):
-                raise ConfigError(f"sweep grid for {self.parameter} must hold "
-                                  f"whole numbers >= 1, got {list(self.grid)}")
-            self.grid = [int(v) for v in self.grid]
-        elif not (numbers_only and all(math.isfinite(v) and v > 0 for v in self.grid)):
-            raise ConfigError(f"sweep grid for {self.parameter} must hold finite "
-                              f"positive values, got {list(self.grid)}")
+        self.grid = _domain.checked(f"sweep grid for {self.parameter}",
+                                    _SWEEP_GRIDS[self.parameter], self.grid)
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         self.seeds = _checked_seeds("sweep seeds", self.seeds)
@@ -501,8 +501,6 @@ def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):
     draw time. Each cell's config is hashed once, for all its seeds.
     """
     subs = [_apply_sweep_value(cfg, spec.parameter, value) for value in spec.grid]
-    if not subs:
-        return [], {}
     I = max(sub.num_uavs for sub in subs)
     J = max(sub.num_rsus for sub in subs)
     draws = []
@@ -531,54 +529,47 @@ def run_sweep(cfg: ExperimentConfig, spec: SweepSpec):
 # ---------------------------------------------------------------------------
 
 def record_rows(record: RunRecord) -> list[dict]:
-    """Flatten a run into CSV rows (fixed column order)."""
-    rows, run_id = [], record.run_id
+    """Flatten a run into CSV rows (fixed column order): one per episode and
+    agent, or for a solve run one row at episode 0, without an agent, whose
+    rewards are its reference."""
+    theoretical, wall_ms = repr(record.theoretical), repr(record.wall_ms)
     if record.episode_rewards.size == 0:
-        rows.append({
-            "run_id": run_id, "seed": record.seed, "episode": 0,
-            "agent_id": "", "reward": repr(record.theoretical),
-            "avg_reward": repr(record.theoretical), "sparsity": "",
-            "theoretical": repr(record.theoretical),
-            "wall_ms": repr(record.wall_ms),
-        })
-        return rows
-    avg = record.avg_rewards
-    for episode in range(record.episode_rewards.shape[0]):
-        spars = (repr(float(record.sparsity[episode]))
-                 if record.sparsity.size else "")
-        for agent in range(record.episode_rewards.shape[1]):
-            rows.append({
-                "run_id": run_id, "seed": record.seed, "episode": episode,
-                "agent_id": agent,
-                "reward": repr(float(record.episode_rewards[episode, agent])),
-                "avg_reward": repr(float(avg[episode])),
-                "sparsity": spars,
-                "theoretical": repr(record.theoretical),
-                "wall_ms": repr(record.wall_ms),
-            })
-    return rows
+        cells = [(0, "", theoretical, theoretical, "")]
+    else:
+        avg = [repr(v) for v in record.avg_rewards.tolist()]
+        spars = [repr(v) for v in record.sparsity.tolist()] or [""] * len(avg)
+        cells = [(episode, agent, repr(reward), avg[episode], spars[episode])
+                 for episode, row in enumerate(record.episode_rewards.tolist())
+                 for agent, reward in enumerate(row)]
+    return [{"run_id": record.run_id, "seed": record.seed, "episode": episode,
+             "agent_id": agent, "reward": reward, "avg_reward": avg_reward,
+             "sparsity": sparsity, "theoretical": theoretical, "wall_ms": wall_ms}
+            for episode, agent, reward, avg_reward, sparsity in cells]
 
 
-def emit_results(records: list[RunRecord], out_dir, fmt: str = "csv") -> Path:
-    """Write records as CSV or JSONL; re-emission is byte-identical."""
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {fmt!r}")
+def emit_results(records: list[RunRecord], out_dir) -> Path:
+    """Write a command's outputs into out_dir and return results.csv's path.
+
+    The records are sorted by run id and seed and flattened once; results.csv
+    and results.jsonl hold those same rows, then write_summary writes
+    summary.json. Re-emission is byte-identical."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [row for rec in sorted(records, key=lambda r: (r.run_id, r.seed))
             for row in record_rows(rec)]
-    path = out_dir / f"results.{fmt}"
+    csv_path = path = out_dir / "results.csv"
     try:
-        with open(path, "w", newline="" if fmt == "csv" else None) as fh:
-            if fmt == "csv":
-                writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-                writer.writeheader()
-                writer.writerows(rows)
-            else:
-                fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+        path = out_dir / "results.jsonl"
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-    return path
+    write_summary(records, out_dir)
+    return csv_path
 
 
 def parse_results_csv(path) -> list[dict]:

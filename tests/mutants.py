@@ -210,9 +210,9 @@ MUTANTS = (
            '            raise ConfigError(f"unknown parameter range {key!r}")\n', "",
            ("tests/test_harness.py::TestSampling::test_unknown_range_key_is_config_error",
             "tests/test_harness.py::TestConfig::test_unknown_range_key")),
-    Mutant("sweep-grid-takes-only-python-numbers", HARNESS,
-           "isinstance(v, numbers.Real) and not isinstance(v, bool)",
-           "isinstance(v, (int, float)) and not isinstance(v, bool)",
+    Mutant("sweep-grid-takes-only-python-numbers", DOMAIN,
+           "isinstance(value, numbers.Real)",
+           "isinstance(value, (int, float))",
            ("tests/test_harness.py::TestRuns::"
             "test_sweep_market_size_grid_takes_numpy_numbers[grid0]",)),
     # pruning: equal scores mask in (layer, index) order
@@ -233,17 +233,19 @@ MUTANTS = (
            "    solve = _solve_record(seed, _sample(cfg, seed + 1), start, digest)\n",
            (f"{T_HARNESS}::TestTrainingGroup::"
             "test_solve_record_matches_an_independent_reference",)),
-    # an unknown format is refused before the output directory exists
-    Mutant("emit-results-mkdir-before-format-check", HARNESS,
-           '    if fmt not in ("csv", "jsonl"):\n'
-           '        raise ValueError(f"unknown format {fmt!r}")\n'
-           "    out_dir = Path(out_dir)\n"
-           "    out_dir.mkdir(parents=True, exist_ok=True)\n",
-           "    out_dir = Path(out_dir)\n"
-           "    out_dir.mkdir(parents=True, exist_ok=True)\n"
-           '    if fmt not in ("csv", "jsonl"):\n'
-           '        raise ValueError(f"unknown format {fmt!r}")\n',
-           ("tests/test_harness.py::TestPersistence::test_unknown_format_leaves_no_directory",)),
+    # one writer for a command's outputs: each record flattened once, and
+    # results.jsonl holds results.csv's rows in their order
+    Mutant("jsonl-rows-rebuilt", HARNESS,
+           '            fh.writelines(json.dumps(row, sort_keys=True) + "\\n" for row in rows)\n',
+           "            fh.writelines(json.dumps(row, sort_keys=True) + \"\\n\"\n"
+           "                          for rec in sorted(records, key=lambda r: (r.run_id, r.seed))\n"
+           "                          for row in record_rows(rec))\n",
+           (f"{T_HARNESS}::TestCli::test_outputs_flatten_each_record_once[compare]",)),
+    Mutant("jsonl-in-given-order", HARNESS,
+           '            fh.writelines(json.dumps(row, sort_keys=True) + "\\n" for row in rows)\n',
+           "            fh.writelines(json.dumps(row, sort_keys=True) + \"\\n\"\n"
+           "                          for rec in records for row in record_rows(rec))\n",
+           (f"{T_HARNESS}::TestPersistence::test_jsonl_matches_csv_rows",)),
 )
 
 

@@ -264,7 +264,7 @@ class TestReproducibility:
 
         def rows(sub):
             rec = run_training(cfg, "tiny_madrl", seed=0)
-            path = emit_results([rec], tmp_path / sub, fmt="csv")
+            path = emit_results([rec], tmp_path / sub)
             return [line.rsplit(",", 1)[0]
                     for line in path.read_text().splitlines()]
 

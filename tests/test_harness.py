@@ -535,16 +535,16 @@ class TestRuns:
         with pytest.raises(ConfigError):
             SweepSpec("c", [2.0, 1.0], [0])
 
-    @pytest.mark.parametrize("param,grid", [
-        ("I", [0, 1]), ("J", [1.5, 2]), ("I", [float("nan")]),
-        ("c", [-1.0, 1.0]), ("c", [0.0]), ("p_bar", [float("inf")]),
-        ("c", ["x"]), ("p_bar", [1.0, None]), ("I", ["2"]), ("J", [True, 2]),
-        ("c", [True, 2.0]),
+    @pytest.mark.parametrize("param,grid,rule", [
+        ("I", [0, 1], "be >= 1"), ("J", [1.5, 2], "be whole numbers"),
+        ("I", [float("nan")], "be whole numbers"), ("c", [-1.0, 1.0], "be > 0"),
+        ("c", [0.0], "be > 0"), ("p_bar", [float("inf")], "be finite numbers"),
+        ("c", ["x"], "be finite numbers"), ("p_bar", [1.0, None], "be finite numbers"),
+        ("I", ["2"], "be whole numbers"), ("J", [True, 2], "be whole numbers"),
+        ("c", [True, 2.0], "be finite numbers"),
     ])
-    def test_sweep_grid_out_of_domain(self, param, grid):
-        kind = ("whole numbers >= 1" if param in ("I", "J")
-                else "finite positive values")
-        with pytest.raises(ConfigError, match=f"^sweep grid for {param} must hold {kind}"):
+    def test_sweep_grid_out_of_domain(self, param, grid, rule):
+        with pytest.raises(ConfigError, match=f"^sweep grid for {param} must {rule}, got "):
             SweepSpec(param, grid, [0])
 
     def test_sweep_market_size_grid_becomes_int(self):
@@ -671,9 +671,9 @@ class TestSweepDraws:
         assert sum(rec.wall_ms for rec in records) <= elapsed_ms
 
     @pytest.mark.parametrize("param", [p for p, _ in SWEEPS])
-    def test_empty_grid_gives_no_records(self, param):
-        cfg = self.config({})
-        assert run_sweep(cfg, SweepSpec(param, [], cfg.seeds)) == ([], {})
+    def test_empty_grid_is_config_error(self, param):
+        with pytest.raises(ConfigError, match=f"^sweep grid for {param} list is empty$"):
+            SweepSpec(param, [], [0])
 
 
 class TestTrainingGroup:
@@ -836,7 +836,7 @@ class TestPersistence:
     def test_csv_round_trip(self, tmp_path):
         cfg = tiny_config()
         records = [run_solve(cfg, 0), run_training(cfg, "random", 0)]
-        path = emit_results(records, tmp_path, fmt="csv")
+        path = emit_results(records, tmp_path)
         rows = parse_results_csv(path)
         assert rows and list(rows[0]) == CSV_COLUMNS
         training = [r for r in rows if r["agent_id"] != ""]
@@ -844,24 +844,22 @@ class TestPersistence:
         assert float(training[0]["reward"]) == records[1].episode_rewards[0, 0]
 
     def test_empty_records_header_only(self, tmp_path):
-        path = emit_results([], tmp_path, fmt="csv")
+        path = emit_results([], tmp_path)
         assert path.read_text().strip() == ",".join(CSV_COLUMNS)
 
-    def test_unknown_format_leaves_no_directory(self, tmp_path):
-        out = tmp_path / "out"
-        with pytest.raises(ValueError, match="unknown format 'xml'"):
-            emit_results([], out, fmt="xml")
-        assert not out.exists()
-
     def test_jsonl_matches_csv_rows(self, tmp_path):
+        """results.jsonl holds results.csv's rows, field for field, and
+        summary.json is write_summary's, for records given out of order."""
         cfg = tiny_config()
-        records = [run_training(cfg, "random", 0)]
-        csv_rows = parse_results_csv(emit_results(records, tmp_path, fmt="csv"))
+        records = [run_training(cfg, "random", 0), run_solve(cfg, 0),
+                   run_training(cfg, "greedy", 0)]
+        csv_rows = parse_results_csv(emit_results(records, tmp_path / "out"))
         jsonl = [json.loads(line) for line in
-                 emit_results(records, tmp_path, fmt="jsonl").read_text()
-                 .splitlines()]
-        assert len(jsonl) == len(csv_rows)
-        assert str(jsonl[0]["reward"]) == csv_rows[0]["reward"]
+                 (tmp_path / "out" / "results.jsonl").read_text().splitlines()]
+        assert [{k: str(v) for k, v in row.items()} for row in jsonl] == csv_rows
+        assert len(csv_rows) == 1 + 2 * cfg.episodes * cfg.num_rsus
+        summary = write_summary(records, tmp_path / "alone").read_bytes()
+        assert (tmp_path / "out" / "summary.json").read_bytes() == summary
 
     def test_summary_contents(self, tmp_path):
         cfg = tiny_config()
@@ -875,8 +873,8 @@ class TestPersistence:
     def test_reemission_byte_identical(self, tmp_path):
         cfg = tiny_config()
         records = [run_training(cfg, "random", 0), run_solve(cfg, 1)]
-        a = emit_results(records, tmp_path / "a", fmt="csv").read_bytes()
-        b = emit_results(records, tmp_path / "b", fmt="csv").read_bytes()
+        a = emit_results(records, tmp_path / "a").read_bytes()
+        b = emit_results(records, tmp_path / "b").read_bytes()
         assert a == b
 
 
@@ -886,7 +884,7 @@ class TestReproducibility:
 
         def run(sub):
             rec = run_training(cfg, "random", seed=0)
-            path = emit_results([rec], tmp_path / sub, fmt="csv")
+            path = emit_results([rec], tmp_path / sub)
             return [row[:-1] for row in
                     (line.split(",") for line in path.read_text().splitlines())]
 
@@ -1048,6 +1046,30 @@ class TestCli:
         assert len(solved) == 2
         assert all(a is b for (_, a), b in zip(sampled, solved))
 
+    @pytest.mark.parametrize("command", [["compare", "--algo", "greedy", "random"],
+                                         ["sweep", "--param", "J", "--grid", "1", "2"]],
+                             ids=["compare", "sweep"])
+    def test_outputs_flatten_each_record_once(self, tmp_path, monkeypatch, command):
+        """One call writes results.csv, results.jsonl and summary.json, and
+        flattens each record once for both results files."""
+        doc = yaml.safe_load(Path(self._write_cfg(tmp_path)).read_text())
+        doc["seeds"] = [0, 1]
+        path = tmp_path / "two_seeds.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        record_rows, flattened = harness.record_rows, []
+
+        def count_rows(record):
+            flattened.append(record.run_id)
+            return record_rows(record)
+
+        monkeypatch.setattr(harness, "record_rows", count_rows)
+        out = tmp_path / "out"
+        assert cli_main([*command, "--config", str(path), "--out", str(out)]) == 0
+        run_ids = {row["run_id"] for row in parse_results_csv(out / "results.csv")}
+        assert len(run_ids) == (6 if command[0] == "compare" else 4)
+        assert sorted(flattened) == sorted(run_ids)
+        assert (out / "results.jsonl").exists() and (out / "summary.json").exists()
+
     @pytest.mark.parametrize("param", ["I", "J"])
     def test_sweep_market_size_default_grid(self, tmp_path, capsys, param):
         code = cli_main(["sweep", "--param", param,
@@ -1157,9 +1179,9 @@ class TestCli:
     def test_sweep_bad_grid_reports_error(self, tmp_path, capsys):
         cases = [
             (["I", "2", "2"], "sweep grid must be strictly increasing"),
-            (["I", "0", "1"], "sweep grid for I must hold whole numbers >= 1"),
-            (["I", "2.7", "3.9"], "sweep grid for I must hold whole numbers >= 1"),
-            (["c", "-1", "1"], "sweep grid for c must hold finite positive values"),
+            (["I", "0", "1"], "sweep grid for I must be >= 1"),
+            (["I", "2.7", "3.9"], "sweep grid for I must be whole numbers"),
+            (["c", "-1", "1"], "sweep grid for c must be > 0"),
         ]
         for (param, *grid), message in cases:
             code = cli_main(["sweep", "--param", param, "--grid", *grid,
